@@ -20,6 +20,7 @@ which splits the associated second-order transfer function into two
 independent LTI subsystems.
 """
 
+import logging
 import threading
 
 import numpy as np
@@ -39,10 +40,14 @@ __all__ = [
     "KronSumSolver",
     "solve_pi_sylvester",
     "pi_sylvester_residual",
+    "ritz_spread",
     "FactoredTensor",
     "FactoredPi",
     "LowRankKronSolver",
+    "PiNotLowRank",
 ]
+
+_log = logging.getLogger(__name__)
 
 _SINGULAR_RTOL = 1e-13
 
@@ -809,6 +814,44 @@ _EIG_THRESHOLD = 48
 #: is not trusted and the Schur sweep is used instead.
 _EIG_COND_LIMIT = 1e10
 
+#: Ritz spread (see :func:`ritz_spread`) at which the Π equation stops
+#: being separated.  With every ``Re λ`` in ``[−M, −m]`` the pair sums
+#: ``λ_b + λ_c`` lie in ``[−2M, −2m]``, disjoint from the spectrum of
+#: ``G1`` exactly when ``M < 2m``; past that, ``λ_a − λ_b − λ_c`` crosses
+#: zero and Π has no low-rank approximation (Simoncini, SIAM Review
+#: 58(3), 2016), so the right-Galerkin iteration climbs towards r = n.
+PI_SPREAD_LIMIT = 2.0
+
+
+def ritz_spread(theta):
+    """Spread and stability of Ritz values *theta* of ``G1``.
+
+    Returns ``(rho, stable)`` with ``rho = max|Re θ| / min|Re θ|``
+    (``inf`` when some ``Re θ`` is zero) and *stable* true when every
+    ``Re θ < 0``.  For a symmetric ``G1`` the Ritz values of any
+    projection ``UᵀG1U`` stay inside ``[λmin, λmax]``, so their ``rho``
+    never exceeds the true spread.
+    """
+    theta = np.asarray(theta)
+    re = np.abs(theta.real)
+    low = float(re.min())
+    rho = float(re.max()) / low if low > 0.0 else float("inf")
+    return rho, bool(np.all(theta.real < 0.0))
+
+
+class PiNotLowRank(NumericalError):
+    """The low-rank Π iteration handed over to the dense Schur solve.
+
+    Raised by :meth:`LowRankKronSolver.solve_pi` only when the caller
+    allowed a handover (``dense_limit``).  :attr:`plan` is the solve's
+    evidence record (see :attr:`LowRankKronSolver.pi_plan`) with
+    ``route="dense"`` and the reason the iteration stopped.
+    """
+
+    def __init__(self, message, plan):
+        super().__init__(message)
+        self.plan = plan
+
 
 def _blocked_product(a, b, conjugate=False):
     """``aᴴ b`` (``aᵀ b`` when *conjugate* is false) in row blocks.
@@ -1081,6 +1124,8 @@ class LowRankKronSolver:
             "solves": 0, "pi_iterations": 0, "extensions": 0,
             "soft_accepts": 0,
         }
+        #: Evidence record of the latest :meth:`solve_pi` call.
+        self.pi_plan = None
 
     @property
     def dim(self):
@@ -1387,7 +1432,7 @@ class LowRankKronSolver:
     # -- the eq.-(18) Π equation ---------------------------------------------
 
     def solve_pi(self, g2, tol=None, max_rank=None, max_seed=None,
-                 seed_basis=None, floor=None):
+                 seed_basis=None, floor=None, dense_limit=None):
         """Right-sided low-rank solve of ``G1 Π + G2 = Π (G1 ⊕ G1)``.
 
         Builds a private real basis ``U`` from ``G2``'s lifted-side COO
@@ -1407,6 +1452,28 @@ class LowRankKronSolver:
         stopping test is unchanged, so a warm start saves extension
         rounds without relaxing the accuracy contract.
 
+        Π is low-rank only when ``G1``'s spectrum is separated.  The
+        evidence is read from the fiber-seeded basis *before* any warm
+        columns (so a warm-started solve and its cold twin judge the
+        same matrix): the G2 fiber count and the :func:`ritz_spread` of
+        the eigenvalues of ``H = UᵀG1U``, re-read on every later
+        round's ``H``.  With *dense_limit* set and ``n <= dense_limit``,
+        evidence against a low-rank Π — more fibers than *max_seed*, a
+        Ritz value with ``Re θ >= 0``, or a spread of at least
+        :data:`PI_SPREAD_LIMIT` — stops the solve with
+        :class:`PiNotLowRank`, before its first round when the seeded
+        basis already shows it; the caller then takes the dense Schur
+        solve.  The evidence never changes the low-rank arithmetic.
+
+        Every call leaves its record in :attr:`pi_plan`: ``route``
+        (``"lowrank"``, or ``"dense"`` on a handover), ``reason``
+        (``"separated"``, ``"spread"``, ``"unstable"``, ``"fibers"`` or
+        ``"zero-g2"``), ``n``, ``nnz_g1``, ``g2_fibers``, ``spread``
+        (of the seeded basis, or of the basis that crossed the limit),
+        ``rounds``, ``rank`` (right-basis dimension reached),
+        ``residual`` (relative to ``‖G2‖_F``, once converged) and
+        ``soft_accept``.
+
         Raises :class:`NumericalError` when ``G2``'s fiber spans are too
         wide for a low-rank treatment (callers may then fall back to the
         dense Schur path) or when the iteration stalls above *floor*
@@ -1424,8 +1491,20 @@ class LowRankKronSolver:
                 raise ValidationError(
                     "the low-rank Pi solve expects real G1/G2"
                 )
+            nnz = (
+                self.g1.nnz if sp.issparse(self.g1)
+                else np.count_nonzero(self.g1)
+            )
+            plan = self.pi_plan = {
+                "route": "lowrank", "reason": "separated", "n": int(n),
+                "nnz_g1": int(nnz), "g2_fibers": 0, "spread": None,
+                "rounds": 0, "rank": 0, "residual": None,
+                "soft_accept": False,
+            }
+            handover = dense_limit is not None and n <= dense_limit
             g2_norm = float(np.linalg.norm(vals))
             if g2_norm == 0.0:
+                plan.update(reason="zero-g2", residual=0.0)
                 return FactoredPi(np.zeros((n, 0)), np.zeros((n, 0)), 0.0,
                                   0.0)
             if max_rank is None:
@@ -1434,9 +1513,12 @@ class LowRankKronSolver:
                     self.max_dim, max(int(np.sqrt(1.6e7 / max(n, 1))), 24)
                 )
             basis = _KrylovBasis(self.g1, max_rank)
-            seeds = self._pi_seed_blocks(rows, ii, jj, vals, max_seed)
+            seeds = self._pi_seed_blocks(
+                rows, ii, jj, vals, max_seed, plan, handover
+            )
             for block in seeds:
                 basis.absorb(block)
+            self._check_pi_spread(basis, plan, handover)
             if seed_basis is not None:
                 warm = np.asarray(seed_basis)
                 if warm.ndim != 2 or warm.shape[0] != n:
@@ -1450,6 +1532,7 @@ class LowRankKronSolver:
             pending = None
             for _ in range(_MAX_GALERKIN_ROUNDS):
                 self.stats["pi_iterations"] += 1
+                plan["rounds"] += 1
                 try:
                     left, resid = self._pi_right_solve(
                         basis, rows, ii, jj, vals, seeds
@@ -1462,6 +1545,7 @@ class LowRankKronSolver:
                     pending = exc
                     left = None
                 if left is not None and resid <= tol * g2_norm:
+                    plan.update(rank=basis.dim, residual=resid / g2_norm)
                     return FactoredPi(
                         left, basis.u.copy(), float(resid), g2_norm
                     )
@@ -1469,6 +1553,17 @@ class LowRankKronSolver:
                     if (left is not None and floor is not None
                             and resid <= floor * g2_norm):
                         self.stats["soft_accepts"] += 1
+                        plan.update(
+                            rank=basis.dim, residual=resid / g2_norm,
+                            soft_accept=True,
+                        )
+                        _log.warning(
+                            "low-rank Pi soft-accepted at relative "
+                            "residual %.2e (target %.0e) with right-basis "
+                            "rank %d of n=%d after %d rounds",
+                            resid / g2_norm, tol, basis.dim, n,
+                            plan["rounds"],
+                        )
                         return FactoredPi(
                             left, basis.u.copy(), float(resid), g2_norm
                         )
@@ -1479,6 +1574,8 @@ class LowRankKronSolver:
                     # Superseded round: reclaim its arena tile eagerly
                     # (a no-op when the left factor was RAM-resident).
                     memory.release(left)
+                self._check_pi_spread(basis, plan, handover)
+            plan["rank"] = basis.dim
             if pending is not None:
                 raise pending
             raise NumericalError(
@@ -1487,27 +1584,61 @@ class LowRankKronSolver:
                 f"dimension {basis.dim} (cap {basis.max_dim})"
             )
 
-    def _pi_seed_blocks(self, rows, ii, jj, vals, max_seed):
+    def _pi_seed_blocks(self, rows, ii, jj, vals, max_seed, plan, handover):
         """Spanning blocks of G2's lifted-side (mode-1/2) fiber spaces.
 
         Gathered directly from the COO data (never ``toarray``).  With
         these absorbed, ``G2 = Ĝ2 (U⊗U)ᵀ`` holds exactly and the
         residual identity in :meth:`_pi_right_solve` is exact.  A fiber
         count beyond *max_seed* means ``G2`` is not low-rank on the
-        lifted side and the solver refuses.
+        lifted side and the solver refuses (handing over when
+        *handover*).  The larger of the two counts goes into *plan*.
         """
         if max_seed is None:
             max_seed = max(4 * self.block_cap, 64)
-        blocks = []
-        for count, block in _g2_fiber_blocks(rows, ii, jj, vals, self.n):
-            if count > max_seed:
-                raise NumericalError(
-                    f"G2 has {count} distinct lifted-side tensor "
-                    f"fibers (> {max_seed}); the right-hand side is not "
-                    "low-rank — use the dense Schur Pi solve"
-                )
-            blocks.append(block)
+        blocks = [
+            block for _, block in _g2_fiber_blocks(rows, ii, jj, vals, self.n)
+        ]
+        count = plan["g2_fibers"] = max(block.shape[1] for block in blocks)
+        if count > max_seed:
+            message = (
+                f"G2 has {count} distinct lifted-side tensor fibers "
+                f"(> {max_seed}); the right-hand side is not low-rank — "
+                "use the dense Schur Pi solve"
+            )
+            plan["reason"] = "fibers"
+            if handover:
+                plan["route"] = "dense"
+                raise PiNotLowRank(message, plan)
+            raise NumericalError(message)
         return blocks
+
+    def _check_pi_spread(self, basis, plan, handover):
+        """Read the Ritz evidence of the current Π basis into *plan*.
+
+        The first call (the fiber-seeded basis) fixes ``plan["spread"]``;
+        the first basis whose spread reaches :data:`PI_SPREAD_LIMIT`, or
+        whose Ritz values leave the open left half-plane, replaces it and
+        the reason, and raises :class:`PiNotLowRank` when *handover*.
+        """
+        rho, stable = ritz_spread(np.linalg.eigvals(basis.h()))
+        if plan["spread"] is None:
+            plan["spread"] = rho
+        if stable and rho < PI_SPREAD_LIMIT:
+            return
+        if plan["reason"] == "separated":
+            plan.update(
+                reason="spread" if stable else "unstable", spread=rho,
+            )
+        if handover:
+            plan.update(route="dense", rank=basis.dim)
+            raise PiNotLowRank(
+                f"Pi basis Ritz spread {rho:.3g} (limit "
+                f"{PI_SPREAD_LIMIT:g}, stable={stable}) after "
+                f"{plan['rounds']} rounds: G1's spectrum is not separated "
+                f"and Pi is not low-rank",
+                plan,
+            )
 
     def _pi_right_solve(self, basis, rows, ii, jj, vals, seeds):
         """One right-projected Π solve; returns ``(left, residual)``.

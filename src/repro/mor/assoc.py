@@ -285,6 +285,8 @@ class AssociatedTransformMOR:
         basis = merge_bases(blocks, tol=self.tol)
         details["raw_vectors"] = int(sum(b.shape[1] for b in blocks))
         details["deflated_to"] = int(basis.shape[1])
+        if dec2 is not None and workspace.pi_plan is not None:
+            details["pi_plan"] = dict(workspace.pi_plan)
         if checkpoint is not None:
             details["checkpoint"] = checkpoint.describe()
         return basis, details

@@ -403,6 +403,9 @@ class PipelineResult:
                 "store_hit": self.store_hit,
                 "reduce_time_s": self.reduce_time,
             }
+            pi_plan = self.rom.details.get("pi_plan")
+            if pi_plan is not None:
+                report["reduction"]["pi_plan"] = json_safe(pi_plan)
             if self.artifact is not None:
                 report["reduction"]["provenance"] = self.artifact.describe()
             if self.checkpoint_info is not None:

@@ -31,6 +31,8 @@ Sparsity contract (the circuit-scale fast path):
   :class:`~repro.systems.descriptor.DescriptorPencil` (dense QZ).
 """
 
+from functools import partial
+
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
@@ -231,6 +233,39 @@ def _normalize_d1(d1, n, m, sparse=False):
     if all(_nonzeros(mat) == 0 for mat in mats):
         return None
     return tuple(mats)
+
+
+def _solve_columns(solve, coeff, chunk=512):
+    """Apply a mass-matrix solve to a sparse ``(n, width)`` matrix
+    column-wise, touching only columns that carry nonzeros.
+
+    *solve* maps a dense ``(n, k)`` block to ``C^{-1}`` times it.  Works
+    entirely in nnz-sized structures: a CSC view (or a dense copy) of the
+    full ``(n, n^k)`` width would allocate O(n^k), so the nonzero columns
+    are compacted through the COO indices first.  Returns CSR.
+    """
+    coo = coeff.tocoo()
+    if coo.nnz == 0:
+        return sp.csr_matrix(coeff.shape)
+    cols, local_col = np.unique(coo.col, return_inverse=True)
+    compact = sp.csc_matrix(
+        (coo.data, (coo.row, local_col)),
+        shape=(coeff.shape[0], cols.size),
+    )
+    rows_acc, cols_acc, vals_acc = [], [], []
+    for start in range(0, cols.size, chunk):
+        block = solve(compact[:, start : start + chunk].toarray())
+        r, c = np.nonzero(block)
+        rows_acc.append(r)
+        cols_acc.append(cols[start + c])
+        vals_acc.append(block[r, c])
+    return sp.csr_matrix(
+        (
+            np.concatenate(vals_acc),
+            (np.concatenate(rows_acc), np.concatenate(cols_acc)),
+        ),
+        shape=coeff.shape,
+    )
 
 
 class PolynomialODE:
@@ -446,7 +481,9 @@ class PolynomialODE:
         of each coefficient matrix, so a circuit-sized system never
         materializes an ``(n, n²)`` dense block.  A dense mass matrix
         takes the dense LAPACK path (densifying a sparse ``g1``/``d1`` in
-        the mixed sparse-state/dense-mass corner case).
+        the mixed sparse-state/dense-mass corner case); ``g2``/``g3``
+        still go through the same nonzero-column compaction, so a
+        cubic ``g3`` of width ``n³`` is never densified.
         """
         if self.mass is None:
             return self
@@ -465,12 +502,8 @@ class PolynomialODE:
                 mat = mat.toarray()
             return sla.lu_solve(lu, mat)
 
-        g2 = None
-        if self.g2 is not None:
-            g2 = sp.csr_matrix(solve(self.g2.toarray()))
-        g3 = None
-        if self.g3 is not None:
-            g3 = sp.csr_matrix(solve(self.g3.toarray()))
+        g2 = None if self.g2 is None else _solve_columns(solve, self.g2)
+        g3 = None if self.g3 is None else _solve_columns(solve, self.g3)
         d1 = None
         if self.d1 is not None:
             d1 = [solve(mat) for mat in self.d1]
@@ -505,38 +538,7 @@ class PolynomialODE:
                 )
             return out
 
-        def solve_columns(coeff, chunk=512):
-            """Apply ``C^{-1}`` to a sparse (n, width) matrix column-wise,
-            touching only columns that carry nonzeros.
-
-            Works entirely in nnz-sized structures: a CSC view of the
-            full ``(n, n^k)`` width would allocate an O(n^k) indptr, so
-            the nonzero columns are compacted through the COO indices
-            first.
-            """
-            coo = coeff.tocoo()
-            if coo.nnz == 0:
-                return sp.csr_matrix(coeff.shape)
-            cols, local_col = np.unique(coo.col, return_inverse=True)
-            compact = sp.csc_matrix(
-                (coo.data, (coo.row, local_col)),
-                shape=(coeff.shape[0], cols.size),
-            )
-            rows_acc, cols_acc, vals_acc = [], [], []
-            for start in range(0, cols.size, chunk):
-                block = solve_dense(compact[:, start : start + chunk].toarray())
-                r, c = np.nonzero(block)
-                rows_acc.append(r)
-                cols_acc.append(cols[start + c])
-                vals_acc.append(block[r, c])
-            return sp.csr_matrix(
-                (
-                    np.concatenate(vals_acc),
-                    (np.concatenate(rows_acc), np.concatenate(cols_acc)),
-                ),
-                shape=coeff.shape,
-            )
-
+        solve_columns = partial(_solve_columns, solve_dense)
         g1 = (
             solve_columns(self.g1)
             if sp.issparse(self.g1)

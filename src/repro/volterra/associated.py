@@ -28,8 +28,11 @@ on the resolvent factory's sparse LU, the decoupled-H2 chains become
 pure sparse-``G1`` solves, and the lifted H3 realization runs on
 compressed Tucker vectors (:class:`FactoredH3Realization`), so full
 ``orders=(q1, q2, q3)`` NMOR reaches ``n ≫ 2000`` without ever
-densifying ``G1`` — a Krylov step then costs ``O(nnz·r + n·r²)``.  Only
-the *coupled* H2 strategy still needs the dense Schur form.
+densifying ``G1`` — a Krylov step then costs ``O(nnz·r + n·r²)``.  The
+factored Π needs a spectrally separated ``G1``; where the spectrum is
+not separated, systems of up to a few hundred states route Π to the
+dense Schur solve instead (see :attr:`AssociatedWorkspace.pi`).  The
+*coupled* H2 strategy always needs the dense Schur form.
 
 A note on the ``D1`` convention: the bilinear-input kernel has support on
 the diagonal ``t1 = t2`` of the time hyperplane.  The paper's Theorem 2
@@ -43,6 +46,7 @@ accuracy are unaffected; only literal impulse responses of systems with
 """
 
 import itertools
+import logging
 import threading
 from functools import partial
 
@@ -69,6 +73,8 @@ from ..linalg.sylvester import (
     FactoredTensor,
     KronSumSolver,
     LowRankKronSolver,
+    PiNotLowRank,
+    pi_sylvester_residual,
     solve_pi_sylvester,
 )
 from ..systems.lti import StateSpace
@@ -86,6 +92,9 @@ __all__ = [
     "associated_h3",
     "stack_columns",
 ]
+
+#: The Π route decisions log with the solver's own messages.
+_log = logging.getLogger("repro.linalg.pi")
 
 
 def _require_explicit(system):
@@ -148,6 +157,16 @@ def stack_columns(vectors, label):
 #: :class:`~repro.linalg.operators.FactoredH3Operator`) at any ``n``.
 _SPARSE_SCHUR_LIMIT = 2048
 
+#: Largest sparse system whose Π is routed to the dense Schur solve when
+#: the low-rank iteration's evidence shows Π is not low-rank.  On the
+#: default ladder (spread ~40, 2-core x86-64 VM) the dense route with
+#: its residual check took 0.29 / 0.48 / 3.0 / 11.7 / 44 s at
+#: n = 40 / 64 / 128 / 192 / 256, peaking at 1.4 GB RSS at 256 (its
+#: complex n³ workspaces grow as n³, its time as n⁴); the low-rank
+#: route took 3.3–4.5 s at n = 40, 21.5 s at n = 64 and did not finish
+#: in 10 min at n = 256.
+_PI_DENSE_LIMIT = 256
+
 #: Relative residual target for the low-rank Π solve.  Far tighter than
 #: the 1e-8·‖G2‖ acceptance threshold on purpose: Π feeds the decoupled
 #: H2 / lifted H3 chain vectors, and the reducer's basis deflation
@@ -186,10 +205,13 @@ class AssociatedWorkspace:
     Sparse systems (CSR ``g1``) carry no Schur form; shifted ``G1``
     solves route through the factory's per-shift sparse LU cache via
     :meth:`solve_shifted` / :meth:`solve_shifted_transpose` and never
-    densify.  The lifted machinery then runs matrix-free: :attr:`pi`
-    returns a factored Π, :attr:`lowrank_kron` serves the
-    Kronecker-sum solves behind the decoupled-H2 and H3 chains.  Only
-    the *coupled* H2 strategy still needs the dense Schur form —
+    densify.  The lifted machinery then runs matrix-free:
+    :attr:`lowrank_kron` serves the Kronecker-sum solves behind the
+    decoupled-H2 and H3 chains, and :attr:`pi` is factored wherever Π
+    is low-rank.  Where ``G1``'s spectrum is not separated, Π is not
+    low-rank; up to ``_PI_DENSE_LIMIT`` states :attr:`pi` then takes
+    the dense Schur solve, recording why in :attr:`pi_plan`.  The
+    coupled H2 strategy and a dense Π need the dense Schur form —
     :attr:`schur` builds one lazily for moderate sizes and refuses at
     circuit scale.
     """
@@ -203,6 +225,9 @@ class AssociatedWorkspace:
         self._lowrank = None
         self._a2_op = None
         self._pi = None
+        #: Route and evidence of a sparse system's Π solve (see
+        #: :attr:`pi`); None before Π is built and on dense systems.
+        self.pi_plan = None
         # Warm-start seeds from a neighboring parametric corner (see
         # warm_start()): consumed when the lazy solvers are built.
         self._warm_lowrank = None
@@ -392,50 +417,81 @@ class AssociatedWorkspace:
         """Solution of ``G1 Π + G2 = Π (G1 ⊕ G1)`` (lazy, cached).
 
         Dense systems get the dense ``(n, n²)`` matrix from the shared
-        Schur sweep.  Sparse systems get a
-        :class:`~repro.linalg.sylvester.FactoredPi` from the low-rank
-        right-Galerkin iteration on the factory's sparse LU — ``G1`` is
-        never densified.  When that iteration refuses (a ``G2`` whose
-        lifted-side fibers are not low-rank, or a Π equation without
-        spectral separation) the dense path is used as a fallback up to
-        ``_SPARSE_SCHUR_LIMIT`` states, beyond which the failure is
-        reported as-is.
+        Schur sweep.  Sparse systems take a route chosen from evidence,
+        recorded with that evidence in :attr:`pi_plan` and logged at
+        INFO on ``repro.linalg.pi``:
+
+        * the low-rank right-Galerkin iteration on the factory's sparse
+          LU (:meth:`~repro.linalg.sylvester.LowRankKronSolver.solve_pi`)
+          starts and reads the Ritz spread of its fiber-seeded basis
+          before any warm-start columns.  A separated spectrum (spread
+          < 2) yields a :class:`~repro.linalg.sylvester.FactoredPi`,
+          and ``G1`` is never densified;
+        * up to ``_PI_DENSE_LIMIT`` states, evidence that Π is not
+          low-rank — a spread of 2 or more, an unstable Ritz value, or
+          more G2 fibers than the seed cap, at seeding or at any later
+          round — hands the solve to the dense Schur sweep;
+        * beyond that the low-rank iteration runs regardless.  When it
+          refuses, the dense solve is a fallback (logged at WARNING)
+          up to ``_SPARSE_SCHUR_LIMIT`` states, beyond which the
+          failure is reported.
         """
         with self._lazy_lock:
             if self._pi is None:
-                system = self.system
-                if system.g2 is None:
+                if self.system.g2 is None:
                     raise SystemStructureError(
                         "system has no quadratic term; Π is undefined"
                     )
                 if self.is_sparse:
-                    try:
-                        self._pi = self.lowrank_kron.solve_pi(
-                            system.g2,
-                            tol=_PI_LOWRANK_TOL,
-                            floor=_PI_LOWRANK_FLOOR,
-                            seed_basis=self._warm_pi,
-                        )
-                        self._warm_pi = None
-                        return self._pi
-                    except NumericalError as exc:
-                        n = system.n_states
-                        if n > _SPARSE_SCHUR_LIMIT:
-                            raise SystemStructureError(
-                                f"the low-rank Pi solve failed for this "
-                                f"sparse {n}-state system ({exc}) and "
-                                f"the dense Schur fallback would "
-                                f"densify it; the eq.-(18) decoupling "
-                                f"needs either a low-rank G2 with a "
-                                f"spectrally separated G1, or a dense "
-                                f"compile"
-                            ) from exc
-                self._pi = solve_pi_sylvester(
-                    self._g1_dense(),
-                    self._g2_dense(),
-                    solver=self.kron_solver,
-                )
+                    self._pi, self.pi_plan = self._sparse_pi()
+                    _log.info("Pi plan %s", self.pi_plan,
+                              extra={"pi_plan": self.pi_plan})
+                else:
+                    self._pi = solve_pi_sylvester(
+                        self._g1_dense(),
+                        self._g2_dense(),
+                        solver=self.kron_solver,
+                    )
             return self._pi
+
+    def _sparse_pi(self):
+        """``(Π, plan)`` for a sparse system: low-rank unless the
+        evidence (or a refusal) routes it to the dense Schur sweep,
+        whose achieved relative residual then goes into the plan."""
+        solver = self.lowrank_kron
+        warm, self._warm_pi = self._warm_pi, None
+        try:
+            pi = solver.solve_pi(
+                self.system.g2,
+                tol=_PI_LOWRANK_TOL,
+                floor=_PI_LOWRANK_FLOOR,
+                seed_basis=warm,
+                dense_limit=_PI_DENSE_LIMIT,
+            )
+            return pi, dict(solver.pi_plan)
+        except PiNotLowRank as exc:
+            plan = dict(exc.plan)
+        except NumericalError as exc:
+            n = self.n
+            if n > _SPARSE_SCHUR_LIMIT:
+                raise SystemStructureError(
+                    f"the low-rank Pi solve failed for this sparse "
+                    f"{n}-state system ({exc}) and the dense Schur "
+                    f"fallback would densify it; the eq.-(18) "
+                    f"decoupling needs either a low-rank G2 with a "
+                    f"spectrally separated G1, or a dense compile"
+                ) from exc
+            plan = dict(solver.pi_plan, route="dense", reason="fallback")
+            _log.warning(
+                "low-rank Pi solve failed on a sparse %d-state system "
+                "(%s); falling back to the dense Schur solve", n, exc,
+            )
+        g1, g2 = self._g1_dense(), self._g2_dense()
+        pi = solve_pi_sylvester(g1, g2, solver=self.kron_solver)
+        plan["residual"] = float(
+            pi_sylvester_residual(g1, g2, pi) / np.linalg.norm(g2)
+        )
+        return pi, plan
 
     # -- checkpoint state ----------------------------------------------------
 
@@ -475,16 +531,19 @@ class AssociatedWorkspace:
             return {"lowrank": self._lowrank.state_dict()}
 
     def pi_state(self):
-        """The Π half of :meth:`solver_state`, or ``None`` when Π has
-        not been built.  Π is computed once and never mutated, so the
-        checkpoint layer writes this (large ``n × r²``) snapshot once
-        instead of once per stage."""
+        """The Π half of :meth:`solver_state` (Π and its
+        :attr:`pi_plan`), or ``None`` when Π has not been built.  Π is
+        computed once and never mutated, so the checkpoint layer writes
+        this (large ``n × r²``) snapshot once instead of once per
+        stage."""
         with self._lazy_lock:
             if self._pi is None:
                 return None
             if isinstance(self._pi, FactoredPi):
-                return {"pi": {"kind": "factored", **self._pi.state_dict()}}
-            return {"pi": {"kind": "dense", "matrix": np.asarray(self._pi)}}
+                pi = {"kind": "factored", **self._pi.state_dict()}
+            else:
+                pi = {"kind": "dense", "matrix": np.asarray(self._pi)}
+            return {"pi": pi, "pi_plan": self.pi_plan}
 
     def restore_solver_state(self, state):
         """Restore a :meth:`solver_state` snapshot onto this workspace.
@@ -514,6 +573,7 @@ class AssociatedWorkspace:
                     self._pi = FactoredPi.from_state(pi)
                 else:
                     self._pi = np.asarray(pi["matrix"])
+                self.pi_plan = state.get("pi_plan")
 
     # -- cross-corner warm start ---------------------------------------------
 
@@ -532,7 +592,10 @@ class AssociatedWorkspace:
 
         *lowrank_u* seeds the shared :attr:`lowrank_kron` basis;
         *pi_u* seeds the private right basis of the Π solve (typically
-        the ``.u`` factor of the neighbor's :class:`FactoredPi`).
+        the ``.u`` factor of the neighbor's :class:`FactoredPi`).  Π
+        seeds only act on the low-rank route: the route is read before
+        they are absorbed, so a warm-started corner takes the same route
+        as its cold twin, and a dense Π ignores them.
         """
         with self._lazy_lock:
             if lowrank_u is not None:

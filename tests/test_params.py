@@ -240,6 +240,18 @@ class TestRunParametric:
         assert total == len(base_run.corners) == 3
         assert all(rec["tier"] for rec in base_run.corners)
 
+    def test_default_regime_corners_take_dense_pi_route(self, base_run):
+        # The family's ladder has the generator's spread (~40): every
+        # reduced corner, cold or warm-seeded, routes Π to the dense
+        # Schur solve on the same evidence.
+        plans = [
+            base_run.roms[rec["index"]].details["pi_plan"]
+            for rec in base_run.corners if rec["tier"] in ("cold", "warm")
+        ]
+        assert len(plans) >= 2
+        assert all(plan["route"] == "dense" for plan in plans)
+        assert all(plan["rounds"] == 0 for plan in plans)
+
     def test_report_is_json_able_with_distributions(self, base_run):
         report = json.loads(json.dumps(base_run.report()))
         assert report["mc"]["seed"] == 7

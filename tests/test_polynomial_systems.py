@@ -1,9 +1,12 @@
 """Unit tests for PolynomialODE / QLDAE / CubicODE."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from repro.circuits.examples import varistor_surge_protector
 from repro.errors import SystemStructureError, ValidationError
 from repro.systems import CubicODE, PolynomialODE, QLDAE
 
@@ -135,6 +138,39 @@ class TestMass:
             np.linalg.solve(mass, sys.rhs(x, [0.5])),
             explicit.rhs(x, [0.5]),
         )
+
+    def test_dense_mass_fold_matches_dense_solve(self, rng):
+        # A dense, non-diagonal mass on a quadratic-cubic system: the
+        # folded g2/g3 must equal C^{-1} times the dense coefficients.
+        n = 5
+        mass = np.eye(n) + 0.2 * rng.standard_normal((n, n))
+        g2 = sp.random(n, n**2, density=0.1, random_state=1, format="csr")
+        g3 = sp.random(n, n**3, density=0.02, random_state=2, format="csr")
+        sys = PolynomialODE(-np.eye(n), np.ones(n), g2=g2, g3=g3, mass=mass)
+        explicit = sys.to_explicit()
+        for folded, coeff in ((explicit.g2, g2), (explicit.g3, g3)):
+            assert sp.issparse(folded)
+            np.testing.assert_allclose(
+                folded.toarray(), np.linalg.solve(mass, coeff.toarray()),
+                rtol=0, atol=1e-13,
+            )
+        np.testing.assert_allclose(
+            explicit.g1, np.linalg.solve(mass, -np.eye(n)), rtol=0,
+            atol=1e-13,
+        )
+
+    def test_dense_mass_fold_never_densifies_g3(self):
+        # The paper's §3.4 varistor (n = 102, dense mass, two G3
+        # nonzeros): a dense (n, n³) block would be ~850 MB.
+        circ = varistor_surge_protector(n_states=102)
+        assert circ.mass is not None and not sp.issparse(circ.mass)
+        tracemalloc.start()
+        explicit = circ.to_explicit()
+        _, peak = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+        assert peak < 16e6
+        assert explicit.mass is None
+        assert explicit.g3.nnz <= circ.n_states * circ.g3.nnz
 
     def test_singular_mass_raises(self):
         mass = np.diag([1.0, 0.0])
