@@ -40,11 +40,9 @@ __all__ = [
     "KronSumSolver",
     "solve_pi_sylvester",
     "pi_sylvester_residual",
-    "ritz_spread",
     "FactoredTensor",
     "FactoredPi",
     "LowRankKronSolver",
-    "PiNotLowRank",
 ]
 
 _log = logging.getLogger(__name__)
@@ -822,6 +820,16 @@ _EIG_COND_LIMIT = 1e10
 #: 58(3), 2016), so the right-Galerkin iteration climbs towards r = n.
 PI_SPREAD_LIMIT = 2.0
 
+#: Largest ``n`` at which :meth:`LowRankKronSolver.solve_pi` hands a Π
+#: that is not low-rank over to the dense Schur solve.  On the default
+#: ladder (spread ~40, 2-core x86-64 VM) the dense route with its
+#: residual check took 0.29 / 0.48 / 3.0 / 11.7 / 44 s at
+#: n = 40 / 64 / 128 / 192 / 256, peaking at 1.4 GB RSS at 256 (its
+#: complex n³ workspaces grow as n³, its time as n⁴); the low-rank
+#: route took 3.3–4.5 s at n = 40, 21.5 s at n = 64 and did not finish
+#: in 10 min at n = 256.  Above it the low-rank iteration runs.
+PI_DENSE_LIMIT = 256
+
 
 def ritz_spread(theta):
     """Spread and stability of Ritz values *theta* of ``G1``.
@@ -840,17 +848,9 @@ def ritz_spread(theta):
 
 
 class PiNotLowRank(NumericalError):
-    """The low-rank Π iteration handed over to the dense Schur solve.
-
-    Raised by :meth:`LowRankKronSolver.solve_pi` only when the caller
-    allowed a handover (``dense_limit``).  :attr:`plan` is the solve's
-    evidence record (see :attr:`LowRankKronSolver.pi_plan`) with
-    ``route="dense"`` and the reason the iteration stopped.
-    """
-
-    def __init__(self, message, plan):
-        super().__init__(message)
-        self.plan = plan
+    """The low-rank Π iteration handed over to the dense Schur solve
+    (see :meth:`LowRankKronSolver.solve_pi`; the evidence is in the
+    solver's :attr:`~LowRankKronSolver.pi_plan`)."""
 
 
 def _blocked_product(a, b, conjugate=False):
@@ -1432,7 +1432,7 @@ class LowRankKronSolver:
     # -- the eq.-(18) Π equation ---------------------------------------------
 
     def solve_pi(self, g2, tol=None, max_rank=None, max_seed=None,
-                 seed_basis=None, floor=None, dense_limit=None):
+                 seed_basis=None, floor=None):
         """Right-sided low-rank solve of ``G1 Π + G2 = Π (G1 ⊕ G1)``.
 
         Builds a private real basis ``U`` from ``G2``'s lifted-side COO
@@ -1457,9 +1457,9 @@ class LowRankKronSolver:
         columns (so a warm-started solve and its cold twin judge the
         same matrix): the G2 fiber count and the :func:`ritz_spread` of
         the eigenvalues of ``H = UᵀG1U``, re-read on every later
-        round's ``H``.  With *dense_limit* set and ``n <= dense_limit``,
-        evidence against a low-rank Π — more fibers than *max_seed*, a
-        Ritz value with ``Re θ >= 0``, or a spread of at least
+        round's ``H``.  Up to :data:`PI_DENSE_LIMIT` states, evidence
+        against a low-rank Π — more fibers than *max_seed*, a Ritz
+        value with ``Re θ >= 0``, or a spread of at least
         :data:`PI_SPREAD_LIMIT` — stops the solve with
         :class:`PiNotLowRank`, before its first round when the seeded
         basis already shows it; the caller then takes the dense Schur
@@ -1501,7 +1501,7 @@ class LowRankKronSolver:
                 "rounds": 0, "rank": 0, "residual": None,
                 "soft_accept": False,
             }
-            handover = dense_limit is not None and n <= dense_limit
+            handover = n <= PI_DENSE_LIMIT
             g2_norm = float(np.linalg.norm(vals))
             if g2_norm == 0.0:
                 plan.update(reason="zero-g2", residual=0.0)
@@ -1591,26 +1591,27 @@ class LowRankKronSolver:
         these absorbed, ``G2 = Ĝ2 (U⊗U)ᵀ`` holds exactly and the
         residual identity in :meth:`_pi_right_solve` is exact.  A fiber
         count beyond *max_seed* means ``G2`` is not low-rank on the
-        lifted side and the solver refuses (handing over when
-        *handover*).  The larger of the two counts goes into *plan*.
+        lifted side and the solver refuses at the first such block
+        (handing over when *handover*); the largest count read goes
+        into *plan*.
         """
         if max_seed is None:
             max_seed = max(4 * self.block_cap, 64)
-        blocks = [
-            block for _, block in _g2_fiber_blocks(rows, ii, jj, vals, self.n)
-        ]
-        count = plan["g2_fibers"] = max(block.shape[1] for block in blocks)
-        if count > max_seed:
-            message = (
-                f"G2 has {count} distinct lifted-side tensor fibers "
-                f"(> {max_seed}); the right-hand side is not low-rank — "
-                "use the dense Schur Pi solve"
-            )
-            plan["reason"] = "fibers"
-            if handover:
-                plan["route"] = "dense"
-                raise PiNotLowRank(message, plan)
-            raise NumericalError(message)
+        blocks = []
+        for count, block in _g2_fiber_blocks(rows, ii, jj, vals, self.n):
+            plan["g2_fibers"] = max(plan["g2_fibers"], count)
+            if count > max_seed:
+                message = (
+                    f"G2 has {count} distinct lifted-side tensor fibers "
+                    f"(> {max_seed}); the right-hand side is not "
+                    "low-rank — use the dense Schur Pi solve"
+                )
+                plan["reason"] = "fibers"
+                if handover:
+                    plan["route"] = "dense"
+                    raise PiNotLowRank(message)
+                raise NumericalError(message)
+            blocks.append(block)
         return blocks
 
     def _check_pi_spread(self, basis, plan, handover):
@@ -1636,8 +1637,7 @@ class LowRankKronSolver:
                 f"Pi basis Ritz spread {rho:.3g} (limit "
                 f"{PI_SPREAD_LIMIT:g}, stable={stable}) after "
                 f"{plan['rounds']} rounds: G1's spectrum is not separated "
-                f"and Pi is not low-rank",
-                plan,
+                f"and Pi is not low-rank"
             )
 
     def _pi_right_solve(self, basis, rows, ii, jj, vals, seeds):

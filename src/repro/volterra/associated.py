@@ -157,16 +157,6 @@ def stack_columns(vectors, label):
 #: :class:`~repro.linalg.operators.FactoredH3Operator`) at any ``n``.
 _SPARSE_SCHUR_LIMIT = 2048
 
-#: Largest sparse system whose Π is routed to the dense Schur solve when
-#: the low-rank iteration's evidence shows Π is not low-rank.  On the
-#: default ladder (spread ~40, 2-core x86-64 VM) the dense route with
-#: its residual check took 0.29 / 0.48 / 3.0 / 11.7 / 44 s at
-#: n = 40 / 64 / 128 / 192 / 256, peaking at 1.4 GB RSS at 256 (its
-#: complex n³ workspaces grow as n³, its time as n⁴); the low-rank
-#: route took 3.3–4.5 s at n = 40, 21.5 s at n = 64 and did not finish
-#: in 10 min at n = 256.
-_PI_DENSE_LIMIT = 256
-
 #: Relative residual target for the low-rank Π solve.  Far tighter than
 #: the 1e-8·‖G2‖ acceptance threshold on purpose: Π feeds the decoupled
 #: H2 / lifted H3 chain vectors, and the reducer's basis deflation
@@ -209,11 +199,11 @@ class AssociatedWorkspace:
     :attr:`lowrank_kron` serves the Kronecker-sum solves behind the
     decoupled-H2 and H3 chains, and :attr:`pi` is factored wherever Π
     is low-rank.  Where ``G1``'s spectrum is not separated, Π is not
-    low-rank; up to ``_PI_DENSE_LIMIT`` states :attr:`pi` then takes
-    the dense Schur solve, recording why in :attr:`pi_plan`.  The
-    coupled H2 strategy and a dense Π need the dense Schur form —
-    :attr:`schur` builds one lazily for moderate sizes and refuses at
-    circuit scale.
+    low-rank; up to :data:`~repro.linalg.sylvester.PI_DENSE_LIMIT`
+    (256) states :attr:`pi` then takes the dense Schur solve, recording
+    why in :attr:`pi_plan`.  The coupled H2 strategy and a dense Π need
+    the dense Schur form — :attr:`schur` builds one lazily for moderate
+    sizes and refuses at circuit scale.
     """
 
     def __init__(self, system):
@@ -427,10 +417,11 @@ class AssociatedWorkspace:
           before any warm-start columns.  A separated spectrum (spread
           < 2) yields a :class:`~repro.linalg.sylvester.FactoredPi`,
           and ``G1`` is never densified;
-        * up to ``_PI_DENSE_LIMIT`` states, evidence that Π is not
-          low-rank — a spread of 2 or more, an unstable Ritz value, or
-          more G2 fibers than the seed cap, at seeding or at any later
-          round — hands the solve to the dense Schur sweep;
+        * up to :data:`~repro.linalg.sylvester.PI_DENSE_LIMIT` (256)
+          states, evidence that Π is not low-rank — a spread of 2 or
+          more, an unstable Ritz value, or more G2 fibers than the seed
+          cap, at seeding or at any later round — hands the solve to
+          the dense Schur sweep;
         * beyond that the low-rank iteration runs regardless.  When it
           refuses, the dense solve is a fallback (logged at WARNING)
           up to ``_SPARSE_SCHUR_LIMIT`` states, beyond which the
@@ -466,11 +457,10 @@ class AssociatedWorkspace:
                 tol=_PI_LOWRANK_TOL,
                 floor=_PI_LOWRANK_FLOOR,
                 seed_basis=warm,
-                dense_limit=_PI_DENSE_LIMIT,
             )
             return pi, dict(solver.pi_plan)
-        except PiNotLowRank as exc:
-            plan = dict(exc.plan)
+        except PiNotLowRank:
+            plan = dict(solver.pi_plan)
         except NumericalError as exc:
             n = self.n
             if n > _SPARSE_SCHUR_LIMIT:
