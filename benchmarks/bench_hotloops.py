@@ -21,9 +21,6 @@ leaves scatter overhead territory.
 
 Both cases assert ≤ 1e-12 agreement between the two scatters and the
 entry lands in the keyed run list of ``benchmarks/BENCH_sweep.json``.
-The entry also records :func:`repro.linalg._hotloops.jit_status` so a
-run with a working numba toolchain is distinguishable from the
-pure-numpy fallback this container exercises.
 
 Usage::
 
@@ -48,7 +45,7 @@ from repro.circuits.examples import (  # noqa: E402
     quadratic_rc_ladder_netlist,
 )
 from repro.linalg import kronecker  # noqa: E402
-from repro.linalg._hotloops import jit_status, scatter_add_rows  # noqa: E402
+from repro.linalg._hotloops import scatter_add_rows  # noqa: E402
 
 OUT_PATH = Path(__file__).resolve().parent / "BENCH_sweep.json"
 
@@ -185,7 +182,6 @@ def main():
             "python": platform.python_version(),
             "machine": platform.machine(),
             "cpu_count": os.cpu_count(),
-            "jit": jit_status(),
         }
     }
     print("sparse_kron_apply scatter, np.add.at vs scatter_add_rows ...")

@@ -38,7 +38,6 @@ from benchmarks.perf_log import append_run  # noqa: E402
 from repro.circuits.examples import (  # noqa: E402
     quadratic_rc_ladder_netlist,
 )
-from repro.engine import get_executor  # noqa: E402
 from repro.params import Parameter, ParameterGrid, materialize  # noqa: E402
 from repro.pipeline import (  # noqa: E402
     _worst_rel_dev,
@@ -160,7 +159,6 @@ def main(argv):
     run = {
         "bench": "mc",
         "quick": _quick(),
-        "backend": getattr(get_executor(), "backend_name", "serial"),
         "python": platform.python_version(),
         **case,
     }

@@ -23,7 +23,7 @@ See README.md for the full tour and DESIGN.md for the system inventory.
 
 __version__ = "1.0.0"
 
-from . import engine  # noqa: F401  (repro.engine.configure / REPRO_WORKERS)
+from . import engine  # noqa: F401  (repro.engine.SolvePlan / worker_stats)
 from .errors import (  # noqa: F401
     ConvergenceError,
     NumericalError,

@@ -26,8 +26,7 @@ figures exactly to the matched moment order.
 import numpy as np
 
 from .._validation import as_vector
-from ..engine import ProcessSpec, SolvePlan, get_executor
-from ..engine.process import process_token
+from ..engine import SolvePlan
 from ..errors import NumericalError, SystemStructureError, TaskCancelled
 from ..volterra.evaluator import volterra_evaluator
 
@@ -264,57 +263,6 @@ def two_tone_intermodulation(
     }
 
 
-def _system_tree(system):
-    """Codec-serializable matrix tree rebuilding *system* in a worker."""
-    tree = {"g1": system.g1, "b": system.b, "output": system.output}
-    if system.g2 is not None:
-        tree["g2"] = system.g2
-    if system.g3 is not None:
-        tree["g3"] = system.g3
-    if system.mass is not None:
-        tree["mass"] = system.mass
-    if system.d1 is not None:
-        tree["d1"] = list(system.d1)
-    return tree
-
-
-def _sweep_point_worker(payload):
-    """Process-backend worker: HD2/HD3 of one sweep point.
-
-    Rebuilds the system (and its Volterra evaluator) from the payload
-    matrix tree — shared-memory-mapped, so every task of a sweep views
-    one copy — memoized per worker process under the parent-supplied
-    token, then evaluates the sum-type metrics exactly as the inline
-    path does.  Sparse kernels replay the same factorization/solve
-    sequence and stay bit-identical to serial; dense kernels skip the
-    parent's batched H1/H2 priming and may differ at rounding level
-    (documented ≤ 1e-10).
-    """
-    from ..engine.process import worker_cache
-    from ..systems.polynomial import PolynomialODE
-
-    def build():
-        mats = payload["system"]
-        worker_system = PolynomialODE(
-            mats["g1"],
-            mats["b"],
-            g2=mats.get("g2"),
-            g3=mats.get("g3"),
-            d1=mats.get("d1"),
-            mass=mats.get("mass"),
-            output=mats.get("output"),
-        )
-        return worker_system, volterra_evaluator(worker_system)
-
-    worker_system, evaluator = worker_cache(
-        ("distortion", payload["token"]), build
-    )
-    metrics, _ = _sum_type_metrics(
-        worker_system, evaluator, payload["omega"], payload["amplitude"]
-    )
-    return {"hd2": metrics["hd2"], "hd3": metrics["hd3"]}
-
-
 def distortion_sweep(system, omegas, amplitude=1.0, cancel=None):
     """HD2/HD3 across a frequency grid.
 
@@ -332,13 +280,7 @@ def distortion_sweep(system, omegas, amplitude=1.0, cancel=None):
 
     Only the sum-type kernels enter HD2/HD3, so no difference-type (DC)
     solves are performed.  The per-point H3 assemblies are independent
-    and run as one engine plan — parallel when
-    :func:`repro.engine.configure` (or ``REPRO_BACKEND`` /
-    ``REPRO_WORKERS``) selects the thread or process backend, serial
-    and bit-identical by default.  Under the process backend each point
-    ships to a worker process (shared-memory system matrices, per-worker
-    evaluator cache); sparse systems stay bit-identical to serial, dense
-    systems agree to ≤ 1e-10 (workers skip the batched H1/H2 priming).
+    and run as one engine plan, one task per point.
 
     *cancel* (a zero-argument callable polled between stages and tasks)
     makes the sweep cooperatively cancellable: once it reports True the
@@ -354,24 +296,12 @@ def distortion_sweep(system, omegas, amplitude=1.0, cancel=None):
     jws = 1j * omegas
     if cancel is not None and cancel():
         raise TaskCancelled("distortion sweep cancelled before priming")
-    # Under the process backend the per-point tasks carry specs and the
-    # workers compute their own kernels, so the parent's batch priming
-    # would be wasted serial work; every other backend consumes it.
-    from ..systems.polynomial import PolynomialODE
-
-    backend = getattr(get_executor(), "backend_name", "serial")
-    ship = (
-        backend == "process"
-        and type(system) is PolynomialODE
-        and omegas.size > 1
-    )
-    if not ship:
-        evaluator.prime_h1(jws)
-        if cancel is not None and cancel():
-            raise TaskCancelled(
-                "distortion sweep cancelled after the H1 seed batch"
-            )
-        evaluator.prime_h2([(jw, jw) for jw in jws])
+    evaluator.prime_h1(jws)
+    if cancel is not None and cancel():
+        raise TaskCancelled(
+            "distortion sweep cancelled after the H1 seed batch"
+        )
+    evaluator.prime_h2([(jw, jw) for jw in jws])
     hd2 = np.empty(omegas.size)
     hd3 = np.empty(omegas.size)
 
@@ -382,30 +312,8 @@ def distortion_sweep(system, omegas, amplitude=1.0, cancel=None):
         hd2[idx] = metrics["hd2"]
         hd3[idx] = metrics["hd3"]
 
-    def _merge(idx):
-        def apply(result):
-            hd2[idx] = result["hd2"]
-            hd3[idx] = result["hd3"]
-
-        return apply
-
-    if ship:
-        token = process_token(system)
-        tree = _system_tree(system)
-
     plan = SolvePlan("distortion_sweep")
     for idx in range(omegas.size):
-        task = plan.add(_point, idx)
-        if ship:
-            task.spec = ProcessSpec(
-                "repro.analysis.distortion:_sweep_point_worker",
-                lambda idx=idx: {
-                    "token": token,
-                    "omega": float(omegas[idx]),
-                    "amplitude": amplitude,
-                    "system": tree,
-                },
-                merge=_merge(idx),
-            )
+        plan.add(_point, idx)
     plan.execute(cancel=cancel)
     return omegas, hd2, hd3

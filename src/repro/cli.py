@@ -356,17 +356,6 @@ def build_parser():
         help="print a one-line serving-stats heartbeat to stderr at "
         "this period",
     )
-    p_serve.add_argument(
-        "--engine-backend", default=None,
-        choices=("serial", "thread", "process"),
-        help="solve-plan engine backend for request work (default: "
-        "REPRO_BACKEND or serial)",
-    )
-    p_serve.add_argument(
-        "--engine-workers", type=int, default=None, metavar="N",
-        help="engine worker count ('auto' scaling when omitted and a "
-        "parallel backend is selected)",
-    )
 
     p_store = sub.add_parser(
         "store", help="model-store maintenance (verify, ls, gc)"
@@ -493,12 +482,6 @@ def _pipeline_extras(args):
 
 def _run(args):
     if args.command == "serve":
-        if args.engine_backend or args.engine_workers is not None:
-            from . import engine
-
-            engine.configure(
-                workers=args.engine_workers, backend=args.engine_backend
-            )
         store = ModelStore(args.store) if args.store else None
         service = ReproService(store=store, hot_capacity=args.hot_cache)
         if args.preload:

@@ -1,130 +1,60 @@
-"""Parallel solve-plan engine — declarative task scheduling.
+"""Solve-plan engine — declarative task lists run in order.
 
-The paper's eq.-(18) decoupling exists precisely so that the H2 machinery
-splits into independent LTI subsystems whose Krylov chains and per-shift
-resolvent solves have no data dependencies.  This package turns that
-observation into infrastructure: instead of running their embarrassingly
-parallel work as inline serial loops, the hot fan-out layers *emit plans*
-— flat lists of independent tasks — and hand them to a pluggable
-executor.
+The paper's eq.-(18) decoupling splits the H2 machinery into
+independent LTI subsystems whose Krylov chains and per-shift resolvent
+solves have no data dependencies.  The layers that loop over such work
+*emit plans* — flat lists of independent tasks — instead of inline
+``for`` loops, so every unit of work passes one seam that owns
+cancellation, fault injection, failure identity and retries.
 
-Architecture
-------------
 * :class:`~repro.engine.plan.SolveTask` — one independent unit of work
   (a callable plus bound arguments and an optional ``tag`` for callers
   that need to regroup results).
 * :class:`~repro.engine.plan.SolvePlan` — an ordered list of tasks.
-  ``plan.execute()`` runs every task and returns their results **in
-  submission order**, whatever the backend, so callers assemble outputs
-  deterministically.
-* :class:`~repro.engine.executor.SerialExecutor` — the default backend:
-  a plain in-order loop, bit-identical to the historical inline code.
-* :class:`~repro.engine.executor.ThreadPoolExecutor` — a persistent
-  thread-pool backend.  Threads are the right vehicle here because the
-  heavy kernels (LAPACK triangular solves, BLAS GEMMs, SuperLU
-  factorizations) release the GIL; the Python-level task bookkeeping is
-  a rounding error against the numerical work.
-* :class:`~repro.engine.process.ProcessPoolBackend` — a persistent
-  process-pool backend for the Python-heavy stages the GIL serializes
-  (per-point distortion metrics, H3 assembly).  Tasks opt in by
-  carrying a :class:`~repro.engine.process.ProcessSpec` (module-level
-  function + codec-serializable payload); large operands ship through
-  ref-counted shared-memory segments (:mod:`repro.engine.shm`), workers
-  pin their BLAS pools to one thread, and tasks without a spec run
-  inline in the parent — every plan stays correct under every backend.
+  ``plan.execute()`` runs them in order on the calling thread and
+  returns their results **in submission order**; ``cancel=`` is polled
+  before each task, every attempt passes the ``engine.task`` fault
+  site, and a failure surfaces as a :class:`~repro.errors.TaskError`
+  that keeps the original exception type.
+
+Execution is serial by design: 83–98% of a cold reduction is the
+serial eq.-(18) Π sweep and the fanned-out tasks take milliseconds, so
+on two cores neither a thread nor a process pool sped up any fan-out
+(README, "Execution").  :func:`worker_stats` reports ``{"backend":
+"serial", "workers": 1}`` for run records.  Shared caches stay
+thread-safe: the serve daemon's handler threads call into them
+concurrently.
 
 Which layers emit plans
 -----------------------
-* ``linalg.ResolventFactory.solve_many`` — per-shift batches (frequency
-  grids) are chunked across workers.
 * ``volterra.AssociatedWorkspace`` consumers: the per-subsystem /
   per-expansion-point Krylov chains of
   ``AssociatedRealization.moment_vectors``, ``DecoupledH2Realization``
   (eq.-18 independent subsystems) and
   ``mor.AssociatedTransformMOR.build_basis``.
 * ``volterra.VolterraEvaluator.prime_h2`` — the symmetric-pair H2 grid.
-* ``analysis.distortion_sweep``, ``volterra.frequency_sweep`` and
-  ``systems.StateSpace.frequency_response`` — whole frequency grids.
-
-Picking a backend
------------------
-The backend is global and serial by default::
-
-    import repro.engine as engine
-    engine.configure(workers=4)                      # threads
-    engine.configure(workers="auto")                 # max(1, cpu-1) threads
-    engine.configure(workers=4, backend="process")   # process pool
-    engine.configure(workers=1)                      # back to serial
-    with engine.using(workers=4):                    # scoped (tests, benches)
-        ...
-    with engine.using(backend="process"):            # auto-sized process pool
-        ...
-
-or, without touching code, via the environment::
-
-    REPRO_WORKERS=4 python my_analysis.py
-    REPRO_WORKERS=auto python my_analysis.py
-    REPRO_BACKEND=process REPRO_WORKERS=4 python my_analysis.py
-
-``engine.worker_stats()`` reports the resolved backend (``{"backend",
-"workers", "requested", "cpu_count", "shm_*", ...}``) so scripts can log
-what ``"auto"`` actually resolved to on the host and attribute work per
-backend.
-
-Parallel and serial backends agree to rounding (each task performs the
-same floating-point operations on the same data; only the wall-clock
-interleaving changes), which the test suite asserts at ``<= 1e-10``.
-Nested plans (a task that itself emits a plan) degrade to in-line serial
-execution on the worker thread, so composition can never deadlock the
-pool.
+* ``analysis.distortion_sweep`` — one task per frequency point.
+* ``pipeline.run_parametric`` — one distortion sweep per family member.
 """
 
 from ..errors import (  # noqa: F401  (re-export: engine failures)
     TaskCancelled,
     TaskError,
 )
-from .executor import (  # noqa: F401
-    Executor,
-    SerialExecutor,
-    ThreadPoolExecutor,
-    configure,
-    current_workers,
-    get_executor,
-    resolve_workers,
+from .plan import (  # noqa: F401
+    SolvePlan,
+    SolveTask,
     set_task_retries,
     task_retries,
-    using,
     worker_stats,
 )
-from .plan import SolvePlan, SolveTask, chunk_bounds, parallel_map  # noqa: F401
-from .process import (  # noqa: F401
-    ProcessPoolBackend,
-    ProcessSpec,
-    worker_cache,
-)
-from .shm import SegmentRegistry, registry_stats  # noqa: F401
 
 __all__ = [
-    "Executor",
-    "ProcessPoolBackend",
-    "ProcessSpec",
-    "SegmentRegistry",
-    "SerialExecutor",
-    "TaskCancelled",
-    "TaskError",
-    "ThreadPoolExecutor",
-    "configure",
-    "current_workers",
-    "get_executor",
-    "resolve_workers",
-    "set_task_retries",
-    "task_retries",
-    "registry_stats",
-    "using",
-    "worker_cache",
-    "worker_stats",
     "SolvePlan",
     "SolveTask",
-    "chunk_bounds",
-    "parallel_map",
+    "TaskCancelled",
+    "TaskError",
+    "set_task_retries",
+    "task_retries",
+    "worker_stats",
 ]

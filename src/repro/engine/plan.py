@@ -1,12 +1,11 @@
 """Declarative solve plans: independent tasks with explicit inputs.
 
-A :class:`SolvePlan` is the unit of hand-off between the numerical
-layers and the executor backends: a layer that used to run an inline
-``for`` loop over independent solves instead *adds one task per loop
-iteration* (binding every input explicitly — tasks must not depend on
-loop variables by closure mutation) and calls :meth:`SolvePlan.execute`.
-Results always come back in submission order, so the assembly code after
-the plan is identical for every backend.
+A :class:`SolvePlan` is the seam between the numerical layers and task
+execution: a layer that loops over independent solves *adds one task
+per loop iteration* (binding every input explicitly — tasks must not
+depend on loop variables by closure mutation) and calls
+:meth:`SolvePlan.execute`, which runs the tasks in order on the calling
+thread and returns their results in submission order.
 
 Failure semantics: a task exception is re-raised as a dynamically
 created subclass of both :class:`~repro.errors.TaskError` and the
@@ -15,17 +14,23 @@ submission index, tag, attempt count).  Handlers that catch the
 original type across a plan boundary keep working; handlers that only
 care *which* task died get the identity without parsing tracebacks.
 Transient failures (OS errors, memory pressure, injected faults) are
-retried up to the opt-in :func:`~repro.engine.executor.task_retries`
-bound before being raised.
+retried up to the opt-in :func:`task_retries` bound before being
+raised.
 """
 
-from functools import partial
+import os
+import threading
 
-from ..errors import FaultInjected, TaskError
+from ..errors import FaultInjected, TaskCancelled, TaskError, ValidationError
 from ..testing.faults import fault_point
-from .executor import get_executor, task_retries
 
-__all__ = ["SolveTask", "SolvePlan", "chunk_bounds", "parallel_map"]
+__all__ = [
+    "SolveTask",
+    "SolvePlan",
+    "set_task_retries",
+    "task_retries",
+    "worker_stats",
+]
 
 #: Failure families eligible for bounded retry: environmental conditions
 #: that can clear between attempts.  Deterministic failures (validation,
@@ -75,50 +80,21 @@ def _task_failure(exc, plan_label, index, tag, attempts):
     return failure
 
 
-def _make_runner(task, index, plan_label, retries):
-    """Zero-arg callable running *task* with fault point, retry and wrap."""
-
-    def run():
-        attempts = 0
-        while True:
-            attempts += 1
-            try:
-                fault_point("engine.task")
-                return task()
-            except Exception as exc:
-                if attempts <= retries and isinstance(exc, _TRANSIENT):
-                    continue
-                raise _task_failure(
-                    exc, plan_label, index, task.tag, attempts
-                ) from exc
-
-    return run
-
-
 class SolveTask:
     """One independent unit of work: a callable with bound arguments.
 
     ``tag`` is free-form caller metadata (e.g. ``("H2-chain", s0, col)``)
     used to regroup results after execution; the engine never inspects
     it.
-
-    ``spec`` is an optional :class:`~repro.engine.process.ProcessSpec`
-    making the task shippable to the process backend: a module-level
-    function reference plus a codec-serializable payload.  Backends that
-    cannot use it (serial, threads) ignore it and call the closure; the
-    process backend dispatches specced tasks to worker processes and
-    runs the rest inline, so a plan is correct on every backend whether
-    or not its tasks carry specs.
     """
 
-    __slots__ = ("fn", "args", "kwargs", "tag", "spec")
+    __slots__ = ("fn", "args", "kwargs", "tag")
 
-    def __init__(self, fn, args=(), kwargs=None, tag=None, spec=None):
+    def __init__(self, fn, args=(), kwargs=None, tag=None):
         self.fn = fn
         self.args = tuple(args)
         self.kwargs = dict(kwargs) if kwargs else None
         self.tag = tag
-        self.spec = spec
 
     def __call__(self):
         if self.kwargs:
@@ -157,74 +133,115 @@ class SolvePlan:
     def tags(self):
         return [task.tag for task in self.tasks]
 
-    def execute(self, executor=None, retries=None, cancel=None):
-        """Run every task; results in submission order.
+    def execute(self, retries=None, cancel=None):
+        """Run every task in order; results in submission order.
 
-        With no *executor* the globally configured backend is used.
-        Empty and single-task plans short-circuit to inline execution on
-        any backend.  *retries* bounds re-execution of transiently
-        failing tasks (default: the global
-        :func:`~repro.engine.executor.task_retries`, itself 0 unless
+        *retries* bounds re-execution of transiently failing tasks
+        (default: the global :func:`task_retries`, itself 0 unless
         ``REPRO_TASK_RETRIES`` opts in); any failure surfaces as a
         :class:`~repro.errors.TaskError` subclass that preserves the
         original exception type and carries the task identity.
 
-        *cancel* — a zero-argument callable polled between tasks — makes
-        the plan cooperatively cancellable: once it reports True the
-        backend raises :class:`~repro.errors.TaskCancelled` instead of
+        *cancel* — a zero-argument callable polled before each task —
+        makes the plan cooperatively cancellable: once it reports True
+        the plan raises :class:`~repro.errors.TaskCancelled` instead of
         starting further tasks (the serving layer's request-timeout
-        hook).  Completed tasks keep their results; cancellation is
-        best-effort and never interrupts a task mid-flight.  The keyword
-        is only forwarded when set, so minimal executors implementing
-        the bare ``run(callables)`` contract keep working.
+        hook).  Completed tasks keep their results; cancellation never
+        interrupts a task mid-flight.
         """
         if not self.tasks:
             return []
         if retries is None:
             retries = task_retries()
-        if len(self.tasks) == 1 and cancel is None:
-            return [_make_runner(self.tasks[0], 0, self.label, retries)()]
-        executor = executor if executor is not None else get_executor()
-        run_plan = getattr(executor, "run_plan", None)
-        if run_plan is not None:
-            # Plan-aware backend (the process pool): hand over the plan
-            # itself so it can see per-task specs; ordering, failure and
-            # cancellation semantics are the backend's contract.
-            return run_plan(self, retries=retries, cancel=cancel)
-        runners = [
-            _make_runner(task, index, self.label, retries)
-            for index, task in enumerate(self.tasks)
-        ]
-        if cancel is None:
-            return executor.run(runners)
-        return executor.run(runners, cancel=cancel)
+        total = len(self.tasks)
+        results = []
+        for index, task in enumerate(self.tasks):
+            if cancel is not None and cancel():
+                raise TaskCancelled(
+                    f"plan cancelled after {index} of {total} tasks"
+                )
+            results.append(self._run(task, index, retries))
+        return results
+
+    def _run(self, task, index, retries):
+        """Run one task behind the fault site, retry and wrap."""
+        attempts = 0
+        while True:
+            attempts += 1
+            try:
+                fault_point("engine.task")
+                return task()
+            except Exception as exc:
+                if attempts <= retries and isinstance(exc, _TRANSIENT):
+                    continue
+                raise _task_failure(
+                    exc, self.label, index, task.tag, attempts
+                ) from exc
 
     def __repr__(self):
         return f"SolvePlan({self.label!r}, {len(self.tasks)} tasks)"
 
 
-def chunk_bounds(count, parts):
-    """Split ``range(count)`` into at most *parts* contiguous chunks.
+def worker_stats():
+    """How plans execute: always ``{"backend": "serial", "workers": 1}``."""
+    return {"backend": "serial", "workers": 1}
 
-    Returns ``[(lo, hi), ...]`` covering ``0..count`` with sizes differing
-    by at most one — the standard block partition for grid batches whose
-    per-item cost is uniform.
+
+# ---------------------------------------------------------------------------
+# transient-failure retry policy
+# ---------------------------------------------------------------------------
+
+_retries_lock = threading.Lock()
+#: Bounded-retry count for transient task failures; resolved lazily from
+#: REPRO_TASK_RETRIES (default 0 — retries are strictly opt-in).
+_task_retries = None
+
+
+def _resolve_retries(value):
+    try:
+        count = int(value)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(
+            f"task retries must be a non-negative integer, got {value!r}"
+        ) from exc
+    if count < 0:
+        raise ValidationError(
+            f"task retries must be >= 0, got {count}"
+        )
+    return count
+
+
+def task_retries():
+    """The configured transient-retry count (``REPRO_TASK_RETRIES``)."""
+    global _task_retries
+    with _retries_lock:
+        if _task_retries is None:
+            raw = os.environ.get("REPRO_TASK_RETRIES", "").strip()
+            if not raw:
+                _task_retries = 0
+            else:
+                try:
+                    _task_retries = _resolve_retries(raw)
+                except ValidationError as exc:
+                    _task_retries = 0
+                    raise ValidationError(
+                        f"REPRO_TASK_RETRIES must be a non-negative "
+                        f"integer, got {raw!r}"
+                    ) from exc
+        return _task_retries
+
+
+def set_task_retries(count):
+    """Set the transient-retry count; returns the previous value.
+
+    ``None`` reverts to the lazy ``REPRO_TASK_RETRIES`` default.  Only
+    *transient* failures (OS errors, memory pressure, injected faults)
+    are ever retried — deterministic numerical or validation failures
+    fail fast regardless of this setting.
     """
-    count = int(count)
-    parts = max(1, min(int(parts), count))
-    base, extra = divmod(count, parts)
-    bounds = []
-    lo = 0
-    for idx in range(parts):
-        hi = lo + base + (1 if idx < extra else 0)
-        bounds.append((lo, hi))
-        lo = hi
-    return bounds
-
-
-def parallel_map(fn, items, executor=None, label=None):
-    """``[fn(item) for item in items]`` through the engine."""
-    plan = SolvePlan(label=label or "parallel_map")
-    for item in items:
-        plan.tasks.append(SolveTask(partial(fn, item)))
-    return plan.execute(executor)
+    global _task_retries
+    resolved = None if count is None else _resolve_retries(count)
+    with _retries_lock:
+        previous = _task_retries
+        _task_retries = resolved
+    return previous

@@ -1,4 +1,4 @@
-"""Vectorized (and optionally JIT-compiled) scatter kernels.
+"""Vectorized scatter kernels.
 
 ``np.add.at`` is the textbook way to accumulate COO-style contributions
 into rows of an output array, and it is also one of numpy's slowest
@@ -17,106 +17,21 @@ scatter those sites share:
   group, skipping the sort entirely when the row index is already
   non-decreasing (CSR→COO row indices always are).
 
-Numerical equivalence: the 1-D paths (``bincount``) and the JIT path
-walk contributions in their original element order and are
-**bit-identical** to the ``np.add.at`` they replace (for the
-zero-initialized outputs every call site uses).  The N-D ``reduceat``
-path sums each row group with numpy's pairwise reduction instead of
-strictly sequentially — *more* accurate, and within a few ulps of the
-sequential result; every caller tolerance (≤ 1e-10 backend parity, the
-analytic kernel checks) sits orders of magnitude above that.  Callers
-accumulating into an already populated output should keep
-``np.add.at`` (grouped summation would reassociate against the
-existing values).
-
-JIT path
---------
-When numba is importable and ``REPRO_JIT`` is ``auto`` (the default),
-the scatter compiles to a trivial typed loop — element-ordered, hence
-also bit-identical — which beats even the vectorized paths on large
-streams.  ``REPRO_JIT=off`` disables compilation; a missing or broken
-numba silently falls back to the pure-numpy paths.  :func:`jit_status`
-reports what actually happened, for benchmarks and bug reports.
+Numerical equivalence: the 1-D paths (``bincount``) walk contributions
+in their original element order and are **bit-identical** to the
+``np.add.at`` they replace (for the zero-initialized outputs every call
+site uses).  The N-D ``reduceat`` path sums each row group with numpy's
+pairwise reduction instead of strictly sequentially — *more* accurate,
+and within a few ulps of the sequential result; every caller tolerance
+(the analytic kernel checks) sits orders of magnitude above that.
+Callers accumulating into an already populated output should keep
+``np.add.at`` (grouped summation would reassociate against the existing
+values).
 """
-
-import os
-import threading
 
 import numpy as np
 
-from ..errors import ValidationError
-
-__all__ = ["scatter_add_rows", "jit_status"]
-
-_JIT_MODES = ("auto", "off")
-
-_jit_lock = threading.Lock()
-#: None = not yet resolved; False = unavailable/disabled; otherwise the
-#: compiled (1-D kernel, 2-D kernel) pair.
-_jit_kernels = None
-
-
-def _jit_mode():
-    raw = os.environ.get("REPRO_JIT", "").strip().lower() or "auto"
-    if raw not in _JIT_MODES:
-        raise ValidationError(
-            f"REPRO_JIT must be one of {_JIT_MODES}, got {raw!r}"
-        )
-    return raw
-
-
-def _build_jit_kernels():
-    """Compile the scatter loops with numba, or return False."""
-    try:
-        from numba import njit
-    except Exception:
-        return False
-    try:
-
-        @njit(cache=False)
-        def scatter_1d(out, rows, contrib):
-            for e in range(rows.size):
-                out[rows[e]] += contrib[e]
-
-        @njit(cache=False)
-        def scatter_2d(out, rows, contrib):
-            for e in range(rows.size):
-                row = rows[e]
-                for k in range(contrib.shape[1]):
-                    out[row, k] += contrib[e, k]
-
-        # Force compilation now so a broken toolchain surfaces here —
-        # where the fallback catches it — not inside a solve.
-        probe_rows = np.zeros(1, dtype=np.intp)
-        scatter_1d(np.zeros(1), probe_rows, np.zeros(1))
-        scatter_2d(np.zeros((1, 1)), probe_rows, np.zeros((1, 1)))
-        return scatter_1d, scatter_2d
-    except Exception:
-        return False
-
-
-def _jit():
-    """The compiled kernel pair, or False when JIT is off/unavailable."""
-    global _jit_kernels
-    if _jit_mode() == "off":
-        return False
-    with _jit_lock:
-        if _jit_kernels is None:
-            _jit_kernels = _build_jit_kernels()
-        return _jit_kernels
-
-
-def jit_status():
-    """``{"mode", "available", "active"}`` for the optional JIT path."""
-    mode = _jit_mode()
-    if mode == "off":
-        return {"mode": mode, "available": None, "active": False}
-    kernels = _jit()
-    return {
-        "mode": mode,
-        "available": bool(kernels),
-        "active": bool(kernels),
-    }
+__all__ = ["scatter_add_rows"]
 
 
 def _scatter_sorted(out, rows, contrib):
@@ -144,21 +59,6 @@ def scatter_add_rows(out, rows, contrib):
     rows = np.asarray(rows)
     contrib = np.asarray(contrib)
     if rows.size == 0:
-        return out
-    kernels = _jit()
-    if kernels:
-        scatter_1d, scatter_2d = kernels
-        flat_rows = np.ascontiguousarray(rows, dtype=np.intp)
-        if out.ndim == 1:
-            scatter_1d(out, flat_rows, np.ascontiguousarray(contrib))
-        else:
-            scatter_2d(
-                out.reshape(out.shape[0], -1),
-                flat_rows,
-                np.ascontiguousarray(
-                    contrib.reshape(contrib.shape[0], -1)
-                ),
-            )
         return out
     if out.ndim == 1 and out.dtype.kind in "fc" and contrib.dtype.kind in "fc":
         minlength = out.shape[0]

@@ -32,8 +32,6 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 
 from .._validation import as_square_matrix
-from ..engine import ProcessSpec, SolvePlan, chunk_bounds, get_executor
-from ..engine.process import process_token, worker_cache
 from ..errors import NumericalError, ValidationError
 from .lu import csc_pattern_digest, sparse_lu_shared
 from .schur import SchurForm
@@ -76,65 +74,6 @@ class _RealSparseLU:
                 return real + 1j * imag
             return real.astype(complex)
         return self._lu.solve(np.ascontiguousarray(rhs), trans=trans)
-
-
-def _solve_many_sparse_worker(payload):
-    """Process-backend worker: one chunk of sparse per-shift solves.
-
-    Rebuilds a :class:`ResolventFactory` from the shared-memory CSR
-    matrix (memoized per worker under the parent's token, so the LRU of
-    per-shift LUs persists across chunks and plans) and replays exactly
-    the parent's ``_sparse_lu(s).solve(rhs)`` sequence — bit-identical
-    to the serial path.
-    """
-    factory = worker_cache(
-        ("resolvent.sparse", payload["token"]),
-        lambda: ResolventFactory(payload["matrix"]),
-    )
-    rhs = np.ascontiguousarray(payload["rhs"])
-    shifts = np.atleast_1d(np.asarray(payload["shifts"], dtype=complex))
-    out = np.empty((shifts.size, factory.n, rhs.shape[1]), dtype=complex)
-    for j, s in enumerate(shifts):
-        out[j] = factory._sparse_lu(s).solve(rhs)
-    return {"x": out}
-
-
-def _solve_many_dense_worker(payload):
-    """Process-backend worker: one chunk of dense triangular solves.
-
-    Receives the parent's Schur ``T`` factor (shared memory) rather
-    than ``A`` — no per-worker refactorization, and the substitution
-    runs on the very same triangular matrix as the serial path.  The
-    parent keeps the up-front rotation and the final back-rotation
-    GEMM, so the only per-shift work here mirrors
-    ``ResolventFactory._triangular``.
-    """
-    neg_t, diag, scale = worker_cache(
-        ("resolvent.dense", payload["token"]),
-        lambda: (
-            -np.asarray(payload["t"]),
-            np.diag(payload["t"]).copy(),
-            max(np.abs(np.diag(payload["t"])).max(), 1.0),
-        ),
-    )
-    w = payload["w"]
-    shifts = np.atleast_1d(np.asarray(payload["shifts"], dtype=complex))
-    n, m = w.shape
-    ys = np.empty((n, shifts.size * m), dtype=complex)
-    work = neg_t.copy()
-    for j, s in enumerate(shifts):
-        s = complex(s)
-        gap = np.abs(s - diag).min()
-        if gap <= _SINGULAR_RTOL * max(scale, abs(s)):
-            raise NumericalError(
-                f"resolvent shift s = {s} is numerically an eigenvalue "
-                f"(smallest |s - lambda| = {gap:.3e})"
-            )
-        np.fill_diagonal(work, s - diag)
-        ys[:, j * m : (j + 1) * m] = sla.solve_triangular(
-            work, w, lower=False
-        )
-    return {"ys": ys}
 
 
 class ResolventFactory:
@@ -205,7 +144,8 @@ class ResolventFactory:
             self.schur = schur if schur is not None else SchurForm(dense)
             # Work matrix for (s I − T): off-diagonals are fixed at −T,
             # only the diagonal changes per shift.  One copy per thread,
-            # so concurrent per-shift tasks never trample each other.
+            # so concurrent callers (serve handler threads sharing this
+            # factory) never trample each other.
             self._neg_t = -self.schur.t
             self._work = threading.local()
             self._diag = self.schur.eigenvalues
@@ -419,17 +359,8 @@ class ResolventFactory:
         On the dense path the basis rotations are hoisted out of the
         shift loop: one ``Qᴴ RHS`` up front, one ``Q @ [y_1 | y_2 | ...]``
         GEMM at the end, and a single triangular substitution per shift.
-
-        The per-shift solves have no data dependencies, so the grid is
-        emitted as a :class:`~repro.engine.SolvePlan` of contiguous
-        chunks — one per worker of the configured engine backend; the
-        default serial backend reproduces the historical inline loop
-        exactly.  Under the process backend each chunk ships to a
-        worker process: the sparse path sends the CSR matrix through
-        shared memory and replays the identical LU/solve sequence
-        (bit-identical results); the dense path sends the parent's
-        Schur ``T`` factor, so workers run the same triangular
-        substitutions and the parent keeps the back-rotation GEMM.
+        A shift on the spectrum raises
+        :class:`~repro.errors.NumericalError`.
         """
         shifts = np.atleast_1d(np.asarray(shifts, dtype=complex))
         rhs = np.asarray(rhs, dtype=complex)
@@ -442,73 +373,18 @@ class ResolventFactory:
         k, m = shifts.size, mat.shape[1]
         with self._lock:
             self.solve_count += k * m
-        executor = get_executor()
-        workers = executor.workers
-        ship = (
-            getattr(executor, "backend_name", "serial") == "process"
-            and k > 1
-        )
-        if ship:
-            token = process_token(self)
         if self.schur is None:
             dense_rhs = np.ascontiguousarray(mat)
             out = np.empty((k, self.n, m), dtype=complex)
-
-            def _sparse_chunk(lo, hi):
-                for idx in range(lo, hi):
-                    out[idx] = self._sparse_lu(shifts[idx]).solve(dense_rhs)
-
-            def _sparse_merge(lo, hi):
-                def apply(result):
-                    out[lo:hi] = result["x"]
-
-                return apply
-
-            plan = SolvePlan("resolvent.solve_many[sparse]")
-            for lo, hi in chunk_bounds(k, workers):
-                task = plan.add(_sparse_chunk, lo, hi)
-                if ship:
-                    task.spec = ProcessSpec(
-                        "repro.linalg.resolvent:_solve_many_sparse_worker",
-                        lambda lo=lo, hi=hi: {
-                            "token": token,
-                            "matrix": self.matrix,
-                            "rhs": dense_rhs,
-                            "shifts": shifts[lo:hi],
-                        },
-                        merge=_sparse_merge(lo, hi),
-                    )
-            plan.execute()
+            for idx in range(k):
+                out[idx] = self._sparse_lu(shifts[idx]).solve(dense_rhs)
         else:
             w = self.schur.q.conj().T @ mat
             ys = np.empty((self.n, k * m), dtype=complex)
-
-            def _dense_chunk(lo, hi):
-                for idx in range(lo, hi):
-                    s = shifts[idx]
-                    ys[:, idx * m : (idx + 1) * m] = self._triangular(s, w)
-
-            def _dense_merge(lo, hi):
-                def apply(result):
-                    ys[:, lo * m : hi * m] = result["ys"]
-
-                return apply
-
-            plan = SolvePlan("resolvent.solve_many[dense]")
-            for lo, hi in chunk_bounds(k, workers):
-                task = plan.add(_dense_chunk, lo, hi)
-                if ship:
-                    task.spec = ProcessSpec(
-                        "repro.linalg.resolvent:_solve_many_dense_worker",
-                        lambda lo=lo, hi=hi: {
-                            "token": token,
-                            "t": self.schur.t,
-                            "w": w,
-                            "shifts": shifts[lo:hi],
-                        },
-                        merge=_dense_merge(lo, hi),
-                    )
-            plan.execute()
+            for idx in range(k):
+                ys[:, idx * m : (idx + 1) * m] = self._triangular(
+                    shifts[idx], w
+                )
             x = self.schur.q @ ys
             out = np.moveaxis(x.reshape(self.n, k, m), 1, 0)
         return out[:, :, 0] if squeeze else out

@@ -60,8 +60,9 @@ class SchurForm:
         # Reusable work matrix for shifted triangular solves: only the
         # diagonal depends on the shift, so per-solve cost is O(n) setup
         # instead of an O(n²) allocate-and-add of ``T + alpha I``.  Held
-        # per thread: concurrent tasks from the solve-plan engine each
-        # mutate their own copy, so shifted solves are thread-safe.
+        # per thread: concurrent callers (serve handler threads sharing
+        # one cached factorization) each mutate their own copy, so
+        # shifted solves are thread-safe.
         self._work = threading.local()
 
     def _shifted_t(self, alpha):

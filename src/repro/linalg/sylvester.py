@@ -1046,11 +1046,9 @@ class LowRankKronSolver:
     few steps.
 
     Concurrency note: one solver-wide lock guards the shared basis, so
-    engine-dispatched chain tasks on the sparse path serialize through
-    it (correct under any ``REPRO_WORKERS``, but effectively serial —
-    the shared-basis reuse is worth far more than intra-solve
-    parallelism here; the thread backend's speedup applies to the dense
-    Schur path's independent per-column solves).
+    threads sharing a solver (serve handlers reducing the same system)
+    serialize through it — the shared-basis reuse is worth far more
+    than intra-solve parallelism here.
 
     The Π equation gets a *right-sided* projection instead (see
     :meth:`solve_pi`): Π's singular values decay too slowly on realistic

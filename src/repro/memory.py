@@ -21,7 +21,7 @@ gives the solver core two cooperating knobs:
   read-only memory-mapped views — identical bytes, transparent to every
   consumer, so the build degrades to out-of-core instead of OOM-ing.
 
-The budget is process-global (like the engine backend): set it with
+The budget is process-global: set it with
 ``REPRO_MEMORY_BUDGET=512M`` in the environment, :func:`configure`, or
 scoped via :class:`limit` (which is what ``run_pipeline(...,
 memory_budget=...)`` uses).  Accounting is by ``weakref.finalize`` on
@@ -285,7 +285,7 @@ class MemoryBudget:
                 pass
 
     def stats(self):
-        """Counters, ``worker_stats``-style."""
+        """JSON-safe counters."""
         with self._lock:
             return {
                 "budget_bytes": self.budget,
@@ -379,7 +379,7 @@ class BlockPlanner:
 
 
 # ---------------------------------------------------------------------------
-# global configuration (mirrors repro.engine's configure/using shape)
+# global configuration
 # ---------------------------------------------------------------------------
 
 _config_lock = threading.Lock()

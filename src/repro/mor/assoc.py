@@ -142,9 +142,7 @@ class AssociatedTransformMOR:
         All Krylov chains — per transfer function, per expansion point,
         per retained input column, and (for the decoupled strategy) per
         eq.-(18) subsystem — are independent, so the whole build is
-        emitted as **one** engine plan and dispatched across the
-        configured backend's workers; the serial default reproduces the
-        historical inline loops exactly.
+        emitted as **one** engine plan.
 
         With *checkpoint* (a :class:`~repro.checkpoint.JobState`) the
         build instead executes in deterministically ordered stages of at

@@ -31,15 +31,11 @@ import numpy as np
 
 from . import memory
 from ._validation import check_positive_int
-from .analysis.distortion import (
-    _sum_type_metrics,
-    _system_tree,
-    distortion_sweep,
-)
+from .analysis.distortion import _sum_type_metrics, distortion_sweep
 from .analysis.metrics import max_relative_error
 from .checkpoint import JobState, checkpoint_for
 from .circuits.netlist import Netlist
-from .engine import ProcessSpec, SolvePlan, get_executor
+from .engine import SolvePlan
 from .errors import ValidationError
 from .linalg.arnoldi import merge_bases
 from .mor.assoc import AssociatedTransformMOR
@@ -901,10 +897,8 @@ class ParametricReductionJob:
 def _distortion_arrays(explicit, omegas, amplitude, evaluator=None):
     """HD2/HD3 arrays of one already-explicit system, inline.
 
-    The shared scalar loop behind the parametric sweep fan-out: the
-    in-process path and :func:`_corner_sweep_worker` both run exactly
-    this code on the same matrices, so serial and process backends
-    produce bit-identical distributions.
+    The scalar loop behind the parametric sweep fan-out and the
+    interpolation-tier probe checks.
     """
     if evaluator is None:
         evaluator = volterra_evaluator(explicit)
@@ -918,33 +912,6 @@ def _distortion_arrays(explicit, omegas, amplitude, evaluator=None):
         hd2[idx] = metrics["hd2"]
         hd3[idx] = metrics["hd3"]
     return hd2, hd3
-
-
-def _corner_sweep_worker(payload):
-    """Process-backend worker: the full distortion sweep of one corner.
-
-    One task per corner (not per frequency): corner ROMs are small, so
-    the whole ω-loop amortizes one payload decode.  The ω-grid array is
-    the *same object* in every corner's payload, which the shared-
-    memory registry dedups to a single segment — corners ship only
-    their own reduced matrices.
-    """
-    from .systems.polynomial import PolynomialODE as _PolyODE
-
-    mats = payload["system"]
-    system = _PolyODE(
-        mats["g1"],
-        mats["b"],
-        g2=mats.get("g2"),
-        g3=mats.get("g3"),
-        d1=mats.get("d1"),
-        mass=mats.get("mass"),
-        output=mats.get("output"),
-    )
-    hd2, hd3 = _distortion_arrays(
-        system, payload["omegas"], payload["amplitude"]
-    )
-    return {"hd2": hd2, "hd3": hd3}
 
 
 def _probe_omegas(omegas, probe_points):
@@ -1139,10 +1106,8 @@ def run_parametric(target, reduce=None, sweep=None, mc=None, store=None,
        probe-check rejections, which are counted under
        ``interp_rejected`` plus the tier that actually ran).
 
-    Per-corner distortion sweeps then fan out through the engine (one
-    :class:`~repro.engine.ProcessSpec` task per corner; the shared
-    ω-grid ships once via the shared-memory registry), and serial /
-    process backends produce bit-identical distributions.
+    Per-corner distortion sweeps then run as one engine plan, one task
+    per family member.
 
     Parameters mirror :func:`run_pipeline` where shared; *mc* is a
     :class:`ParametricReductionJob` (or its dict form).  Returns a
@@ -1356,34 +1321,15 @@ def run_parametric(target, reduce=None, sweep=None, mc=None, store=None,
     omegas = sweep_job.omegas
     amplitude = sweep_job.amplitude
     all_records = [records[flat] for flat in sorted(records)] + draw_records
-    ship = getattr(get_executor(), "backend_name", "serial") == "process"
     plan = SolvePlan("parametric_sweeps")
 
-    def _inline(record):
+    def _sweep(record):
         explicit = record["rom"].system.to_explicit()
         hd2, hd3 = _distortion_arrays(explicit, omegas, amplitude)
         record["hd2"], record["hd3"] = hd2, hd3
 
-    def _merge(record):
-        def apply(result):
-            record["hd2"] = result["hd2"]
-            record["hd3"] = result["hd3"]
-
-        return apply
-
     for record in all_records:
-        task = plan.add(_inline, record)
-        if ship:
-            tree = _system_tree(record["rom"].system.to_explicit())
-            task.spec = ProcessSpec(
-                "repro.pipeline:_corner_sweep_worker",
-                lambda tree=tree: {
-                    "system": tree,
-                    "omegas": omegas,
-                    "amplitude": amplitude,
-                },
-                merge=_merge(record),
-            )
+        plan.add(_sweep, record)
     plan.execute()
     t_sweeps = time.perf_counter() - t_start - t_grid - t_draws
 

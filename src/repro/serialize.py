@@ -34,7 +34,6 @@ sites so the guarantee is testable.
 """
 
 import hashlib
-import io
 import json
 import os
 import tempfile
@@ -47,9 +46,7 @@ from .testing.faults import fault_point
 
 __all__ = [
     "array_digest",
-    "decode_payload_bytes",
     "durable_write",
-    "encode_payload_bytes",
     "fsync_directory",
     "json_safe",
     "load_payload",
@@ -249,52 +246,6 @@ def load_payload(path):
         if "__manifest__" not in archive.files:
             raise ValidationError(
                 f"{path} is not a repro payload file (no manifest)"
-            )
-        manifest = json.loads(bytes(archive["__manifest__"]).decode("utf-8"))
-        arrays = {
-            name: archive[name]
-            for name in archive.files
-            if name != "__manifest__"
-        }
-    return _decode(manifest, arrays)
-
-
-# ---------------------------------------------------------------------------
-# in-memory payloads (process-backend task messages)
-# ---------------------------------------------------------------------------
-
-
-def encode_payload_bytes(tree):
-    """Encode a payload tree to ``.npz`` bytes (no file, no pickling).
-
-    The in-memory counterpart of :func:`save_payload`: the same
-    tree↔manifest codec, assembled into a :class:`io.BytesIO` archive.
-    This is the wire format of the process-pool engine backend — task
-    specs and small operands travel as these bytes; anything large is
-    replaced by a shared-memory descriptor *before* encoding (see
-    :mod:`repro.engine.process`), so the codec itself never needs to
-    know about segments.  Compression is off: task messages are
-    latency-sensitive and the bulk data travels by shared memory anyway.
-    """
-    arrays = {}
-    manifest = _encode(tree, arrays, path="$")
-    manifest_bytes = json.dumps(manifest).encode("utf-8")
-    arrays["__manifest__"] = np.frombuffer(manifest_bytes, dtype=np.uint8)
-    buffer = io.BytesIO()
-    np.savez(buffer, **arrays)
-    return buffer.getvalue()
-
-
-def decode_payload_bytes(data):
-    """Decode :func:`encode_payload_bytes` output back into a tree.
-
-    ``allow_pickle=False`` exactly like the file path: a payload message
-    can never execute code on the receiving process.
-    """
-    with np.load(io.BytesIO(data), allow_pickle=False) as archive:
-        if "__manifest__" not in archive.files:
-            raise ValidationError(
-                "payload bytes carry no manifest; not a repro payload"
             )
         manifest = json.loads(bytes(archive["__manifest__"]).decode("utf-8"))
         arrays = {

@@ -20,8 +20,8 @@ run the same service.
 
 Concurrency model: the event loop only parses HTTP and routes; verb
 work runs on a small thread pool (the numerical kernels release the
-GIL, and nested solve plans degrade to inline execution on worker
-threads, so service threads compose safely with ``REPRO_WORKERS``).
+GIL, and the shared factorization and kernel caches are lock-guarded,
+so handler threads can serve the same system at once).
 The loop tracks in-flight requests and sheds load *before* dispatch —
 a full queue answers ``429 Too Many Requests`` with ``Retry-After``
 instead of queueing unboundedly.  Per-request deadlines answer ``504``
@@ -58,9 +58,9 @@ _REASONS = {
     504: "Gateway Timeout",
 }
 
-#: Worker threads handling verb requests.  Small on purpose: each
-#: request already fans its numerical work across the engine backend;
-#: these threads only bound how many *requests* make progress at once.
+#: Worker threads handling verb requests.  Small on purpose: they only
+#: bound how many *requests* make progress at once; each request runs
+#: its numerical work serially on its handler thread.
 _DEFAULT_HANDLERS = 4
 
 
@@ -290,10 +290,6 @@ class ServeDaemon:
                     for key in ("entries", "hits", "misses")
                 },
                 "coalesced": stats.get("coalescer", {}).get("coalesced", 0),
-                "engine": {
-                    key: stats.get("engine", {}).get(key)
-                    for key in ("backend", "workers")
-                },
                 "latency": {
                     verb: {
                         "p50_ms": values.get("p50_ms"),

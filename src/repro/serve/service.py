@@ -45,7 +45,6 @@ from collections import OrderedDict
 from .. import memory
 from .._validation import check_positive_int
 from ..analysis.distortion import distortion_sweep
-from ..engine import worker_stats
 from ..errors import ReproError, TaskCancelled, ValidationError
 from ..pipeline import (
     PipelineResult,
@@ -471,7 +470,6 @@ class ReproService:
             "hot_cache": self.cache.stats(),
             "coalescer": self.coalescer.stats(),
             "specs": specs,
-            "engine": worker_stats(),
         }
         if self.store is not None:
             data["store"] = self.store.stats()

@@ -106,8 +106,8 @@ class JacobianCache:
         self.factorizations = 0
         self.reuses = 0
         # A cache shared across concurrently integrated trajectories
-        # (engine-dispatched transient batches) must not interleave a
-        # factor with another thread's invalidate and count updates.
+        # must not interleave a factor with another thread's invalidate
+        # and count updates.
         self._lock = threading.Lock()
 
     def invalidate(self):

@@ -166,10 +166,7 @@ class StateSpace:
         triangular substitution per frequency for dense systems, one
         cached sparse LU per frequency for sparse ones) rather than a
         fresh dense solve per point; repeated calls reuse the
-        factorization.  The batch is emitted as an engine
-        :class:`~repro.engine.SolvePlan`, so it parallelizes across
-        workers when ``repro.engine.configure`` / ``REPRO_WORKERS``
-        selects the thread backend.
+        factorization.
 
         ``omegas`` must be **real** angular frequencies — the response is
         evaluated at ``s = jω``.  Complex input (scalar or array) raises

@@ -118,10 +118,8 @@ def stack_columns(vectors, label):
     The blockwise equivalent of ``np.column_stack(vectors)``: the output
     lives in the tile arena (RAM, or a writable memmap once the result
     would crowd the memory budget) and rows are copied in
-    :func:`repro.memory.block_rows`-sized tiles.  Each tile is an
-    independent engine task, so under a threaded backend tile copies
-    overlap instead of serializing behind one big allocation.  The
-    result is bit-identical to the dense stack.
+    :func:`repro.memory.block_rows`-sized tiles, one engine task per
+    tile.  The result is bit-identical to the dense stack.
     """
     if not vectors:
         return np.empty((0, 0))
@@ -222,8 +220,8 @@ class AssociatedWorkspace:
         # warm_start()): consumed when the lazy solvers are built.
         self._warm_lowrank = None
         self._warm_pi = None
-        # Guards the lazy factorizations above: engine-dispatched chain
-        # tasks sharing one workspace must not build Π / the lifted
+        # Guards the lazy factorizations above: threads sharing one
+        # workspace (serve handlers) must not build Π / the lifted
         # operator twice (reentrant — the Π build walks kron_solver,
         # which walks schur).
         self._lazy_lock = threading.RLock()
@@ -750,8 +748,7 @@ class AssociatedRealization:
         whose columns span the space matching *count* moments of ``H(s)``
         about ``s0`` (per retained input column).  With ``deduplicate``
         only one column per symmetric input multiset is chained.  The
-        per-column chains run as one engine plan (independent tasks;
-        serial backend by default).
+        per-column chains run as one engine plan (independent tasks).
         """
         plan = SolvePlan("associated.moment_vectors")
         for fn in self.chain_tasks(count, s0=s0, deduplicate=deduplicate):
@@ -997,8 +994,8 @@ class DecoupledH2Realization:
         chains run as one engine plan (one task per subsystem per
         retained input column), and each block is then assembled in row
         tiles through :func:`stack_columns` — one engine task per tile,
-        into arena-backed storage — so assembly overlaps across workers
-        and never materializes an extra dense ``n``-row stack.
+        into arena-backed storage — so assembly never materializes an
+        extra dense ``n``-row stack.
         """
         tasks = self.chain_tasks(count, s0=s0, deduplicate=deduplicate)
         plan = SolvePlan("decoupled-h2.basis_blocks")

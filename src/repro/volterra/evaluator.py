@@ -80,7 +80,7 @@ class VolterraEvaluator:
         self._h1_cache = OrderedDict()
         self._h2_cache = OrderedDict()
         # One lock guards both memo tables and the stats counters, so
-        # engine-dispatched sweep tasks can share one evaluator.  Kernel
+        # serve handler threads can share one evaluator.  Kernel
         # *computation* happens outside the lock: two threads racing on
         # the same cold key duplicate the (deterministic) solve and the
         # first insert wins — never a torn or partial cache entry.
@@ -160,9 +160,8 @@ class VolterraEvaluator:
         """Batch-solve ``H1`` at all uncached *shifts* in one pass.
 
         Uses :meth:`ResolventFactory.solve_many`, which hoists the basis
-        rotations out of the shift loop and dispatches the per-shift
-        substitutions through the engine backend — the fast way to seed
-        a whole frequency grid before a sweep.
+        rotations out of the shift loop — the fast way to seed a whole
+        frequency grid before a sweep.
         """
         with self._cache_lock:
             wanted = []

@@ -78,10 +78,6 @@ def frequency_sweep(system, omegas, output=True):
     *omegas* through one shared factorization of ``G1``
     (:meth:`ResolventFactory.solve_many` hoists the basis rotations out
     of the grid loop), instead of one fresh ``O(n³)`` solve per point.
-    The per-shift substitutions are emitted as a
-    :class:`~repro.engine.SolvePlan`, so the grid spreads across workers
-    when the engine's thread backend is configured
-    (``repro.engine.configure`` / ``REPRO_WORKERS``).
 
     Parameters
     ----------

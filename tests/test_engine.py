@@ -1,47 +1,40 @@
-"""Solve-plan engine: backends, parity serial↔parallel, cache races.
+"""Solve-plan engine: plan semantics, cache races, sparse fast paths.
 
-The engine's contract is that the thread backend changes *wall-clock
-interleaving only*: every plan-emitting layer must return results that
-match the serial backend to rounding (the acceptance bound is 1e-10;
-most paths agree bitwise because each task performs identical
-floating-point operations on identical data).  The cache-race tests
-hammer the shared memo layers from many threads and assert that exactly
-one factorization/evaluator survives and every caller gets correct
-values.
+Plans run serially and in order on the calling thread; the primitive
+tests pin submission order, first-error propagation and that a stale
+environment naming the removed thread/process backends changes
+nothing.  The cache-race tests hammer the shared memo layers from many
+threads (as the serve daemon's handler threads do) and assert that
+exactly one factorization/evaluator survives and every caller gets
+correct values.
 """
 
+import json
+import os
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-import repro.engine as engine
 from repro.analysis.distortion import (
     distortion_sweep,
     single_tone_distortion,
     two_tone_intermodulation,
 )
-from repro.engine import SolvePlan, chunk_bounds, parallel_map
-from repro.engine.executor import SerialExecutor, ThreadPoolExecutor
-from repro.errors import NumericalError, ValidationError
+from repro.engine import SolvePlan
+from repro.errors import NumericalError
 from repro.linalg.resolvent import ResolventFactory
-from repro.mor import AssociatedTransformMOR
-from repro.systems import PolynomialODE, StateSpace
+from repro.systems import PolynomialODE
 from repro.volterra.evaluator import VolterraEvaluator, volterra_evaluator
-from repro.volterra.response import frequency_sweep
 
 from conftest import make_stable_matrix
 
-WORKERS = 4
-
-
-@pytest.fixture(autouse=True)
-def _serial_default():
-    """Each test starts (and the suite ends) on the serial backend."""
-    engine.configure(workers=1)
-    yield
-    engine.configure(workers=1)
+TESTS_DIR = Path(__file__).resolve().parent
+REPO_SRC = str(TESTS_DIR.parent / "src")
 
 
 def _sparse_ladder(n, rng):
@@ -57,28 +50,24 @@ def _sparse_ladder(n, rng):
     return PolynomialODE(g1, b, g2=g2, output=np.eye(n)[0])
 
 
+def _ladder_sweep():
+    """HD2/HD3 bytes of a fixed sparse-ladder distortion sweep."""
+    system = _sparse_ladder(80, np.random.default_rng(7))
+    _, hd2, hd3 = distortion_sweep(system, np.linspace(0.3, 1.5, 7), 0.3)
+    return hd2.tobytes().hex(), hd3.tobytes().hex()
+
+
 # ---------------------------------------------------------------------------
 # engine primitives
 # ---------------------------------------------------------------------------
 
 
 class TestPrimitives:
-    def test_chunk_bounds_cover_range(self):
-        for count in (1, 2, 5, 17):
-            for parts in (1, 2, 4, 30):
-                bounds = chunk_bounds(count, parts)
-                assert bounds[0][0] == 0 and bounds[-1][1] == count
-                flat = [i for lo, hi in bounds for i in range(lo, hi)]
-                assert flat == list(range(count))
-                sizes = [hi - lo for lo, hi in bounds]
-                assert max(sizes) - min(sizes) <= 1
-
     def test_plan_preserves_submission_order(self):
         plan = SolvePlan("test")
         for idx in range(20):
             plan.add(lambda i=idx: i * i, tag=idx)
-        with engine.using(workers=WORKERS):
-            results = plan.execute()
+        results = plan.execute()
         assert results == [i * i for i in range(20)]
         assert plan.tags == list(range(20))
 
@@ -91,183 +80,31 @@ class TestPrimitives:
         plan = SolvePlan("test")
         for idx in range(6):
             plan.add(boom, idx)
-        with engine.using(workers=WORKERS):
-            with pytest.raises(RuntimeError, match="task 1"):
-                plan.execute()
+        with pytest.raises(RuntimeError, match="task 1"):
+            plan.execute()
 
-    def test_parallel_map_matches_serial(self):
-        items = list(range(13))
-        serial = parallel_map(lambda x: x + 1, items)
-        with engine.using(workers=WORKERS):
-            threaded = parallel_map(lambda x: x + 1, items)
-        assert serial == threaded == [x + 1 for x in items]
-
-    def test_nested_plan_runs_inline_without_deadlock(self):
-        pool = ThreadPoolExecutor(2)
-
-        def inner():
-            plan = SolvePlan("inner")
-            for idx in range(4):
-                plan.add(lambda i=idx: i)
-            return plan.execute(pool)
-
-        outer = SolvePlan("outer")
-        for _ in range(8):  # more tasks than workers
-            outer.add(inner)
-        results = outer.execute(pool)
-        pool.shutdown()
-        assert results == [[0, 1, 2, 3]] * 8
-
-    def test_configure_and_env(self, monkeypatch):
-        assert isinstance(engine.configure(workers=1), SerialExecutor)
-        ex = engine.configure(workers=3)
-        assert isinstance(ex, ThreadPoolExecutor)
-        assert engine.current_workers() == 3
-        engine.configure(workers=None)
-        assert engine.current_workers() == 1
-        with pytest.raises(ValidationError):
-            ThreadPoolExecutor(1)
-        # env var is a default for the first lazy resolution
-        monkeypatch.setenv("REPRO_WORKERS", "2")
-        engine.executor._set_executor(None)
-        assert engine.current_workers() == 2
-        engine.configure(workers=1)
-
-    def test_env_rejects_garbage(self, monkeypatch):
-        monkeypatch.setenv("REPRO_WORKERS", "many")
-        engine.executor._set_executor(None)
-        with pytest.raises(ValidationError):
-            engine.get_executor()
-        engine.configure(workers=1)
-
-    def test_auto_workers_resolution(self, monkeypatch):
-        import os
-
-        expected = max(1, (os.cpu_count() or 1) - 1)
-        assert engine.resolve_workers("auto") == expected
-        assert engine.resolve_workers("AUTO") == expected
-        assert engine.resolve_workers(None) == 1
-        assert engine.resolve_workers(3) == 3
-        with pytest.raises(ValidationError):
-            engine.resolve_workers("lots")
-        try:
-            engine.configure(workers="auto")
-            stats = engine.worker_stats()
-            assert stats["requested"] == "auto"
-            assert stats["workers"] == expected
-            assert stats["backend"] == (
-                "serial" if expected == 1 else "threads"
-            )
-            assert stats["cpu_count"] == os.cpu_count()
-        finally:
-            engine.configure(workers=1)
-        # env form: REPRO_WORKERS=auto on first lazy resolution
-        monkeypatch.setenv("REPRO_WORKERS", "auto")
-        engine.executor._set_executor(None)
-        assert engine.current_workers() == expected
-        assert engine.worker_stats()["requested"] == "auto"
-        engine.configure(workers=1)
-
-    def test_worker_stats_tracks_using_scope(self):
-        engine.configure(workers=1)
-        base = engine.worker_stats()
-        assert base["backend"] == "serial"
-        with engine.using(workers=4):
-            inside = engine.worker_stats()
-            assert inside == {**inside, "backend": "threads", "workers": 4,
-                              "requested": 4}
-        after = engine.worker_stats()
-        assert after["backend"] == "serial"
-        assert after["workers"] == 1
-
-
-# ---------------------------------------------------------------------------
-# serial <-> parallel parity (acceptance bound 1e-10)
-# ---------------------------------------------------------------------------
-
-
-class TestParity:
-    def test_solve_many_dense(self, rng):
-        a = make_stable_matrix(rng, 40)
-        rhs = rng.standard_normal((40, 3))
-        shifts = 1j * np.linspace(0.1, 5.0, 23)
-        serial = ResolventFactory(a).solve_many(shifts, rhs)
-        with engine.using(workers=WORKERS):
-            threaded = ResolventFactory(a).solve_many(shifts, rhs)
-        assert np.abs(serial - threaded).max() <= 1e-10
-
-    def test_solve_many_sparse(self, rng):
-        system = _sparse_ladder(60, rng)
-        rhs = rng.standard_normal(60)
-        shifts = 1j * np.linspace(0.1, 3.0, 17)
-        serial = ResolventFactory(system.g1).solve_many(shifts, rhs)
-        with engine.using(workers=WORKERS):
-            threaded = ResolventFactory(system.g1).solve_many(shifts, rhs)
-        assert np.abs(serial - threaded).max() <= 1e-10
-
-    def test_distortion_sweep(self, small_qldae):
-        omegas = np.linspace(0.2, 2.0, 11)
-        _, hd2_s, hd3_s = distortion_sweep(small_qldae, omegas, 0.2)
-        small_qldae._volterra_evaluator = None  # force a cold rebuild
-        small_qldae._resolvent_factory = None
-        with engine.using(workers=WORKERS):
-            _, hd2_p, hd3_p = distortion_sweep(small_qldae, omegas, 0.2)
-        assert np.abs(hd2_s - hd2_p).max() <= 1e-10
-        assert np.abs(hd3_s - hd3_p).max() <= 1e-10
-
-    def test_distortion_sweep_sparse(self, rng):
-        system = _sparse_ladder(80, rng)
-        omegas = np.linspace(0.3, 1.5, 7)
-        _, hd2_s, hd3_s = distortion_sweep(system, omegas, 0.3)
-        system._volterra_evaluator = None
-        system._resolvent_factory = None
-        with engine.using(workers=WORKERS):
-            _, hd2_p, hd3_p = distortion_sweep(system, omegas, 0.3)
-        assert np.abs(hd2_s - hd2_p).max() <= 1e-10
-        assert np.abs(hd3_s - hd3_p).max() <= 1e-10
-
-    @pytest.mark.parametrize("strategy", ["coupled", "decoupled"])
-    def test_build_basis(self, small_qldae, strategy):
-        reducer = AssociatedTransformMOR(
-            orders=(3, 2, 0),
-            expansion_points=(0.0, 1.0j, 2.0j),
-            strategy=strategy,
+    def test_stale_backend_environment_runs_serial(self):
+        # A fresh interpreter: inside this one the engine may already
+        # have been imported before the environment was touched.
+        script = (
+            "import json, sys\n"
+            f"sys.path.insert(0, {str(TESTS_DIR)!r})\n"
+            "from repro import engine\n"
+            "from test_engine import _ladder_sweep\n"
+            "print(json.dumps({'stats': engine.worker_stats(),\n"
+            "                  'sweep': _ladder_sweep()}))\n"
         )
-        explicit = small_qldae.to_explicit()
-        basis_s, details_s = reducer.build_basis(explicit)
-        explicit._associated_workspace = None
-        with engine.using(workers=WORKERS):
-            basis_p, details_p = reducer.build_basis(explicit)
-        assert details_s["blocks"] == details_p["blocks"]
-        assert basis_s.shape == basis_p.shape
-        assert np.abs(basis_s - basis_p).max() <= 1e-10
-
-    def test_frequency_sweep_and_response(self, rng, small_qldae):
-        omegas = np.linspace(0.1, 4.0, 19)
-        explicit = small_qldae.to_explicit()
-        serial_sweep = frequency_sweep(explicit, omegas)
-        ss = StateSpace(
-            make_stable_matrix(rng, 12),
-            rng.standard_normal((12, 2)),
-            rng.standard_normal((2, 12)),
+        env = dict(os.environ)
+        env.update(
+            PYTHONPATH=REPO_SRC, REPRO_BACKEND="process", REPRO_WORKERS="4"
         )
-        serial_resp = ss.frequency_response(omegas)
-        explicit._resolvent_factory = None
-        ss._resolvent_factory = None
-        with engine.using(workers=WORKERS):
-            threaded_sweep = frequency_sweep(explicit, omegas)
-            threaded_resp = ss.frequency_response(omegas)
-        assert np.abs(serial_sweep - threaded_sweep).max() <= 1e-10
-        assert np.abs(serial_resp - threaded_resp).max() <= 1e-10
-
-    def test_two_tone_parity(self, small_qldae):
-        serial = two_tone_intermodulation(small_qldae, 0.9, 1.3)
-        small_qldae._volterra_evaluator = None
-        small_qldae._resolvent_factory = None
-        with engine.using(workers=WORKERS):
-            threaded = two_tone_intermodulation(small_qldae, 0.9, 1.3)
-        for key, value in serial.items():
-            assert abs(value - threaded[key]) <= 1e-10
+        result = subprocess.run(
+            [sys.executable, "-c", script], env=env,
+            capture_output=True, text=True, check=True,
+        )
+        child = json.loads(result.stdout)
+        assert child["stats"] == {"backend": "serial", "workers": 1}
+        assert tuple(child["sweep"]) == _ladder_sweep()
 
 
 # ---------------------------------------------------------------------------

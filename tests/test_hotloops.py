@@ -1,10 +1,9 @@
-"""Scatter kernel: np.add.at equivalence and the JIT gating knob."""
+"""Scatter kernel: np.add.at equivalence."""
 
 import numpy as np
 import pytest
 
-from repro.errors import ValidationError
-from repro.linalg._hotloops import jit_status, scatter_add_rows
+from repro.linalg._hotloops import scatter_add_rows
 
 
 @pytest.fixture
@@ -59,26 +58,3 @@ class TestScatterAddRows:
         )
         np.testing.assert_array_equal(out, [0.0, 0.0, 3.5, 0.0])
 
-
-class TestJitKnob:
-    def test_status_keys(self):
-        status = jit_status()
-        assert set(status) == {"mode", "available", "active"}
-        assert status["mode"] in ("auto", "off")
-
-    def test_off_disables(self, monkeypatch, rng):
-        monkeypatch.setenv("REPRO_JIT", "off")
-        status = jit_status()
-        assert status == {"mode": "off", "available": None,
-                          "active": False}
-        rows = rng.integers(0, 10, size=50)
-        contrib = rng.standard_normal(50)
-        expected = np.zeros(10)
-        np.add.at(expected, rows, contrib)
-        out = scatter_add_rows(np.zeros(10), rows, contrib)
-        np.testing.assert_array_equal(out, expected)
-
-    def test_bad_mode_rejected(self, monkeypatch):
-        monkeypatch.setenv("REPRO_JIT", "always")
-        with pytest.raises(ValidationError):
-            jit_status()

@@ -20,12 +20,7 @@ import pytest
 from repro.analysis.distortion import distortion_sweep
 from repro.analysis.reporting import format_stats_line
 from repro.circuits.examples import quadratic_rc_ladder_netlist
-from repro.engine import (
-    SerialExecutor,
-    SolvePlan,
-    TaskCancelled,
-    ThreadPoolExecutor,
-)
+from repro.engine import SolvePlan, TaskCancelled
 from repro.errors import ValidationError
 from repro.mor import AssociatedTransformMOR
 from repro.pipeline import ReductionJob, run_pipeline
@@ -406,16 +401,8 @@ class TestCancellation:
             return cancelled["flag"] or calls["count"] > 2
 
         with pytest.raises(TaskCancelled):
-            plan.execute(executor=SerialExecutor(), cancel=cancel)
+            plan.execute(cancel=cancel)
         assert len(ran) < 5  # tail was shed
-
-    def test_threadpool_executor_precancelled(self):
-        pool = ThreadPoolExecutor(workers=2)
-        try:
-            with pytest.raises(TaskCancelled):
-                pool.run([lambda: 1, lambda: 2], cancel=lambda: True)
-        finally:
-            pool.shutdown()
 
     def test_distortion_sweep_precancelled(self):
         system = quadratic_rc_ladder_netlist(n_nodes=8).compile().to_explicit()
