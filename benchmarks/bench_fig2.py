@@ -14,6 +14,8 @@ with the projection-basis construction (the paper's "Arnoldi" phase)
 reported separately from ``rom.build_time``.
 """
 
+import os
+
 import numpy as np
 import pytest
 
@@ -21,7 +23,11 @@ from repro.analysis import format_table, relative_error_trace, series_summary
 from repro.circuits import nonlinear_transmission_line
 from repro.pipeline import run_pipeline
 
-from .conftest import paper_scale
+
+def paper_scale():
+    """Paper-scale sizes unless ``REPRO_BENCH_QUICK=1``."""
+    return os.environ.get("REPRO_BENCH_QUICK", "0") != "1"
+
 
 N_NODES = 100 if paper_scale() else 16
 # (8, 3, 2) at s0 = 1.0 gives a stable order-13 ROM — matching the

@@ -15,6 +15,8 @@ constructions — the proposed method through one declarative
 (the pipeline speaks the paper's reducer; baselines stay explicit).
 """
 
+import os
+
 import numpy as np
 import pytest
 
@@ -28,7 +30,11 @@ from repro.mor import NORMReducer
 from repro.pipeline import run_pipeline
 from repro.simulation import simulate, step_source
 
-from .conftest import paper_scale
+
+def paper_scale():
+    """Paper-scale sizes unless ``REPRO_BENCH_QUICK=1``."""
+    return os.environ.get("REPRO_BENCH_QUICK", "0") != "1"
+
 
 N_NODES = 36 if paper_scale() else 16  # 36 nodes + 34 diodes = 70 states
 ORDERS = (6, 3, 2)

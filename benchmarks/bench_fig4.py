@@ -11,6 +11,8 @@ vs NORM's 27.  Regenerates:
 plus the ROM-size rows.
 """
 
+import os
+
 import numpy as np
 import pytest
 
@@ -23,7 +25,11 @@ from repro.circuits import rf_receiver_chain
 from repro.mor import AssociatedTransformMOR, NORMReducer
 from repro.simulation import simulate, sine_source, stack_sources
 
-from .conftest import paper_scale
+
+def paper_scale():
+    """Paper-scale sizes unless ``REPRO_BENCH_QUICK=1``."""
+    return os.environ.get("REPRO_BENCH_QUICK", "0") != "1"
+
 
 N_NODES = 173 if paper_scale() else 40
 ORDERS = (6, 3, 1)

@@ -7,6 +7,8 @@ ROM, plus a quantification of how hard the (strongly nonlinear) varistor
 clamp is working.
 """
 
+import os
+
 import numpy as np
 import pytest
 
@@ -20,7 +22,11 @@ from repro.mor import AssociatedTransformMOR
 from repro.simulation import simulate, surge_source
 from repro.systems import CubicODE
 
-from .conftest import paper_scale
+
+def paper_scale():
+    """Paper-scale sizes unless ``REPRO_BENCH_QUICK=1``."""
+    return os.environ.get("REPRO_BENCH_QUICK", "0") != "1"
+
 
 N_STATES = 102 if paper_scale() else 30
 # The surge's fast rise excites mid-band dynamics, so we expand at DC

@@ -11,10 +11,6 @@ them on the circuit-scale sparse ladder:
   :class:`~repro.serve.HotROMCache` entry with its primed explicit
   system).  Hot must beat warm-disk — that gap *is* the reason the
   daemon exists over warm one-shot CLI calls.
-* **coalescing** — ``K`` concurrent overlapping sweeps on one hot ROM,
-  with the :class:`~repro.serve.SweepCoalescer` on vs off: union-grid
-  solves vs ``K`` independent solves, bit-identical per-request
-  results either way.
 * **sustained throughput** — requests/s through the real HTTP front
   door (``ServeDaemon``) over keep-alive connections, all hot.
 
@@ -35,7 +31,6 @@ import shutil
 import statistics
 import sys
 import tempfile
-import threading
 import time
 from pathlib import Path
 
@@ -44,12 +39,7 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 
 from benchmarks.perf_log import append_run  # noqa: E402
-from repro.serve import (  # noqa: E402
-    ReduceRequest,
-    ReproService,
-    ServeDaemon,
-    SweepRequest,
-)
+from repro.serve import ReproService, ServeDaemon, SweepRequest  # noqa: E402
 
 OUT_PATH = Path(__file__).resolve().parent / "BENCH_sweep.json"
 
@@ -127,60 +117,6 @@ def bench_tiers(spec, root, repeats):
     }
 
 
-def bench_coalescing(spec, root, clients, rounds):
-    """K concurrent overlapping sweeps, coalescer on vs off."""
-    grids = [
-        {"start": 0.05 + 0.01 * i, "stop": 0.5, "points": 8,
-         "amplitude": 0.05}
-        for i in range(clients)
-    ]
-
-    def run_burst(service):
-        errors = []
-
-        def client(grid):
-            try:
-                service.handle(SweepRequest.from_payload(
-                    {"spec": spec, "reduce": REDUCE, "sweep": grid}
-                ))
-            except Exception as exc:  # pragma: no cover - surfaced below
-                errors.append(exc)
-
-        t0 = time.perf_counter()
-        for _ in range(rounds):
-            threads = [
-                threading.Thread(target=client, args=(grid,))
-                for grid in grids
-            ]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join()
-        elapsed = time.perf_counter() - t0
-        assert not errors, errors[0]
-        return elapsed
-
-    merged = ReproService(store=root, hot_capacity=8, coalesce=True)
-    merged.handle(_sweep_request(spec))  # make the ROM hot
-    merged_s = run_burst(merged)
-    stats = merged.coalescer.stats()
-
-    solo = ReproService(store=root, hot_capacity=8, coalesce=False)
-    solo.handle(_sweep_request(spec))
-    solo_s = run_burst(solo)
-
-    return {
-        "clients": clients,
-        "rounds": rounds,
-        "coalesced_s": merged_s,
-        "uncoalesced_s": solo_s,
-        "speedup": solo_s / merged_s,
-        "flights": stats["flights"],
-        "requests_merged_away": stats["coalesced"],
-        "points_solved": stats["points_solved"],
-    }
-
-
 def bench_throughput(spec, root, requests):
     """Sustained hot-tier req/s over one HTTP keep-alive connection."""
     service = ReproService(store=root, hot_capacity=8)
@@ -224,15 +160,12 @@ def bench_throughput(spec, root, requests):
 def run_serve_bench(n_nodes=DEFAULT_N):
     quick = _quick()
     repeats = 3 if quick else 7
-    clients = 4 if quick else 8
-    rounds = 2 if quick else 4
     requests = 10 if quick else 40
 
     spec = ladder_spec(n_nodes)
     root = tempfile.mkdtemp(prefix="repro-serve-bench-")
     try:
         tiers = bench_tiers(spec, root, repeats)
-        coalescing = bench_coalescing(spec, root, clients, rounds)
         throughput = bench_throughput(spec, root, requests)
     finally:
         shutil.rmtree(root, ignore_errors=True)
@@ -242,7 +175,6 @@ def run_serve_bench(n_nodes=DEFAULT_N):
         "strategy": REDUCE["strategy"],
         "sweep_points": int(SWEEP["points"]),
         "tiers": tiers,
-        "coalescing": coalescing,
         "throughput": throughput,
     }
 
@@ -271,7 +203,6 @@ def test_hot_tier_beats_warm_disk():
         f"{tiers['hot_memory_s']:.4f}s vs {tiers['warm_disk_s']:.4f}s"
     )
     assert tiers["warm_disk_s"] < tiers["cold_s"]
-    assert result["coalescing"]["requests_merged_away"] > 0
 
 
 def main():
@@ -280,19 +211,13 @@ def main():
         n = int(sys.argv[1])
     if _quick() and n == DEFAULT_N:
         n = 96
-    print(f"serving tiers / coalescing / throughput (n={n}) ...")
+    print(f"serving tiers / throughput (n={n}) ...")
     result = run_serve_bench(n_nodes=n)
     tiers = result["tiers"]
     print(
         "  cold {cold_s:.3f}s | warm-disk {warm_disk_s:.4f}s | "
         "hot {hot_memory_s:.4f}s ({hot_vs_disk_speedup:.1f}x over disk)"
         .format(**tiers)
-    )
-    print(
-        "  coalescing: {clients} clients x {rounds} rounds: "
-        "{uncoalesced_s:.3f}s -> {coalesced_s:.3f}s "
-        "({speedup:.2f}x, {requests_merged_away} merged)"
-        .format(**result["coalescing"])
     )
     print(
         "  throughput: {req_per_s:.1f} req/s hot over keep-alive "

@@ -14,6 +14,8 @@ Table-1-shaped comparison.  Absolute seconds differ from the 2012
 hardware; the orderings and rough ratios are the reproduction target.
 """
 
+import os
+
 import numpy as np
 import pytest
 
@@ -22,7 +24,11 @@ from repro.circuits import nonlinear_transmission_line, rf_receiver_chain
 from repro.mor import AssociatedTransformMOR, NORMReducer
 from repro.simulation import simulate, sine_source, stack_sources, step_source
 
-from .conftest import paper_scale
+
+def paper_scale():
+    """Paper-scale sizes unless ``REPRO_BENCH_QUICK=1``."""
+    return os.environ.get("REPRO_BENCH_QUICK", "0") != "1"
+
 
 ORDERS = (6, 3, 2)
 EXPANSION = 0.5

@@ -347,11 +347,6 @@ class JobState:
             return pending[0]
         return None
 
-    def tile_count(self, stage_id):
-        """Committed tiles of *stage_id*'s in-flight log (0 when the
-        stage has no resumable tiles)."""
-        return len(self.load_tile_entries(stage_id))
-
     def load_tile_entries(self, stage_id):
         """Log entries of *stage_id*'s resumable tile prefix."""
         tiles_dir = self._tiles_dir(stage_id)
@@ -409,10 +404,6 @@ class JobState:
         self.tiles_computed += 1
         fault_point("checkpoint.after_tile")
         return entry
-
-    def clear_tiles(self, stage_id):
-        """Drop *stage_id*'s tile log (its stage commit supersedes it)."""
-        shutil.rmtree(self._tiles_dir(stage_id), ignore_errors=True)
 
     def has_resumable_tiles(self):
         """True when an in-flight stage left committed tiles behind."""

@@ -37,6 +37,7 @@ import json
 import sys
 from pathlib import Path
 
+from . import memory
 from .analysis.reporting import write_csv_report, write_json_report
 from .errors import ReproError, ValidationError
 from .serialize import json_safe
@@ -470,16 +471,6 @@ def _emit(args, report, csv_table=None):
         write_csv_report(args.csv, headers, rows)
 
 
-def _pipeline_extras(args):
-    """Fault-tolerance/memory knobs shared by reduce/sweep/simulate."""
-    return {
-        "checkpoint": getattr(args, "checkpoint", None),
-        "resume": bool(getattr(args, "resume", False)),
-        "memory_budget": getattr(args, "memory_budget", None),
-        "max_block": getattr(args, "max_block", None),
-    }
-
-
 def _run(args):
     if args.command == "serve":
         store = ModelStore(args.store) if args.store else None
@@ -520,6 +511,21 @@ def _run(args):
             return 1 if report["corrupt"] else 0
         return 0
 
+    # The memory settings are process-wide: this process serves one
+    # request, so they apply around it (the daemon takes them from its
+    # environment instead).
+    budget = getattr(args, "memory_budget", None)
+    max_block = getattr(args, "max_block", None)
+    with memory.scope(budget, max_block):
+        report, csv_table = _one_shot(args)
+        if budget is not None or max_block is not None:
+            report["memory"] = memory.stats()
+    _emit(args, report, csv_table=csv_table)
+    return 0
+
+
+def _one_shot(args):
+    """Serve one verb request; returns ``(report, csv_table)``."""
     spec = _load_spec(args.spec)
     sparse = _sparse_flag(args)
     store = getattr(args, "store", None)
@@ -538,10 +544,14 @@ def _run(args):
         outcome = service.handle(
             InfoRequest.from_payload({"spec": spec, "sparse": sparse})
         )
-        _emit(args, outcome.report())
-        return 0
+        return outcome.report(), None
 
-    payload = {"spec": spec, "sparse": sparse, **_pipeline_extras(args)}
+    payload = {
+        "spec": spec,
+        "sparse": sparse,
+        "checkpoint": args.checkpoint,
+        "resume": args.resume,
+    }
 
     if args.command == "reduce":
         payload["reduce"] = _reduce_job(args, spec, required=True)
@@ -552,8 +562,7 @@ def _run(args):
             report["artifact_path"] = str(
                 outcome.result.artifact.save(args.artifact)
             )
-        _emit(args, report)
-        return 0
+        return report, None
 
     if args.command == "sweep":
         payload["reduce"] = _reduce_job(args, spec, required=False)
@@ -567,9 +576,7 @@ def _run(args):
         if "hd2_full" in sweep:
             headers += ["hd2_full", "hd3_full"]
             columns += [sweep["hd2_full"], sweep["hd3_full"]]
-        rows = [list(row) for row in zip(*columns)]
-        _emit(args, report, csv_table=(headers, rows))
-        return 0
+        return report, (headers, [list(row) for row in zip(*columns)])
 
     if args.command == "mc":
         if args.checkpoint or args.resume:
@@ -598,7 +605,6 @@ def _run(args):
             "sweep": _sweep_job(args, spec),
             "mc": mc_job or None,
         }))
-        report = outcome.report()
         dist = outcome.result.distributions
         corners = dist["corners"]
         headers = ["omega", "hd2_p50", "hd2_p99", "hd3_p50", "hd3_p99"]
@@ -606,9 +612,9 @@ def _run(args):
             dist["omegas"], corners["hd2_p50"], corners["hd2_p99"],
             corners["hd3_p50"], corners["hd3_p99"],
         ]
-        rows = [list(row) for row in zip(*columns)]
-        _emit(args, report, csv_table=(headers, rows))
-        return 0
+        return outcome.report(), (
+            headers, [list(row) for row in zip(*columns)]
+        )
 
     if args.command == "simulate":
         payload["reduce"] = _reduce_job(args, spec, required=False)
@@ -625,9 +631,7 @@ def _run(args):
         if full_outputs is not None:
             headers.append("full_output")
             columns.append(full_outputs)
-        rows = [list(row) for row in zip(*columns)]
-        _emit(args, report, csv_table=(headers, rows))
-        return 0
+        return report, (headers, [list(row) for row in zip(*columns)])
 
     raise ValidationError(f"unknown command {args.command!r}")
 

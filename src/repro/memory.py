@@ -36,6 +36,7 @@ Unlimited (the default) is a pure pass-through — ``admit`` returns its
 argument untouched and tiles are ordinary arrays.
 """
 
+import contextlib
 import os
 import tempfile
 import threading
@@ -48,8 +49,8 @@ from .errors import ValidationError
 
 __all__ = ["BlockPlanner", "MemoryBudget", "block_rows", "cleanup",
            "configure", "current_budget", "current_planner", "limit",
-           "parse_budget", "parse_max_block", "release", "stats", "tile",
-           "tiling"]
+           "parse_budget", "parse_max_block", "release", "scope", "stats",
+           "tile", "tiling"]
 
 _SUFFIXES = {"k": 1024, "m": 1024 ** 2, "g": 1024 ** 3, "t": 1024 ** 4}
 
@@ -549,3 +550,19 @@ class limit:
             # them until process exit.
             self._target.cleanup()
         return False
+
+
+@contextlib.contextmanager
+def scope(budget=None, max_block=None):
+    """One job's :class:`limit` and :class:`tiling`, each when given.
+
+    ``None`` leaves that setting to the environment.  Both settings
+    are process-wide, so this is for a process running one job at a
+    time: ``run_pipeline(memory_budget=..., max_block=...)`` and the
+    one-shot CLI's ``--memory-budget``/``--max-block``.
+    """
+    with contextlib.ExitStack() as stack:
+        if budget is not None:
+            stack.enter_context(limit(budget))
+        stack.enter_context(tiling(max_block))
+        yield

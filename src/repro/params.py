@@ -397,26 +397,6 @@ class ParameterGrid:
         """All corner assignments, flat C order."""
         return [self.corner_values(flat) for flat in range(len(self))]
 
-    def axis_neighbors(self, flat):
-        """Flat indices of same-axis neighbors: ``[(axis, left, right)]``.
-
-        Only interior positions yield entries — both neighbors must
-        exist.  The parametric job interpolates a corner from the pair
-        bracketing it along its last interior axis.
-        """
-        multi = self.multi_index(flat)
-        pairs = []
-        for axis, pos in enumerate(multi):
-            if 0 < pos < self.shape[axis] - 1:
-                left = list(multi)
-                right = list(multi)
-                left[axis] = pos - 1
-                right[axis] = pos + 1
-                pairs.append(
-                    (axis, self.flat_index(left), self.flat_index(right))
-                )
-        return pairs
-
     def interp_schedule(self):
         """Corners in reduction waves: ``[[(flat, pair), ...], ...]``.
 

@@ -24,7 +24,6 @@ a dict (the JSON spec format), validates eagerly, and — for sources —
 maps spec tags onto :mod:`repro.simulation.sources` factories.
 """
 
-import contextlib
 import time
 
 import numpy as np
@@ -36,7 +35,7 @@ from .analysis.metrics import max_relative_error
 from .checkpoint import JobState, checkpoint_for
 from .circuits.netlist import Netlist
 from .engine import SolvePlan
-from .errors import ValidationError
+from .errors import TaskCancelled, ValidationError
 from .linalg.arnoldi import merge_bases
 from .mor.assoc import AssociatedTransformMOR
 from .mor.base import ReducedOrderModel
@@ -514,36 +513,25 @@ def _reduce_step(system, reduce_job, store=None, checkpoint=None,
 
 
 def _sweep_result(system, rom, sweep_job, explicit_query=None,
-                  evaluate=None, cancel=None):
+                  cancel=None):
     """Run one :class:`SweepJob`; returns the report's ``sweep`` dict.
 
-    Shared by :func:`run_pipeline` and the serving layer.  *rom* is
-    ``None`` when the sweep runs on the full model.  Hooks for a
-    long-lived process:
-
-    * *explicit_query* — a pre-built ``to_explicit()`` of the query
-      system.  ``to_explicit`` returns a fresh object per call, which
-      would discard the memoized Volterra evaluator; the hot-ROM cache
-      passes its retained explicit system so repeat sweeps skip
-      re-priming.
-    * *evaluate* — ``evaluate(omegas, amplitude) -> (hd2, hd3)``
-      replaces the ROM-side :func:`distortion_sweep` call (the request
-      coalescer's hook).  The full-model comparison always runs here,
-      per-request.
-    * *cancel* — cooperative-cancellation poll forwarded to the
-      per-request sweeps (never to shared coalesced work).
+    *rom* is ``None`` when the sweep runs on the full model.
+    *explicit_query* is a pre-built ``to_explicit()`` of the query
+    system: ``to_explicit`` returns a fresh object per call, which
+    would discard the memoized Volterra evaluator, so a long-lived
+    process passes its retained explicit system and repeat sweeps skip
+    re-priming.  *cancel* is the cooperative-cancellation poll of every
+    sweep here.
     """
     omegas = sweep_job.omegas
-    if evaluate is not None:
-        hd2, hd3 = evaluate(omegas, sweep_job.amplitude)
-    else:
-        if explicit_query is None:
-            query_system = rom.system if rom is not None else system
-            explicit_query = query_system.to_explicit()
-        _, hd2, hd3 = distortion_sweep(
-            explicit_query, omegas,
-            amplitude=sweep_job.amplitude, cancel=cancel,
-        )
+    if explicit_query is None:
+        query_system = rom.system if rom is not None else system
+        explicit_query = query_system.to_explicit()
+    _, hd2, hd3 = distortion_sweep(
+        explicit_query, omegas,
+        amplitude=sweep_job.amplitude, cancel=cancel,
+    )
     sweep_result = {
         "omegas": omegas,
         "hd2": hd2,
@@ -567,12 +555,17 @@ def _sweep_result(system, rom, sweep_job, explicit_query=None,
     return sweep_result
 
 
-def _transient_result(system, rom, transient_job):
+def _transient_result(system, rom, transient_job, cancel=None):
     """Run one :class:`TransientJob`; returns the ``transient`` dict.
 
-    Shared by :func:`run_pipeline` and the serving layer; *rom* is
-    ``None`` when the simulation runs on the full model.
+    *rom* is ``None`` when the simulation runs on the full model.  The
+    integrator does not poll *cancel*, so it is checked once, before
+    the run starts.
     """
+    if cancel is not None and cancel():
+        raise TaskCancelled(
+            "request cancelled before its transient started"
+        )
     query_system = rom.system if rom is not None else system
     result = simulate(
         query_system, transient_job.source,
@@ -597,10 +590,49 @@ def _transient_result(system, rom, transient_job):
     return transient_result
 
 
+def _job_result(system, info, reduce_job=None, sweep_job=None,
+                transient_job=None, reduction=None, explicit_query=None,
+                cancel=None):
+    """Answer the query jobs and assemble the :class:`PipelineResult`.
+
+    The one result path of :func:`run_pipeline` and the serving layer,
+    so a served answer cannot drift from the library's.  *reduction* is
+    :func:`_reduce_step`'s ``(artifact, store_hit, reduce_time,
+    checkpoint_info)`` (``None`` when no reduce job ran, and the jobs
+    query the full model); *explicit_query* and *cancel* go to
+    :func:`_sweep_result`, *cancel* also to :func:`_transient_result`.
+    """
+    artifact, store_hit, reduce_time, checkpoint_info = (
+        reduction if reduction is not None else (None,) * 4
+    )
+    rom = artifact.rom if artifact is not None else None
+    sweep_result = transient_result = None
+    if sweep_job is not None:
+        sweep_result = _sweep_result(
+            system, rom, sweep_job, explicit_query=explicit_query,
+            cancel=cancel,
+        )
+    if transient_job is not None:
+        transient_result = _transient_result(
+            system, rom, transient_job, cancel=cancel
+        )
+    jobs = {
+        name: job for name, job in (
+            ("reduce", reduce_job), ("sweep", sweep_job),
+            ("transient", transient_job),
+        ) if job is not None
+    }
+    return PipelineResult(
+        system, info, artifact=artifact, rom=rom, store_hit=store_hit,
+        reduce_time=reduce_time, sweep=sweep_result,
+        transient=transient_result, jobs=jobs,
+        checkpoint_info=checkpoint_info,
+    )
+
+
 def run_pipeline(target, reduce=None, sweep=None, transient=None,
                  store=None, sparse=None, checkpoint=None, resume=False,
-                 memory_budget=None, max_block=None,
-                 system_fingerprint=None):
+                 memory_budget=None, max_block=None):
     """Run the declarative MNA → MOR → query pipeline on *target*.
 
     Parameters
@@ -649,12 +681,6 @@ def run_pipeline(target, reduce=None, sweep=None, transient=None,
         for this call.  ``max_block >= n`` reproduces the unblocked
         arithmetic exactly; smaller blocks trade ≤ 1e-10 summation
         reordering for O(n · max_block) peak memory.
-    system_fingerprint : str, optional
-        Precomputed :func:`~repro.store.fingerprint_system` value for
-        the (already-built, already-lifted) *target* system, so a
-        long-lived caller that fingerprints each loaded spec once skips
-        the per-request re-hash.  Only meaningful when *target* is a
-        system object.
 
     Returns a :class:`PipelineResult`; call ``.report()`` for the
     JSON-able summary the CLI prints.
@@ -663,16 +689,14 @@ def run_pipeline(target, reduce=None, sweep=None, transient=None,
     sweep_job = SweepJob.coerce(sweep)
     transient_job = TransientJob.coerce(transient)
 
-    with contextlib.ExitStack() as stack:
-        if memory_budget is not None:
-            stack.enter_context(memory.limit(memory_budget))
-        if max_block is not None:
-            stack.enter_context(memory.tiling(max_block))
-        return _run_pipeline(
+    with memory.scope(memory_budget, max_block):
+        result = _run_pipeline(
             target, reduce_job, sweep_job, transient_job, store, sparse,
-            checkpoint, resume, memory_budget, max_block,
-            system_fingerprint,
+            checkpoint, resume,
         )
+        if memory_budget is not None or max_block is not None:
+            result.memory_info = memory.stats()
+    return result
 
 
 def _resolve_checkpoint(checkpoint, resume, store, system, reducer):
@@ -705,15 +729,10 @@ def _resolve_checkpoint(checkpoint, resume, store, system, reducer):
 
 
 def _run_pipeline(target, reduce_job, sweep_job, transient_job, store,
-                  sparse, checkpoint, resume, memory_budget,
-                  max_block=None, system_fingerprint=None):
-
+                  sparse, checkpoint, resume):
     if isinstance(target, dict):
         system, info = system_from_spec(target, sparse=sparse)
-        system_fingerprint = None  # fingerprints name built systems only
     else:
-        if isinstance(target, Netlist):
-            system_fingerprint = None
         system = (
             target.compile(sparse=sparse)
             if isinstance(target, Netlist)
@@ -725,7 +744,6 @@ def _run_pipeline(target, reduce_job, sweep_job, transient_job, store,
         lifted = isinstance(system, ExponentialODE)
         if lifted:
             system = system.quadratic_linearize()
-            system_fingerprint = None  # names the pre-lift system
         info = _system_info(system, lifted)
 
     jobs_requested = any(
@@ -743,55 +761,19 @@ def _run_pipeline(target, reduce_job, sweep_job, transient_job, store,
             "directly."
         )
 
-    artifact = None
-    rom = None
-    store_hit = None
-    reduce_time = None
-    checkpoint_info = None
+    reduction = None
     if reduce_job is not None:
-        artifact, store_hit, reduce_time, checkpoint_info = _reduce_step(
+        reduction = _reduce_step(
             system, reduce_job, store=store, checkpoint=checkpoint,
-            resume=resume, system_fingerprint=system_fingerprint,
+            resume=resume,
         )
-        rom = artifact.rom
     elif checkpoint or resume:
         raise ValidationError(
             "checkpoint/resume only apply to the reduce step; pass "
             "reduce=... as well"
         )
-
-    sweep_result = None
-    if sweep_job is not None:
-        sweep_result = _sweep_result(system, rom, sweep_job)
-
-    transient_result = None
-    if transient_job is not None:
-        transient_result = _transient_result(system, rom, transient_job)
-
-    jobs = {}
-    if reduce_job is not None:
-        jobs["reduce"] = reduce_job
-    if sweep_job is not None:
-        jobs["sweep"] = sweep_job
-    if transient_job is not None:
-        jobs["transient"] = transient_job
-
-    return PipelineResult(
-        system,
-        info,
-        artifact=artifact,
-        rom=rom,
-        store_hit=store_hit,
-        reduce_time=reduce_time,
-        sweep=sweep_result,
-        transient=transient_result,
-        jobs=jobs,
-        checkpoint_info=checkpoint_info,
-        memory_info=(
-            memory.stats()
-            if memory_budget is not None or max_block is not None
-            else None
-        ),
+    return _job_result(
+        system, info, reduce_job, sweep_job, transient_job, reduction
     )
 
 
@@ -804,6 +786,14 @@ def _run_pipeline(target, reduce_job, sweep_job, transient_job, store,
 #: stays below ``margin * interp_tol``, leaving headroom for deviation
 #: between probes and for the anchors' own truncation error.
 _INTERP_MARGIN = 0.5
+
+#: Probe frequencies (an evenly spread subset of the sweep grid) the
+#: interpolation check evaluates.
+_PROBE_POINTS = 3
+
+#: Completed warm states kept for nearest-corner seeding (bounds the
+#: O(n · basis) memory the warm tier retains).
+_WARM_POOL = 4
 
 
 class ParametricReductionJob:
@@ -831,17 +821,10 @@ class ParametricReductionJob:
         otherwise.
     interp_tol : float
         Distortion-deviation tolerance of the interpolation tier.
-    probe_points : int
-        Probe frequencies (a subset of the sweep grid) the
-        interpolation check evaluates.
-    warm_pool : int
-        Completed warm states kept for nearest-corner seeding (bounds
-        the O(n · basis) memory the tier retains).
     """
 
     def __init__(self, grid_points=3, draws=0, seed=2012, warm=True,
-                 interp=True, interp_tol=1e-4, probe_points=3,
-                 warm_pool=4):
+                 interp=True, interp_tol=1e-4):
         if isinstance(grid_points, dict):
             self.grid_points = {
                 str(k): check_positive_int(v, f"grid_points[{k!r}]")
@@ -858,8 +841,6 @@ class ParametricReductionJob:
         self.interp_tol = float(interp_tol)
         if self.interp_tol <= 0:
             raise ValidationError("interp_tol must be positive")
-        self.probe_points = check_positive_int(probe_points, "probe_points")
-        self.warm_pool = check_positive_int(warm_pool, "warm_pool")
 
     @classmethod
     def coerce(cls, value):
@@ -868,7 +849,7 @@ class ParametricReductionJob:
         if isinstance(value, dict):
             unknown = set(value) - {
                 "grid_points", "draws", "seed", "warm", "interp",
-                "interp_tol", "probe_points", "warm_pool",
+                "interp_tol",
             }
             if unknown:
                 raise ValidationError(
@@ -889,8 +870,6 @@ class ParametricReductionJob:
             "warm": self.warm,
             "interp": self.interp,
             "interp_tol": self.interp_tol,
-            "probe_points": self.probe_points,
-            "warm_pool": self.warm_pool,
         }
 
 
@@ -1135,8 +1114,8 @@ def run_parametric(target, reduce=None, sweep=None, mc=None, store=None,
         param.name: float(axis[-1] - axis[0]) or 1.0
         for param, axis in grid.axes
     }
-    warm_pool = _WarmPool(spans, mc_job.warm_pool)
-    probe = _probe_omegas(sweep_job.omegas, mc_job.probe_points)
+    warm_pool = _WarmPool(spans, _WARM_POOL)
+    probe = _probe_omegas(sweep_job.omegas, _PROBE_POINTS)
 
     tiers = {
         "dedup": 0, "warm": 0, "interp": 0, "cold": 0,

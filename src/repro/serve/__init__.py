@@ -6,17 +6,17 @@ expensive state *stays resident*.  This package is that residency:
 
 * :mod:`~repro.serve.contracts` — typed request/response contracts,
   validated at the boundary and shared by the one-shot CLI and the
-  daemon, so both fronts run the identical code path;
+  daemon, so both fronts run the identical code path.  Requests carry
+  jobs only; memory settings are process-wide (CLI flags or the
+  environment), never request fields;
 * :mod:`~repro.serve.service` — :class:`ReproService`, the serving
-  core: per-spec compilation + fingerprint caching, the three reduce
-  tiers (hot-memory / warm-disk / cold-compute), single-flight misses,
+  core: per-spec compilation + fingerprint caching, one handler for
+  ``reduce``/``sweep``/``simulate`` over the three reduce tiers
+  (hot-memory / warm-disk / cold-compute), single-flight misses,
   cooperative deadlines;
 * :mod:`~repro.serve.cache` — :class:`HotROMCache`, the size-bounded
   LRU of reduction artifacts (basis-SHA verified on admit) with their
   primed explicit systems;
-* :mod:`~repro.serve.coalesce` — :class:`SweepCoalescer`, merging
-  concurrent same-ROM sweeps into single union-grid solves with
-  bit-identical per-request results;
 * :mod:`~repro.serve.metrics` — :class:`ServeMetrics`, counters and
   latency quantiles behind ``/metrics`` and the stats heartbeat;
 * :mod:`~repro.serve.daemon` — :class:`ServeDaemon`, the stdlib
@@ -26,7 +26,6 @@ expensive state *stays resident*.  This package is that residency:
 """
 
 from .cache import CacheEntry, HotROMCache
-from .coalesce import SweepCoalescer
 from .contracts import (
     REQUEST_TYPES,
     InfoRequest,
@@ -43,7 +42,6 @@ from .service import LoadedSpec, ReproService, ServeTimeout
 __all__ = [
     "CacheEntry",
     "HotROMCache",
-    "SweepCoalescer",
     "REQUEST_TYPES",
     "InfoRequest",
     "ReduceRequest",

@@ -123,15 +123,6 @@ class HotROMCache:
                 self.evicted += 1
         return entry
 
-    def invalidate(self, key):
-        """Drop *key* if present; True when an entry was removed."""
-        with self._lock:
-            return self._entries.pop(key, None) is not None
-
-    def clear(self):
-        with self._lock:
-            self._entries.clear()
-
     def warm_start(self, store, limit=None):
         """Pre-load the most recently accessed store entries.
 

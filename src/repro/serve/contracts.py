@@ -1,9 +1,9 @@
 """Typed request/response contracts for the serving layer.
 
 One request class per pipeline verb (``info`` / ``reduce`` / ``sweep`` /
-``simulate``), each a declarative config validated eagerly at the
-boundary: unknown fields are rejected, job sections coerce through the
-same :class:`~repro.pipeline.ReductionJob` / :class:`SweepJob` /
+``simulate`` / ``mc``), each a declarative config validated eagerly at
+the boundary: unknown fields are rejected, job sections coerce through
+the same :class:`~repro.pipeline.ReductionJob` / :class:`SweepJob` /
 :class:`TransientJob` classes the pipeline uses, and — exactly like the
 CLI — a job omitted from the payload falls back to the spec's embedded
 section.  Because both ``python -m repro <verb>`` and the HTTP daemon
@@ -11,6 +11,13 @@ build these objects and hand them to the same
 :meth:`~repro.serve.service.ReproService.handle`, a request is
 guaranteed to run the identical code path (and produce bit-identical
 numbers) whichever front door it came through.
+
+A request carries only what is scoped to it.  The memory budget and
+the streaming block size are process-wide settings, so they are not
+request fields (a payload naming them is refused as unknown): a daemon
+reads ``REPRO_MEMORY_BUDGET``/``REPRO_MAX_BLOCK`` from its environment
+and the one-shot CLI applies ``--memory-budget``/``--max-block``
+around its single request.
 
 The response side is :class:`ServeOutcome`: the verb's
 :class:`~repro.pipeline.PipelineResult` plus the serving metadata
@@ -90,11 +97,13 @@ class InfoRequest(_RequestBase):
 
 
 class _JobRequestBase(_RequestBase):
-    """Verbs that run jobs: adds reduce + fault-tolerance knobs."""
+    """Verbs that run jobs: a reduce job plus at most one query job."""
+
+    sweep_job = None
+    transient_job = None
 
     def __init__(self, spec, sparse=None, reduce=None, checkpoint=None,
-                 resume=False, memory_budget=None, max_block=None,
-                 require_reduce=False):
+                 resume=False, require_reduce=False):
         super().__init__(spec, sparse)
         section = reduce if reduce is not None else self.spec.get("reduce")
         if section is None and require_reduce:
@@ -105,8 +114,6 @@ class _JobRequestBase(_RequestBase):
         self.reduce_job = ReductionJob.coerce(section)
         self.checkpoint = checkpoint
         self.resume = bool(resume)
-        self.memory_budget = memory_budget
-        self.max_block = max_block
         if (checkpoint or resume) and self.reduce_job is None:
             raise ValidationError(
                 "checkpoint/resume only apply to the reduce step; pass "
@@ -118,17 +125,13 @@ class ReduceRequest(_JobRequestBase):
     """Build (or fetch) a ROM."""
 
     verb = "reduce"
-    fields = (
-        "spec", "sparse", "reduce", "checkpoint", "resume",
-        "memory_budget", "max_block",
-    )
+    fields = ("spec", "sparse", "reduce", "checkpoint", "resume")
 
     def __init__(self, spec, sparse=None, reduce=None, checkpoint=None,
-                 resume=False, memory_budget=None, max_block=None):
+                 resume=False):
         super().__init__(
             spec, sparse=sparse, reduce=reduce, checkpoint=checkpoint,
-            resume=resume, memory_budget=memory_budget,
-            max_block=max_block, require_reduce=True,
+            resume=resume, require_reduce=True,
         )
 
 
@@ -136,18 +139,13 @@ class SweepRequest(_JobRequestBase):
     """Distortion sweep (on the ROM when a reduction is configured)."""
 
     verb = "sweep"
-    fields = (
-        "spec", "sparse", "reduce", "sweep", "checkpoint", "resume",
-        "memory_budget", "max_block",
-    )
+    fields = ("spec", "sparse", "reduce", "sweep", "checkpoint", "resume")
 
     def __init__(self, spec, sparse=None, reduce=None, sweep=None,
-                 checkpoint=None, resume=False, memory_budget=None,
-                 max_block=None):
+                 checkpoint=None, resume=False):
         super().__init__(
             spec, sparse=sparse, reduce=reduce, checkpoint=checkpoint,
-            resume=resume, memory_budget=memory_budget,
-            max_block=max_block,
+            resume=resume,
         )
         section = sweep if sweep is not None else self.spec.get("sweep")
         if section is None:
@@ -164,16 +162,13 @@ class SimulateRequest(_JobRequestBase):
     verb = "simulate"
     fields = (
         "spec", "sparse", "reduce", "transient", "checkpoint", "resume",
-        "memory_budget", "max_block",
     )
 
     def __init__(self, spec, sparse=None, reduce=None, transient=None,
-                 checkpoint=None, resume=False, memory_budget=None,
-                 max_block=None):
+                 checkpoint=None, resume=False):
         super().__init__(
             spec, sparse=sparse, reduce=reduce, checkpoint=checkpoint,
-            resume=resume, memory_budget=memory_budget,
-            max_block=max_block,
+            resume=resume,
         )
         section = (
             transient if transient is not None

@@ -9,6 +9,7 @@ mirror the CLI verbs one-to-one::
     POST /v1/reduce    {"spec": {...}, "reduce": {...}}
     POST /v1/sweep     {"spec": {...}, "reduce": {...}, "sweep": {...}}
     POST /v1/simulate  {"spec": {...}, "transient": {...}}
+    POST /v1/mc        {"spec": {...}, "sweep": {...}, "mc": {...}}
     GET  /healthz
     GET  /metrics
 
@@ -16,7 +17,9 @@ Request bodies are the contract payloads of
 :mod:`repro.serve.contracts`; response bodies are
 ``ServeOutcome.report()`` — byte-for-byte the pipeline report the
 one-shot CLI prints (plus the additive serving metadata), because both
-run the same service.
+run the same service.  Memory settings are process-wide: the daemon
+runs every request under the budget and block size its environment
+gives it (``REPRO_MEMORY_BUDGET`` / ``REPRO_MAX_BLOCK``).
 
 Concurrency model: the event loop only parses HTTP and routes; verb
 work runs on a small thread pool (the numerical kernels release the
@@ -26,9 +29,14 @@ The loop tracks in-flight requests and sheds load *before* dispatch —
 a full queue answers ``429 Too Many Requests`` with ``Retry-After``
 instead of queueing unboundedly.  Per-request deadlines answer ``504``
 and flip the request's cooperative-cancel event; the worker thread
-winds down at its next poll point, and because shared work (reductions,
-coalesced flights) never observes request-scoped cancellation, a
-timed-out request cannot poison the caches other requests hit.
+winds down at its next poll point (a sweep stops at its next
+frequency).  Only reductions ignore request-scoped cancellation (an
+``mc`` request, a family of reductions, runs whole): a reduction is
+shared work, so once started it runs to completion and lands in the
+caches, and a timed-out request cannot poison the state other
+requests hit.  A request whose ``Content-Length`` is not a
+non-negative integer gets ``400`` and the connection is closed (its
+body's extent is unknown).
 """
 
 import asyncio
@@ -61,7 +69,7 @@ _REASONS = {
 #: Worker threads handling verb requests.  Small on purpose: they only
 #: bound how many *requests* make progress at once; each request runs
 #: its numerical work serially on its handler thread.
-_DEFAULT_HANDLERS = 4
+_HANDLERS = 4
 
 
 class ServeDaemon:
@@ -81,8 +89,7 @@ class ServeDaemon:
     """
 
     def __init__(self, service, host="127.0.0.1", port=0, queue_limit=8,
-                 timeout=None, stats_interval=None,
-                 handlers=_DEFAULT_HANDLERS):
+                 timeout=None, stats_interval=None):
         self.service = service
         self.host = str(host)
         self.port = int(port)
@@ -92,7 +99,7 @@ class ServeDaemon:
             None if stats_interval is None else float(stats_interval)
         )
         self._pool = concurrent.futures.ThreadPoolExecutor(
-            max_workers=max(1, int(handlers)),
+            max_workers=_HANDLERS,
             thread_name_prefix="repro-serve",
         )
         self._inflight = 0
@@ -205,6 +212,27 @@ class ServeDaemon:
             return await self._dispatch_verb(verb, body)
         return 404, {"error": f"unknown path {path!r}"}
 
+    @staticmethod
+    async def _reply(writer, status, report, keep_alive):
+        data = json.dumps(
+            json_safe(report), default=repr, allow_nan=False
+        ).encode("utf-8")
+        head_lines = [
+            f"HTTP/1.1 {status} {_REASONS.get(status, 'Unknown')}",
+            "Content-Type: application/json",
+            f"Content-Length: {len(data)}",
+        ]
+        if status == 429:
+            head_lines.append("Retry-After: 1")
+        head_lines.append(
+            f"Connection: {'keep-alive' if keep_alive else 'close'}"
+        )
+        writer.write(
+            ("\r\n".join(head_lines) + "\r\n\r\n").encode("latin-1")
+            + data
+        )
+        await writer.drain()
+
     async def _handle_conn(self, reader, writer):
         # Track the connection task so stop() can cancel idle
         # keep-alive connections instead of abandoning them mid-await.
@@ -230,7 +258,16 @@ class ServeDaemon:
                     name, sep, value = line.partition(":")
                     if sep:
                         headers[name.strip().lower()] = value.strip()
-                length = int(headers.get("content-length", 0) or 0)
+                raw_length = headers.get("content-length") or "0"
+                if not (raw_length.isascii() and raw_length.isdigit()):
+                    # The body's extent is unknown, so the stream cannot
+                    # be resynchronised: answer 400 and close.
+                    self.service.metrics.count_error()
+                    await self._reply(writer, 400, {
+                        "error": f"malformed Content-Length {raw_length!r}",
+                    }, keep_alive=False)
+                    break
+                length = int(raw_length)
                 body = await reader.readexactly(length) if length else b""
                 keep_alive = (
                     headers.get("connection", "").lower() != "close"
@@ -238,24 +275,7 @@ class ServeDaemon:
                 status, report = await self._dispatch(
                     method.upper(), path.split("?", 1)[0], body
                 )
-                data = json.dumps(
-                    json_safe(report), default=repr, allow_nan=False
-                ).encode("utf-8")
-                head_lines = [
-                    f"HTTP/1.1 {status} {_REASONS.get(status, 'Unknown')}",
-                    "Content-Type: application/json",
-                    f"Content-Length: {len(data)}",
-                ]
-                if status == 429:
-                    head_lines.append("Retry-After: 1")
-                head_lines.append(
-                    f"Connection: {'keep-alive' if keep_alive else 'close'}"
-                )
-                writer.write(
-                    ("\r\n".join(head_lines) + "\r\n\r\n").encode("latin-1")
-                    + data
-                )
-                await writer.drain()
+                await self._reply(writer, status, report, keep_alive)
                 if not keep_alive:
                     break
         except (ConnectionResetError, BrokenPipeError,
@@ -289,7 +309,6 @@ class ServeDaemon:
                     key: stats.get("hot_cache", {}).get(key)
                     for key in ("entries", "hits", "misses")
                 },
-                "coalesced": stats.get("coalescer", {}).get("coalesced", 0),
                 "latency": {
                     verb: {
                         "p50_ms": values.get("p50_ms"),

@@ -1,15 +1,15 @@
 """The serving core: one object that answers all pipeline verbs.
 
 :class:`ReproService` is the code path *both* front doors run — the
-one-shot CLI (``python -m repro reduce/sweep/simulate/info``) and the
-long-lived HTTP daemon (``python -m repro serve``) build a contract
+one-shot CLI (``python -m repro reduce/sweep/simulate/mc/info``) and
+the long-lived HTTP daemon (``python -m repro serve``) build a contract
 request (:mod:`repro.serve.contracts`) and call :meth:`~ReproService.
-handle`.  Internally it reuses the pipeline's factored steps
-(:func:`~repro.pipeline._reduce_step` / ``_sweep_result`` /
-``_transient_result``) and assembles an ordinary
-:class:`~repro.pipeline.PipelineResult`, so a served report is the
-pipeline report plus additive serving metadata — never a parallel
-reimplementation that could drift.
+handle`.  ``reduce``, ``sweep`` and ``simulate`` share one handler: it
+acquires the reduction, then hands it to the pipeline's own result
+builder (:func:`~repro.pipeline._job_result`, which runs the sweep or
+transient and assembles the :class:`~repro.pipeline.PipelineResult`),
+so a served report is the pipeline report plus additive serving
+metadata — never a parallel reimplementation that could drift.
 
 What the service adds over a bare ``run_pipeline`` call is the
 long-lived-process machinery:
@@ -25,32 +25,28 @@ long-lived-process machinery:
   :class:`~repro.store.ModelStore` load), ``"cold"`` (computed this
   request, then admitted to both lower tiers).  Concurrent cold
   requests for the same key single-flight behind a per-key lock.
-* **Request coalescing** — concurrent sweeps on the same ROM and
-  amplitude merge their frequency grids into one
-  :class:`~repro.serve.coalesce.SweepCoalescer` flight.
 * **Cooperative deadlines** — *cancel* (a zero-argument callable) is
-  polled by the per-request work (compare-full sweeps, uncoalesced
-  grids) and raises :class:`~repro.errors.TaskCancelled`; shared work
-  (reductions, coalesced flights) always runs to completion, so a
-  timed-out request can never poison state other requests see.
+  polled by every per-request step (sweeps, and the start of a
+  transient or of a reduction) and raises
+  :class:`~repro.errors.TaskCancelled`; a reduction, once started, is
+  shared work and runs to completion, so a timed-out request can never
+  poison state other requests see.
+
+Memory settings are process-wide and not part of any request: the
+service runs under whatever budget the process was given.
 """
 
-import contextlib
 import hashlib
 import json
 import threading
 import time
 from collections import OrderedDict
 
-from .. import memory
-from .._validation import check_positive_int
-from ..analysis.distortion import distortion_sweep
 from ..errors import ReproError, TaskCancelled, ValidationError
 from ..pipeline import (
     PipelineResult,
+    _job_result,
     _reduce_step,
-    _sweep_result,
-    _transient_result,
     run_parametric,
     system_from_spec,
 )
@@ -58,7 +54,6 @@ from ..store import ModelStore, artifact_key
 from ..store.modelstore import fingerprint_system
 from ..systems.polynomial import PolynomialODE
 from .cache import HotROMCache
-from .coalesce import SweepCoalescer
 from .contracts import ServeOutcome
 from .metrics import ServeMetrics
 
@@ -69,6 +64,9 @@ __all__ = ["LoadedSpec", "ReproService", "ServeTimeout"]
 _JOB_SECTIONS = frozenset(
     {"reduce", "sweep", "transient", "mc", "description"}
 )
+
+#: Bound on resident compiled specs (LRU beyond it).
+_SPEC_CAPACITY = 32
 
 
 class ServeTimeout(ReproError):
@@ -147,25 +145,14 @@ class ReproService:
         in-memory hot tier but cold misses always recompute.
     hot_capacity : int
         Entry bound of the hot-ROM cache (0 disables it).
-    spec_capacity : int
-        Bound on resident compiled specs.
-    coalesce : bool
-        Merge concurrent same-ROM sweeps into union flights (on by
-        default; the benchmark's uncoalesced mode turns it off).
     """
 
-    def __init__(self, store=None, hot_capacity=8, spec_capacity=32,
-                 coalesce=True, metrics=None):
+    def __init__(self, store=None, hot_capacity=8):
         if store is not None and not isinstance(store, ModelStore):
             store = ModelStore(store)
         self.store = store
         self.cache = HotROMCache(hot_capacity)
-        self.coalescer = SweepCoalescer()
-        self.coalesce = bool(coalesce)
-        self.metrics = metrics if metrics is not None else ServeMetrics()
-        self.spec_capacity = check_positive_int(
-            spec_capacity, "spec_capacity"
-        )
+        self.metrics = ServeMetrics()
         self.spec_hits = 0
         self.spec_misses = 0
         self._specs = OrderedDict()
@@ -197,7 +184,7 @@ class ReproService:
                 return existing
             self.spec_misses += 1
             self._specs[digest] = loaded
-            while len(self._specs) > self.spec_capacity:
+            while len(self._specs) > _SPEC_CAPACITY:
                 self._specs.popitem(last=False)
         return loaded
 
@@ -214,58 +201,54 @@ class ReproService:
 
     # -- the three-tier reduce step ------------------------------------------
 
-    def _acquire(self, loaded, reduce_job, checkpoint=None, resume=False,
-                 cancel=None):
-        """Acquire the reduction for (*loaded*, *reduce_job*).
+    def _acquire(self, loaded, request, cancel):
+        """Acquire the reduction *request* asks for on *loaded*.
 
-        Returns ``(entry, artifact, tier, store_hit, reduce_time,
-        checkpoint_info, key)`` with *tier* one of ``"hot"`` /
-        ``"disk"`` / ``"cold"``.  Misses single-flight behind a per-key
-        lock so N concurrent cold requests compute once; the result is
-        admitted to the hot cache (and, via ``_reduce_step``, the
-        store) for the next request.  Explicit *checkpoint*/*resume*
-        requests bypass the hot tier — their contract is about on-disk
-        build state, which only the full reduce path honours.
+        Returns ``(entry, reduction, tier, key)``: the hot-cache entry
+        (``None`` when the cache refused or is disabled), the
+        ``(artifact, store_hit, reduce_time, checkpoint_info)`` tuple of
+        :func:`~repro.pipeline._reduce_step`, the *tier* (``"hot"`` /
+        ``"disk"`` / ``"cold"``) and the store key.  Misses
+        single-flight behind a per-key lock so N concurrent cold
+        requests compute once; the result is admitted to the hot cache
+        (and, via ``_reduce_step``, the store) for the next request.
+        Explicit *checkpoint*/*resume* requests bypass the hot tier —
+        their contract is about on-disk build state, which only the
+        full reduce path honours.
         """
-        reducer = reduce_job.reducer()
         key = artifact_key(
-            loaded.system, reducer,
+            loaded.system, request.reduce_job.reducer(),
             system_fingerprint=loaded.fingerprint(),
         )
-        use_hot = not (checkpoint or resume)
+        use_hot = not (request.checkpoint or request.resume)
         start = time.perf_counter()
-        if use_hot:
-            entry = self.cache.get(key)
-            if entry is not None:
-                store_hit = True if self.store is not None else None
-                reduce_time = time.perf_counter() - start
-                return (entry, entry.artifact, "hot", store_hit,
-                        reduce_time, None, key)
-        with self._locks_lock:
-            lock = self._reduce_locks.setdefault(key, threading.Lock())
-        with lock:
-            if use_hot:
-                entry = self.cache.get(key)
-                if entry is not None:  # populated while we queued
-                    store_hit = True if self.store is not None else None
-                    reduce_time = time.perf_counter() - start
-                    return (entry, entry.artifact, "hot", store_hit,
-                            reduce_time, None, key)
-            if cancel is not None and cancel():
-                raise TaskCancelled(
-                    "request cancelled before its reduce step started"
-                )
-            artifact, store_hit, reduce_time, checkpoint_info = (
-                _reduce_step(
-                    loaded.system, reduce_job, store=self.store,
-                    checkpoint=checkpoint, resume=resume,
-                    system_fingerprint=loaded.fingerprint(),
-                )
-            )
-            tier = "disk" if store_hit else "cold"
-            entry = self.cache.put(key, artifact)
-            return (entry, artifact, tier, store_hit, reduce_time,
-                    checkpoint_info, key)
+        entry = self.cache.get(key) if use_hot else None
+        if entry is None:
+            with self._locks_lock:
+                lock = self._reduce_locks.setdefault(key, threading.Lock())
+            with lock:
+                # A racing request may have admitted it while we queued.
+                entry = self.cache.get(key) if use_hot else None
+                if entry is None:
+                    if cancel is not None and cancel():
+                        raise TaskCancelled(
+                            "request cancelled before its reduce step "
+                            "started"
+                        )
+                    reduction = _reduce_step(
+                        loaded.system, request.reduce_job,
+                        store=self.store, checkpoint=request.checkpoint,
+                        resume=request.resume,
+                        system_fingerprint=loaded.fingerprint(),
+                    )
+                    tier = "disk" if reduction[1] else "cold"
+                    entry = self.cache.put(key, reduction[0])
+                    return entry, reduction, tier, key
+        store_hit = True if self.store is not None else None
+        reduction = (
+            entry.artifact, store_hit, time.perf_counter() - start, None
+        )
+        return entry, reduction, "hot", key
 
     # -- verbs ---------------------------------------------------------------
 
@@ -279,151 +262,55 @@ class ReproService:
         """
         start = time.perf_counter()
         verb = request.verb
-        with contextlib.ExitStack() as stack:
-            budget = getattr(request, "memory_budget", None)
-            if budget is not None:
-                stack.enter_context(memory.limit(budget))
-            max_block = getattr(request, "max_block", None)
-            if max_block is not None:
-                stack.enter_context(memory.tiling(max_block))
-            if verb == "info":
-                outcome = self._info(request)
-            elif verb == "reduce":
-                outcome = self._reduce(request, cancel)
-            elif verb == "sweep":
-                outcome = self._sweep(request, cancel)
-            elif verb == "simulate":
-                outcome = self._simulate(request, cancel)
-            elif verb == "mc":
-                outcome = self._mc(request)
-            else:
-                raise ValidationError(f"unknown serve verb {verb!r}")
+        if verb == "info":
+            outcome = self._info(request)
+        elif verb in ("reduce", "sweep", "simulate"):
+            outcome = self._job(request, cancel)
+        elif verb == "mc":
+            outcome = self._mc(request)
+        else:
+            raise ValidationError(f"unknown serve verb {verb!r}")
         outcome.wall_time_s = time.perf_counter() - start
         self.metrics.observe(
             verb, outcome.wall_time_s, tier=outcome.served_from
         )
         return outcome
 
-    def _memory_info(self, request):
-        budget = getattr(request, "memory_budget", None)
-        max_block = getattr(request, "max_block", None)
-        if budget is None and max_block is None:
-            return None
-        return memory.stats()
-
     def _info(self, request):
         loaded = self._load(request.spec, request.sparse)
         result = PipelineResult(loaded.system, loaded.info)
         return ServeOutcome("info", result)
 
-    def _reduce(self, request, cancel):
-        loaded = self._load(request.spec, request.sparse)
-        self._require_polynomial(loaded.system)
-        _, artifact, tier, store_hit, reduce_time, checkpoint_info, key = (
-            self._acquire(
-                loaded, request.reduce_job,
-                checkpoint=request.checkpoint, resume=request.resume,
-                cancel=cancel,
-            )
-        )
-        result = PipelineResult(
-            loaded.system, loaded.info,
-            artifact=artifact, rom=artifact.rom, store_hit=store_hit,
-            reduce_time=reduce_time,
-            jobs={"reduce": request.reduce_job},
-            checkpoint_info=checkpoint_info,
-            memory_info=self._memory_info(request),
-        )
-        return ServeOutcome(
-            "reduce", result, served_from=tier, artifact_key=key,
-        )
+    def _job(self, request, cancel):
+        """Answer ``reduce``, ``sweep`` and ``simulate``.
 
-    def _sweep(self, request, cancel):
+        Takes the reduction (when one is configured) from the hot, disk
+        or cold tier, then runs the request's sweep or transient through
+        :func:`~repro.pipeline._job_result` — on the ROM, or on the
+        full model without a reduction.  Sweeps query a retained
+        explicit system (the hot entry's, or the loaded spec's full
+        model), so repeat sweeps skip re-priming the Volterra kernels.
+        """
         loaded = self._load(request.spec, request.sparse)
         self._require_polynomial(loaded.system)
-        sweep_job = request.sweep_job
-        jobs = {"sweep": sweep_job}
-        artifact = rom = None
-        tier = store_hit = reduce_time = checkpoint_info = key = None
-        explicit_query = None
-        evaluate = None
+        entry = reduction = tier = key = None
         if request.reduce_job is not None:
-            entry, artifact, tier, store_hit, reduce_time, \
-                checkpoint_info, key = self._acquire(
-                    loaded, request.reduce_job,
-                    checkpoint=request.checkpoint,
-                    resume=request.resume, cancel=cancel,
-                )
-            rom = artifact.rom
-            jobs = {"reduce": request.reduce_job, "sweep": sweep_job}
-            if entry is not None:
-                if self.coalesce:
-                    explicit = entry.explicit()
-
-                    def evaluate(omegas, amplitude, _key=key,
-                                 _explicit=explicit):
-                        # Shared flight: deliberately no cancel — the
-                        # union solve benefits every coalesced waiter.
-                        return self.coalescer.sweep(
-                            _key, amplitude, omegas,
-                            lambda union: distortion_sweep(
-                                _explicit, union, amplitude=amplitude,
-                            )[1:],
-                        )
-                else:
-                    explicit_query = entry.explicit()
-        else:
-            explicit_query = loaded.explicit()
-        sweep_result = _sweep_result(
-            loaded.system, rom, sweep_job,
-            explicit_query=explicit_query, evaluate=evaluate,
-            cancel=cancel,
-        )
-        result = PipelineResult(
-            loaded.system, loaded.info,
-            artifact=artifact, rom=rom, store_hit=store_hit,
-            reduce_time=reduce_time, sweep=sweep_result, jobs=jobs,
-            checkpoint_info=checkpoint_info,
-            memory_info=self._memory_info(request),
-        )
-        return ServeOutcome(
-            "sweep", result, served_from=tier, artifact_key=key,
-        )
-
-    def _simulate(self, request, cancel):
-        loaded = self._load(request.spec, request.sparse)
-        self._require_polynomial(loaded.system)
-        jobs = {"transient": request.transient_job}
-        artifact = rom = None
-        tier = store_hit = reduce_time = checkpoint_info = key = None
-        if request.reduce_job is not None:
-            _, artifact, tier, store_hit, reduce_time, \
-                checkpoint_info, key = self._acquire(
-                    loaded, request.reduce_job,
-                    checkpoint=request.checkpoint,
-                    resume=request.resume, cancel=cancel,
-                )
-            rom = artifact.rom
-            jobs = {
-                "reduce": request.reduce_job,
-                "transient": request.transient_job,
-            }
-        if cancel is not None and cancel():
-            raise TaskCancelled(
-                "request cancelled before its transient started"
+            entry, reduction, tier, key = self._acquire(
+                loaded, request, cancel
             )
-        transient_result = _transient_result(
-            loaded.system, rom, request.transient_job
-        )
-        result = PipelineResult(
-            loaded.system, loaded.info,
-            artifact=artifact, rom=rom, store_hit=store_hit,
-            reduce_time=reduce_time, transient=transient_result,
-            jobs=jobs, checkpoint_info=checkpoint_info,
-            memory_info=self._memory_info(request),
+        explicit = None
+        if request.sweep_job is not None:
+            if request.reduce_job is None:
+                explicit = loaded.explicit()
+            elif entry is not None:
+                explicit = entry.explicit()
+        result = _job_result(
+            loaded.system, loaded.info, request.reduce_job,
+            request.sweep_job, request.transient_job, reduction,
+            explicit_query=explicit, cancel=cancel,
         )
         return ServeOutcome(
-            "simulate", result, served_from=tier, artifact_key=key,
+            request.verb, result, served_from=tier, artifact_key=key,
         )
 
     def _mc(self, request):
@@ -434,8 +321,8 @@ class ReproService:
         daemon restarts) and folds the run's per-reuse-tier counters
         into :meth:`ServeMetrics.record_tiers` — the ``/metrics``
         ``parametric_tiers`` block and the heartbeat's ``mc_tiers``
-        field.  The hot-ROM cache and the coalescer are not involved:
-        a family sweep is one batch, not a stream of repeat queries.
+        field.  The hot-ROM cache is not involved: a family sweep is one
+        batch, not a stream of repeat queries.
         """
         result = run_parametric(
             request.spec,
@@ -460,7 +347,7 @@ class ReproService:
         """JSON-safe state of every serving layer (feeds ``/metrics``)."""
         with self._spec_lock:
             specs = {
-                "capacity": int(self.spec_capacity),
+                "capacity": _SPEC_CAPACITY,
                 "entries": len(self._specs),
                 "hits": int(self.spec_hits),
                 "misses": int(self.spec_misses),
@@ -468,7 +355,6 @@ class ReproService:
         data = {
             "metrics": self.metrics.snapshot(),
             "hot_cache": self.cache.stats(),
-            "coalescer": self.coalescer.stats(),
             "specs": specs,
         }
         if self.store is not None:

@@ -140,13 +140,6 @@ class _CubicTerm:
         contrib = self.vals * x[self.i] * x[self.j] * x[self.k]
         return np.bincount(self.rows, weights=contrib, minlength=self.n)
 
-    def eval_trilinear(self, a, b, c):
-        """Evaluate ``G3 (a ⊗ b ⊗ c)`` for three different vectors."""
-        if self._tensor is not None:
-            return ((self._tensor @ c) @ b) @ a
-        contrib = self.vals * a[self.i] * b[self.j] * c[self.k]
-        return np.bincount(self.rows, weights=contrib, minlength=self.n)
-
     def add_jacobian(self, jac, x):
         if self._tensor is not None:
             txx = (self._tensor @ x) @ x  # contract k then j -> (r, i)

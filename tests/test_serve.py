@@ -1,14 +1,16 @@
-"""Serving layer: contracts, hot-ROM cache, coalescing, tiers, daemon.
+"""Serving layer: contracts, hot-ROM cache, tiers, daemon.
 
 Covers the serving stack end to end — boundary validation, the three
-reduce tiers (hot / disk / cold), request coalescing with bit-identical
-scatter, cooperative cancellation, HTTP backpressure (429) and
-deadlines (504) — plus the concurrent-store-access guarantees the
-long-lived daemon rests on (atomic overwrites, no spurious
-quarantines, basis-SHA agreement after overwrite).
+reduce tiers (hot / disk / cold) behind one job handler, bit-identity
+with the one-shot pipeline, cooperative cancellation, HTTP
+backpressure (429), deadlines (504) and malformed requests (400) —
+plus the concurrent-store-access guarantees the long-lived daemon
+rests on (atomic overwrites, no spurious quarantines, basis-SHA
+agreement after overwrite).
 """
 
 import json
+import socket
 import threading
 import time
 import urllib.error
@@ -32,7 +34,6 @@ from repro.serve import (
     ServeDaemon,
     ServeMetrics,
     SimulateRequest,
-    SweepCoalescer,
     SweepRequest,
 )
 from repro.store import ModelStore, ReductionArtifact, fingerprint_system
@@ -70,6 +71,17 @@ class TestContracts:
             SweepRequest.from_payload(
                 {"spec": ladder_spec(), "sweeep": SWEEP}
             )
+
+    @pytest.mark.parametrize("field,value", [
+        ("memory_budget", "64k"), ("max_block", 7),
+    ])
+    def test_memory_settings_are_not_request_fields(self, field, value):
+        # Process-wide settings: one request must not swap them.
+        with pytest.raises(ValidationError, match="unknown sweep fields"):
+            SweepRequest.from_payload({
+                "spec": ladder_spec(), "reduce": REDUCE, "sweep": SWEEP,
+                field: value,
+            })
 
     def test_spec_required(self):
         with pytest.raises(ValidationError, match="needs a 'spec'"):
@@ -175,82 +187,6 @@ class TestHotROMCache:
 
 
 # ---------------------------------------------------------------------------
-# coalescer
-# ---------------------------------------------------------------------------
-
-class TestCoalescer:
-    def test_sequential_sweeps_are_separate_flights(self):
-        co = SweepCoalescer()
-        evaluate = lambda union: (union * 2, union * 3)  # noqa: E731
-        hd2, hd3 = co.sweep("k", 1.0, [1.0, 2.0], evaluate)
-        assert np.array_equal(hd2, [2.0, 4.0])
-        assert np.array_equal(hd3, [3.0, 6.0])
-        co.sweep("k", 1.0, [2.0], evaluate)
-        stats = co.stats()
-        assert stats["flights"] == 2
-        assert stats["coalesced"] == 0
-
-    def test_concurrent_sweeps_merge_into_one_flight(self):
-        co = SweepCoalescer()
-        started = threading.Event()
-        release = threading.Event()
-
-        def slow_evaluate(union):
-            started.set()
-            assert release.wait(10)
-            return union * 2, union * 3
-
-        evaluate = lambda union: (union * 2, union * 3)  # noqa: E731
-        results = {}
-
-        def request(name, omegas, fn):
-            results[name] = co.sweep("k", 1.0, omegas, fn)
-
-        leader = threading.Thread(
-            target=request, args=("t1", [1.0, 2.0], slow_evaluate)
-        )
-        leader.start()
-        assert started.wait(10)
-        followers = [
-            threading.Thread(
-                target=request, args=(name, omegas, evaluate)
-            )
-            for name, omegas in (("t2", [2.0, 3.0]), ("t3", [3.0, 4.0]))
-        ]
-        for thread in followers:
-            thread.start()
-        # Wait until both followers are queued behind the in-progress
-        # flight, then let the leader finish.
-        deadline = time.monotonic() + 10
-        while time.monotonic() < deadline:
-            with co._lock:
-                if len(co._states[("k", 1.0)].pending) == 2:
-                    break
-            time.sleep(0.005)
-        release.set()
-        leader.join(10)
-        for thread in followers:
-            thread.join(10)
-        stats = co.stats()
-        assert stats["requests"] == 3
-        assert stats["flights"] == 2  # leader's own + one merged flight
-        assert stats["coalesced"] == 1
-        assert stats["points_solved"] == 2 + 3  # {1,2} then {2,3,4}
-        assert np.array_equal(results["t2"][0], [4.0, 6.0])
-        assert np.array_equal(results["t3"][0], [6.0, 8.0])
-        assert np.array_equal(results["t3"][1], [9.0, 12.0])
-
-    def test_evaluation_error_propagates_to_all_waiters(self):
-        co = SweepCoalescer()
-
-        def boom(union):
-            raise ValidationError("flight failed")
-
-        with pytest.raises(ValidationError, match="flight failed"):
-            co.sweep("k", 1.0, [1.0], boom)
-
-
-# ---------------------------------------------------------------------------
 # service tiers + bit-identity
 # ---------------------------------------------------------------------------
 
@@ -290,7 +226,7 @@ class TestServiceTiers:
         service = ReproService(store=tmp_path / "a", hot_capacity=4)
         payload = {"spec": spec, "reduce": REDUCE, "sweep": SWEEP}
         served = service.handle(SweepRequest.from_payload(payload))
-        # Serve the same sweep again hot+coalesced: must not drift.
+        # Serve the same sweep again from the hot tier: must not drift.
         served_hot = service.handle(SweepRequest.from_payload(payload))
         reference = run_pipeline(
             spec, reduce=ReductionJob.coerce(REDUCE), sweep=SWEEP,
@@ -305,7 +241,7 @@ class TestServiceTiers:
             )
         assert served_hot.served_from == "hot"
 
-    def test_concurrent_sweeps_bit_identical_and_coalesced(self, tmp_path):
+    def test_concurrent_sweeps_bit_identical(self, tmp_path):
         spec = ladder_spec()
         service = ReproService(store=tmp_path, hot_capacity=4)
         # Prime the ROM so every concurrent request is hot.
@@ -344,7 +280,7 @@ class TestServiceTiers:
             assert np.array_equal(
                 outcome.result.sweep["hd3"], solo.sweep["hd3"]
             )
-        assert service.coalescer.stats()["requests"] == 3
+            assert outcome.served_from == "hot"
 
     def test_fingerprint_computed_once_per_loaded_spec(self, tmp_path,
                                                        monkeypatch):
@@ -381,6 +317,46 @@ class TestServiceTiers:
         }))
         assert outcome.result.transient["steps"] == 21
         assert outcome.served_from == "cold"
+
+    def test_job_verbs_share_one_handler(self, tmp_path, monkeypatch):
+        service = ReproService(store=tmp_path, hot_capacity=4)
+        seen = []
+        real = service._job
+
+        def spy(request, cancel):
+            seen.append(request.verb)
+            return real(request, cancel)
+
+        monkeypatch.setattr(service, "_job", spy)
+        base = {"spec": ladder_spec(), "reduce": REDUCE}
+        service.handle(ReduceRequest.from_payload(base))
+        service.handle(SweepRequest.from_payload({**base, "sweep": SWEEP}))
+        service.handle(SimulateRequest.from_payload({
+            **base,
+            "transient": {"source": {"kind": "step", "amplitude": 0.05},
+                          "t_end": 0.5, "dt": 0.05},
+        }))
+        service.handle(InfoRequest.from_payload({"spec": ladder_spec()}))
+        assert seen == ["reduce", "sweep", "simulate"]
+
+    def test_hot_sweep_observes_cancel(self, tmp_path):
+        service = ReproService(store=tmp_path, hot_capacity=4)
+        payload = {"spec": ladder_spec(), "reduce": REDUCE, "sweep": SWEEP}
+        service.handle(SweepRequest.from_payload(payload))
+        with pytest.raises(TaskCancelled):
+            service.handle(
+                SweepRequest.from_payload(payload), cancel=lambda: True
+            )
+        # The cancelled sweep left the hot entry's kernels valid.
+        served = service.handle(SweepRequest.from_payload(payload))
+        assert served.served_from == "hot"
+        reference = run_pipeline(
+            ladder_spec(), reduce=ReductionJob.coerce(REDUCE), sweep=SWEEP,
+        )
+        assert np.array_equal(served.result.sweep["hd2"],
+                              reference.sweep["hd2"])
+        assert np.array_equal(served.result.sweep["hd3"],
+                              reference.sweep["hd3"])
 
 
 # ---------------------------------------------------------------------------
@@ -436,6 +412,17 @@ def _post(url, path, payload, timeout=120):
 def _get(url, path, timeout=30):
     with urllib.request.urlopen(url + path, timeout=timeout) as response:
         return response.status, json.load(response)
+
+
+def _raw_exchange(url, raw, timeout=30):
+    """Send *raw* bytes on a fresh socket; read until the server closes."""
+    host, port = url.split("://", 1)[1].rsplit(":", 1)
+    with socket.create_connection((host, int(port)), timeout=timeout) as sock:
+        sock.sendall(raw)
+        chunks = []
+        while chunk := sock.recv(65536):
+            chunks.append(chunk)
+    return b"".join(chunks)
 
 
 class _StallingService(ReproService):
@@ -524,6 +511,35 @@ class TestDaemon:
             with pytest.raises(urllib.error.HTTPError) as err:
                 _get(url, "/v1/reduce")  # GET on a POST verb
             assert err.value.code == 405
+            # Process-wide memory settings are not request fields.
+            for field, value in (("memory_budget", "64k"),
+                                 ("max_block", 7)):
+                with pytest.raises(urllib.error.HTTPError) as err:
+                    _post(url, "/v1/sweep", {
+                        "spec": ladder_spec(), "reduce": REDUCE,
+                        "sweep": SWEEP, field: value,
+                    })
+                assert err.value.code == 400
+                body = json.loads(err.value.read().decode())
+                assert "unknown sweep fields" in body["error"]
+        finally:
+            daemon.stop_background()
+
+    def test_malformed_content_length_is_400(self):
+        daemon = ServeDaemon(ReproService(), port=0, queue_limit=4)
+        url = daemon.start_background()
+        try:
+            for length in ("abc", "-5"):
+                reply = _raw_exchange(url, (
+                    "POST /v1/info HTTP/1.1\r\nHost: test\r\n"
+                    f"Content-Length: {length}\r\n\r\n"
+                ).encode("latin-1"))
+                head, _, body = reply.partition(b"\r\n\r\n")
+                assert head.startswith(b"HTTP/1.1 400 "), reply
+                assert b"Connection: close" in head
+                assert "Content-Length" in json.loads(body)["error"]
+            status, health = _get(url, "/healthz")
+            assert status == 200 and health["status"] == "ok"
         finally:
             daemon.stop_background()
 
