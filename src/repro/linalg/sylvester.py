@@ -26,6 +26,7 @@ import threading
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
+from scipy.linalg.lapack import ztrsyl
 
 from .. import memory
 from .._validation import as_matrix, as_square_matrix
@@ -681,12 +682,13 @@ class FactoredPi:
     blocks of at most ``max_block`` rows (see :mod:`repro.memory`): past
     the byte budget it lives in the planner's tile arena as a writable
     memmap from the moment it is produced, so even the ``(n, r²)`` slab
-    never has to be resident at once.  The left side carries no rank
-    reduction: Π's singular values decay too slowly on realistic
-    circuits for a two-sided low-rank form to reach engineering
-    residuals, but its *action on the decoupled-H2 chain subspace* —
-    all the realization ever needs — is captured exactly by a small
-    right basis.
+    never has to be resident at once.  The solver builds ``L`` as
+    ``V Y`` on a small left basis ``V`` (see
+    :meth:`LowRankKronSolver.solve_pi`), and where that route runs — a
+    separated spectrum and a G2 touching few rows — ``L`` is
+    numerically low-rank (rank 14 of 324 at 1e-12 on the healthy
+    n = 8192 ladder); it is kept here as the ``(n, r²)`` slab that
+    :meth:`apply` and the checkpoint snapshot use.
 
     Acts on dense vectors/matrices over the ``n²`` lifted space and on
     :class:`FactoredTensor` operands (the decoupled-H2 chain vectors).
@@ -811,6 +813,11 @@ _EIG_THRESHOLD = 48
 #: Eigenbasis condition number beyond which the projected eig fast path
 #: is not trusted and the Schur sweep is used instead.
 _EIG_COND_LIMIT = 1e10
+
+#: Fraction of the Π residual target below which the left defect of the
+#: projected Π solve must fall before the left basis stops growing, so
+#: the left projection never decides whether Π converged.
+_PI_LEFT_FRACTION = 0.1
 
 #: Ritz spread (see :func:`ritz_spread`) at which the Π equation stops
 #: being separated.  With every ``Re λ`` in ``[−M, −m]`` the pair sums
@@ -1050,10 +1057,12 @@ class LowRankKronSolver:
     serialize through it — the shared-basis reuse is worth far more
     than intra-solve parallelism here.
 
-    The Π equation gets a *right-sided* projection instead (see
-    :meth:`solve_pi`): Π's singular values decay too slowly on realistic
-    circuits for a two-sided low-rank form, so the left side stays full
-    and only the lifted ``n²`` side is compressed.
+    The Π equation gets a two-sided projection instead (see
+    :meth:`solve_pi`): a private right basis ``U`` compresses the lifted
+    ``n²`` side, and a small real left basis ``V`` of rational-Krylov
+    directions of ``G1`` carries the state side.  Π is low-rank on both
+    sides only where ``G1``'s spectrum is separated; :meth:`solve_pi`
+    records the Ritz-spread evidence for that in :attr:`pi_plan`.
 
     Both iterations stop on **exact** residual norms: with the
     right-hand-side factors absorbed into the basis, Galerkin
@@ -1431,16 +1440,23 @@ class LowRankKronSolver:
 
     def solve_pi(self, g2, tol=None, max_rank=None, max_seed=None,
                  seed_basis=None, floor=None):
-        """Right-sided low-rank solve of ``G1 Π + G2 = Π (G1 ⊕ G1)``.
+        """Two-sided low-rank solve of ``G1 Π + G2 = Π (G1 ⊕ G1)``.
 
         Builds a private real basis ``U`` from ``G2``'s lifted-side COO
         fibers plus ``G1ᵀ``-sided extended-Krylov directions, and solves
-        the right-projected equation ``G1 Π̂ + Ĝ2 = Π̂ (H ⊕ H)`` exactly
-        in the left (state) space — one cached sparse shifted ``G1``
-        solve per Schur pair of ``H``.  Returns a :class:`FactoredPi`
+        the right-projected equation ``G1 Π̂ + Ĝ2 = Π̂ (H ⊕ H)`` by a
+        Galerkin projection of its left (state) side on a second real
+        basis ``V``.  ``V`` lives for this call: it starts from the unit
+        vectors of ``G2``'s nonzero rows and grows by
+        ``(G1 − μI)^{-1}`` directions at pair sums ``μ`` of ``H`` (see
+        :meth:`_pi_left_solve`), so a handful of cached sparse LUs serve
+        every round.  ``V`` holds at most ``G2``'s row count plus
+        *max_rank* columns.  Returns a :class:`FactoredPi`
         ``Π ≈ Π̂ (U⊗U)ᵀ``; the stopping test
         ``residual ≤ tol · ‖G2‖_F`` is the true
-        :func:`pi_sylvester_residual` value.
+        :func:`pi_sylvester_residual` value of the materialized
+        ``Π̂``, so the left projection only decides when ``V`` stops
+        growing, never whether Π converged.
 
         *seed_basis* optionally warm-starts the right basis with extra
         real ``(n, r)`` columns — typically the ``.u`` factor of a
@@ -1469,8 +1485,9 @@ class LowRankKronSolver:
         ``"zero-g2"``), ``n``, ``nnz_g1``, ``g2_fibers``, ``spread``
         (of the seeded basis, or of the basis that crossed the limit),
         ``rounds``, ``rank`` (right-basis dimension reached),
-        ``residual`` (relative to ``‖G2‖_F``, once converged) and
-        ``soft_accept``.
+        ``left_rank`` (dimension of ``V`` behind the returned Π; 0 when
+        no factored Π is returned), ``residual`` (relative to
+        ``‖G2‖_F``, once converged) and ``soft_accept``.
 
         Raises :class:`NumericalError` when ``G2``'s fiber spans are too
         wide for a low-rank treatment (callers may then fall back to the
@@ -1496,7 +1513,7 @@ class LowRankKronSolver:
             plan = self.pi_plan = {
                 "route": "lowrank", "reason": "separated", "n": int(n),
                 "nnz_g1": int(nnz), "g2_fibers": 0, "spread": None,
-                "rounds": 0, "rank": 0, "residual": None,
+                "rounds": 0, "rank": 0, "left_rank": 0, "residual": None,
                 "soft_accept": False,
             }
             handover = n <= PI_DENSE_LIMIT
@@ -1517,6 +1534,16 @@ class LowRankKronSolver:
             for block in seeds:
                 basis.absorb(block)
             self._check_pi_spread(basis, plan, handover)
+            # The left basis V starts from the unit vectors of G2's
+            # nonzero rows, which span Ĝ2's columns exactly, and may add
+            # as many rational directions as the right basis may hold.
+            g2_rows = np.unique(rows)
+            left_basis = _KrylovBasis(
+                self.g1, min(n, g2_rows.size + max_rank)
+            )
+            unit = np.zeros((n, g2_rows.size))
+            unit[g2_rows, np.arange(g2_rows.size)] = 1.0
+            left_basis.absorb(unit)
             if seed_basis is not None:
                 warm = np.asarray(seed_basis)
                 if warm.ndim != 2 or warm.shape[0] != n:
@@ -1533,17 +1560,21 @@ class LowRankKronSolver:
                 plan["rounds"] += 1
                 try:
                     left, resid = self._pi_right_solve(
-                        basis, rows, ii, jj, vals, seeds
+                        basis, left_basis, rows, ii, jj, vals, seeds,
+                        _PI_LEFT_FRACTION * tol * g2_norm,
                     )
                     pending = None
                 except NumericalError as exc:
-                    # A Ritz pair λ_b + λ_c can sit (numerically) on
-                    # G1's spectrum even when the full equation is fine;
-                    # growing the basis moves the Ritz values.
+                    # A Ritz pair λ_b + λ_c can sit (numerically) on a
+                    # Ritz value of VᵀG1V even when the full equation is
+                    # fine; growing the basis moves the Ritz values.
                     pending = exc
                     left = None
                 if left is not None and resid <= tol * g2_norm:
-                    plan.update(rank=basis.dim, residual=resid / g2_norm)
+                    plan.update(
+                        rank=basis.dim, left_rank=left_basis.dim,
+                        residual=resid / g2_norm,
+                    )
                     return FactoredPi(
                         left, basis.u.copy(), float(resid), g2_norm
                     )
@@ -1552,8 +1583,8 @@ class LowRankKronSolver:
                             and resid <= floor * g2_norm):
                         self.stats["soft_accepts"] += 1
                         plan.update(
-                            rank=basis.dim, residual=resid / g2_norm,
-                            soft_accept=True,
+                            rank=basis.dim, left_rank=left_basis.dim,
+                            residual=resid / g2_norm, soft_accept=True,
                         )
                         _log.warning(
                             "low-rank Pi soft-accepted at relative "
@@ -1638,32 +1669,32 @@ class LowRankKronSolver:
                 f"and Pi is not low-rank"
             )
 
-    def _pi_right_solve(self, basis, rows, ii, jj, vals, seeds):
+    def _pi_right_solve(self, basis, left_basis, rows, ii, jj, vals, seeds,
+                        left_target):
         """One right-projected Π solve; returns ``(left, residual)``.
 
-        Solves ``G1 Π̂ − Π̂ (H⊕H) = −Ĝ2`` by transforming the right side
-        with the complex Schur form ``H = Q T Qᴴ`` (``H⊕H`` becomes
-        upper triangular in lexicographic pair order) and sweeping the
-        ``r²`` columns with one shifted sparse ``G1`` solve each; the
-        ``(d,e)``/``(e,d)`` columns share a shift, and the shell
-        ordering keeps them adjacent so the factory's LU cache serves
-        both from one factorization.
+        Solves ``G1 Π̂ − Π̂ (H⊕H) = −Ĝ2`` for the ``(n, r²)`` left
+        factor ``Π̂ = V Y`` by a Galerkin projection of its left side on
+        the small real basis ``V`` (*left_basis*, see
+        :meth:`_pi_left_solve`), then materializes ``Π̂`` in row blocks
+        and measures its exact residual.
         """
         u = basis.u
         r = basis.dim
         n = self.n
         planner = memory.current_planner()
-        # Streamed tiling: every (n, r, r) intermediate below lives in
-        # the planner's tile arena (plain arrays under an unlimited
-        # budget) and is filled/consumed in row blocks of at most
-        # ``step`` rows, so the resident footprint of this solve is
+        # Streamed tiling: the (n, r, r) tiles below live in the
+        # planner's tile arena (plain arrays under an unlimited budget)
+        # and are filled/consumed in row blocks of at most ``step``
+        # rows, so the resident footprint of this solve is
         # O(step · r²) + O(n · r) regardless of n.  Row width covers the
-        # two complex tiles (ct, xt) a block touches at once.
+        # real (n, r²) rows a residual block holds at once: the left and
+        # Ĝ2 tiles and two temporaries.
         step = planner.block_rows(n, row_bytes=2 * r * r * 16)
         can_slice = sp.issparse(self.g1) or isinstance(self.g1, np.ndarray)
         if not can_slice:
             step = n
-        g2r = ct = xt = leftc = None
+        g2r = None
         try:
             # Ĝ2 = G2 (U ⊗ U) via the COO contraction: (n, r, r).
             g2r = planner.tile((n, r, r), float, "pi-g2r")
@@ -1677,70 +1708,13 @@ class LowRankKronSolver:
                 )
                 scatter_add_rows(g2r, rows[lo:hi], contrib)
             h = basis.h()
-            t, q = sla.schur(h.astype(complex), output="complex")
-            lam = np.diag(t)
-            # C̃ = −Ĝ2 (Q ⊗ Q): transform the pair index into Schur space.
-            ct = planner.tile((n, r, r), complex, "pi-ct")
+            y = self._pi_left_solve(
+                left_basis, h, np.unique(rows), g2r, left_target
+            )
+            v = left_basis.u
+            left = planner.tile((n, r, r), y.dtype, "pi-left")
             for lo, hi in _row_spans(n, step):
-                ct[lo:hi] = -np.einsum(
-                    "pbc,bd,ce->pde", g2r[lo:hi], q, q, optimize=True
-                )
-            xt = planner.tile((n, r, r), complex, "pi-xt")
-            # Shell sweep: shell s handles (d, s) for d <= s and (s, c) for
-            # c < s, so all lex-earlier couplings are available and the
-            # (d, s)/(s, d) shift pair stays adjacent for LU reuse.  The
-            # per-column state is O(n) — tile-friendly by construction.
-            for s_idx in range(r):
-                order = []
-                for d in range(s_idx):
-                    order.append((d, s_idx))
-                    order.append((s_idx, d))
-                order.append((s_idx, s_idx))
-                for d, e in order:
-                    # (G1 − (T[d,d]+T[e,e])I) x_de = c_de
-                    #     + Σ_{b<d} x_be T[b,d] + Σ_{c<e} x_dc T[c,e]
-                    # — the strictly-upper couplings of X̃ (T⊕T) move to
-                    # the right-hand side with a PLUS sign.
-                    rhs = np.array(ct[:, d, e])
-                    if d > 0:
-                        rhs += xt[:, :d, e] @ t[:d, d]
-                    if e > 0:
-                        rhs += xt[:, d, :e] @ t[:e, e]
-                    mu = lam[d] + lam[e]
-                    x = self._solve(-mu, rhs)
-                    # One iterative-refinement step against the same
-                    # cached LU: the pair shifts λ_d + λ_e can land close
-                    # to G1's spectrum (same-side spectra), where a
-                    # single backsolve leaves an O(κ·eps) column defect
-                    # that would propagate through the triangular sweep.
-                    defect = rhs - (self.g1 @ x - mu * x)
-                    x = x + self._solve(-mu, defect)
-                    xt[:, d, e] = x
-            planner.release(ct)
-            ct = None
-            # Back-transform: Π̂ = X̃ (Qᴴ ⊗ Qᴴ) applied on the pair index.
-            qh = q.conj().T
-            leftc = planner.tile((n, r, r), complex, "pi-left-work")
-            imag_max = 0.0
-            abs_max = 0.0
-            for lo, hi in _row_spans(n, step):
-                lb = np.einsum(
-                    "pde,db,ec->pbc", xt[lo:hi], qh, qh, optimize=True
-                )
-                leftc[lo:hi] = lb
-                imag_max = max(imag_max, float(np.abs(lb.imag).max()))
-                abs_max = max(abs_max, float(np.abs(lb).max()))
-            planner.release(xt)
-            xt = None
-            if imag_max <= 1e-8 * max(abs_max, 1.0):
-                left = planner.tile((n, r, r), float, "pi-left")
-                for lo, hi in _row_spans(n, step):
-                    left[lo:hi] = leftc[lo:hi].real
-                planner.release(leftc)
-                leftc = None
-            else:
-                left = leftc
-                leftc = None
+                left[lo:hi] = (v[lo:hi] @ y).reshape(hi - lo, r, r)
             # Exact residual: in-space defect + G2 projection defect +
             # out-of-space defect through the Su Gram — all accumulated
             # blockwise so no (n, r²) residual slab is ever resident.
@@ -1752,10 +1726,10 @@ class LowRankKronSolver:
                     rb = self.g1 @ lmat + g2r_flat
                 else:
                     rb = self.g1[lo:hi] @ lmat + g2r_flat[lo:hi]
-                rb = rb - (
-                    np.einsum("pbe,bd->pde", left[lo:hi], h)
-                    + np.einsum("pdc,ce->pde", left[lo:hi], h)
-                ).reshape(hi - lo, r * r)
+                lb = left[lo:hi]
+                rb = rb - (np.matmul(h.T, lb) + lb @ h).reshape(
+                    hi - lo, r * r
+                )
                 resid_sq += float(np.real(np.vdot(rb, rb)))
             planner.release(g2r)
             g2r = None
@@ -1771,16 +1745,84 @@ class LowRankKronSolver:
             acc2 = 0.0 + 0.0j
             for lo, hi in _row_spans(n, step):
                 lb = left[lo:hi]
-                acc1 += np.einsum(
-                    "pbc,bd,pdc->", lb.conj(), gs, lb, optimize=True
-                )
-                acc2 += np.einsum(
-                    "pbc,ce,pbe->", lb.conj(), gs, lb, optimize=True
-                )
+                acc1 += np.vdot(lb, np.matmul(gs, lb))
+                acc2 += np.vdot(lb, lb @ gs.T)
             resid_sq += max(float(np.real(acc1)), 0.0)
             resid_sq += max(float(np.real(acc2)), 0.0)
             return lmat, float(np.sqrt(max(resid_sq, 0.0)))
         finally:
-            for temp in (g2r, ct, xt, leftc):
-                if temp is not None:
-                    planner.release(temp)
+            if g2r is not None:
+                planner.release(g2r)
+
+    def _pi_left_solve(self, left_basis, h, g2_rows, g2r, target):
+        """Left Galerkin solve of ``G1 Π̂ − Π̂ (H⊕H) = −Ĝ2``; returns
+        ``Y`` (``(k, r²)``) with ``Π̂ = V Y``.
+
+        The projected equation ``(VᵀG1V) Y − Y (H⊕H) = −VᵀĜ2`` is swept
+        in the complex Schur bases of ``H = Q T Qᴴ`` and
+        ``VᵀG1V = Z S Zᴴ``: ``T⊕T`` is upper triangular in lexicographic
+        pair order, so each column ``e`` of the pair index is one
+        triangular Sylvester solve ``S X − X (T + T[e,e] I) = C_e`` plus
+        the couplings from columns ``< e``.  ``Ĝ2`` lives on G2's rows
+        (*g2_rows*), which ``V`` spans, so only those rows are read.
+
+        ``V`` grows while the left defect ``‖(G1V − V·VᵀG1V) Y‖_F``
+        (through :meth:`_KrylovBasis.gram_plain`) exceeds *target*: each
+        step adds ``(G1 − μI)^{-1} (G1V − V·VᵀG1V) y`` for the worst
+        column ``y`` of ``Y``, with ``μ = λ_d + λ_e`` its pair sum — the
+        exact correction of that column when the pairs decouple — real
+        and imaginary parts apart, so ``V`` stays real.  It stops at the
+        target, at ``V``'s cap, or when a direction adds nothing new.
+        """
+        r = h.shape[0]
+        t, q = sla.schur(h.astype(complex), output="complex")
+        lam = np.diag(t)
+        g2q = np.einsum(
+            "pbc,bd,ce->pde", g2r[g2_rows], q, q, optimize=True
+        ).reshape(g2_rows.size, r * r)
+        shifted = t.copy()
+        while True:
+            v = left_basis.u
+            k = left_basis.dim
+            hv = left_basis.h()
+            s, z = sla.schur(hv.astype(complex), output="complex")
+            sd = np.diag(s)
+            _check_diag_gap(
+                sd[:, None, None] - lam[None, :, None] - lam[None, None, :],
+                max(np.abs(sd).max(), np.abs(lam).max(), 1.0),
+            )
+            c = -(z.conj().T @ (v[g2_rows].T @ g2q)).reshape(k, r, r)
+            y = np.empty((k, r, r), dtype=complex)
+            for e in range(r):
+                rhs = c[:, :, e]
+                if e:
+                    rhs = rhs + y[:, :, :e] @ t[:e, e]
+                np.fill_diagonal(shifted, lam + lam[e])
+                sol, scale, _ = ztrsyl(s, shifted, rhs, isgn=-1)
+                y[:, :, e] = sol / scale
+            y = z @ y.reshape(k, r * r)
+            col_sq = np.real(np.einsum(
+                "ap,ab,bp->p", y.conj(), left_basis.gram_plain(), y,
+                optimize=True,
+            ))
+            if (np.sqrt(max(col_sq.sum(), 0.0)) <= target
+                    or k >= left_basis.max_dim):
+                break
+            worst = int(np.argmax(col_sq))
+            d, e = divmod(worst, r)
+            w = left_basis.au @ y[:, worst] - v @ (hv @ y[:, worst])
+            x = self._apply_inverse(-(lam[d] + lam[e]), w)
+            # One column at a time: a block QR would amplify the
+            # re-orthogonalization error of nearly parallel parts.
+            grew = left_basis.absorb(x.real)
+            if np.any(x.imag):
+                grew = left_basis.absorb(x.imag) or grew
+            if not grew:
+                break
+        qh = q.conj().T
+        y = np.einsum(
+            "ade,db,ec->abc", y.reshape(k, r, r), qh, qh, optimize=True
+        ).reshape(k, r * r)
+        if np.abs(y.imag).max() <= 1e-8 * max(np.abs(y).max(), 1.0):
+            y = np.ascontiguousarray(y.real)
+        return y

@@ -328,9 +328,10 @@ class AssociatedWorkspace:
 
         Dense systems use the shared Schur form; sparse systems route
         through the resolvent factory's per-shift sparse LU cache
-        (``(G1 + αI) x = r`` ⇔ ``x = −(−αI − G1)^{-1} r``).
+        (``(G1 + αI) x = r`` ⇔ ``x = −(−αI − G1)^{-1} r``), even after
+        a dense Schur form was built for them (:attr:`is_sparse`).
         """
-        if self._schur is not None:
+        if not self.is_sparse:
             return self._schur.solve_shifted(shift, rhs)
         return -self.resolvent.solve(
             -shift, np.asarray(rhs, dtype=complex)
@@ -343,7 +344,7 @@ class AssociatedWorkspace:
         transposed backsolve (no second factorization) — the primitive
         behind the Π iteration's ``G1ᵀ``-sided Krylov directions.
         """
-        if self._schur is not None:
+        if not self.is_sparse:
             return self._schur.solve_shifted_transpose(shift, rhs)
         return -self.resolvent.solve_transpose(
             -shift, np.asarray(rhs, dtype=complex)

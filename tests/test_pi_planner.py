@@ -117,6 +117,7 @@ class TestRoutes:
         assert plan["rounds"] == 0
         assert ws_s.lowrank_kron.stats["pi_iterations"] == 0
         assert plan["residual"] <= 1e-9 and not plan["soft_accept"]
+        assert plan["left_rank"] == 0  # no factored Π, no left basis
         assert isinstance(pi_s, np.ndarray)
         assert ws_d.pi_plan is None  # a dense system has no route to plan
         assert np.abs(pi_s - pi_d).max() / np.abs(pi_d).max() <= 1e-12
@@ -207,6 +208,117 @@ class TestRoutes:
         ]
         assert len(warnings) == 1
         assert "soft-accepted" in warnings[0].getMessage()
+
+
+def sparse_lus(ws):
+    """Sparse LU factorizations the workspace's resolvent has made."""
+    stats = ws.resolvent.sparse_lu_stats
+    return stats["real"] + stats["complex"]
+
+
+def left_cap(system):
+    """The left basis cap of ``solve_pi``: G2's nonzero rows plus the
+    default right-rank cap."""
+    n = system.n_states
+    max_rank = min(min(n, 320), max(int(np.sqrt(1.6e7 / n)), 24))
+    return np.unique(sp.coo_matrix(system.g2).row).size + max_rank
+
+
+class TestLeftBasis:
+    """The left (state) side of the factored Π is a Galerkin projection
+    on a small rational-Krylov basis V, whose poles are pair sums of the
+    right basis's Ritz values: a few cached sparse LUs serve the whole
+    solve instead of one per pair sum and round."""
+
+    @pytest.fixture(scope="class")
+    def healthy_1024(self):
+        ws = workspace(healthy_net(1024))
+        before = sparse_lus(ws)
+        ws.pi
+        return ws, sparse_lus(ws) - before
+
+    def test_healthy_plan_records_left_rank(self, healthy_1024):
+        ws, _ = healthy_1024
+        plan = ws.pi_plan
+        assert plan["route"] == "lowrank"
+        assert 0 < plan["left_rank"] <= left_cap(ws.system)
+        assert plan["left_rank"] < plan["rank"] ** 2
+        assert plan["residual"] <= 1e-12
+
+    def test_healthy_pi_factors_g1_a_few_times(self, healthy_1024):
+        # One LU per pair sum and round made 584 here.
+        _, lus = healthy_1024
+        assert lus <= 16
+
+    def test_left_factor_stays_real_for_nonsymmetric_g1(self):
+        # Complex pair sums give complex directions; V keeps their real
+        # and imaginary parts, so Π's left factor stays real.
+        rng = np.random.default_rng(7)
+        n = 40
+        g1d = -np.diag(2.0 + 0.3 * rng.random(n))
+        for k in range(n - 1):
+            g1d[k, k + 1] = 0.25 * rng.standard_normal()
+            g1d[k + 1, k] = 0.10 * rng.standard_normal()
+        g1 = sp.csr_matrix(g1d)
+        factory = ResolventFactory(g1)
+        solver = LowRankKronSolver(
+            g1,
+            lambda s, r: -factory.solve(-s, np.asarray(r, complex)),
+            lambda s, r: -factory.solve_transpose(-s, np.asarray(r, complex)),
+        )
+        g2 = sp.lil_matrix((n, n * n))
+        for row, i, j in rng.integers(0, n, (5, 3)):
+            g2[row, i * n + j] = rng.standard_normal()
+        pi = solver.solve_pi(sp.csr_matrix(g2), tol=1e-9)
+        assert np.isrealobj(pi.left)
+        assert factory.sparse_lu_stats["complex"] > 0
+        assert pi.residual <= 1e-9 * pi.rhs_norm
+        assert 0 < solver.pi_plan["left_rank"] <= n
+
+    def test_zero_g2_has_no_left_basis(self):
+        solver = bare_solver(healthy_net(40))
+        solver.solve_pi(sp.csr_matrix((40, 40 * 40)))
+        assert solver.pi_plan["reason"] == "zero-g2"
+        assert solver.pi_plan["left_rank"] == 0
+
+    def test_capped_left_basis_ends_in_numerical_error(self, monkeypatch):
+        # A spectrum that is not separated: the left basis saturates at
+        # its cap (4 G2 rows + max_rank 8) and the stall is reported —
+        # after a bounded number of factorizations, not an endless loop.
+        monkeypatch.setattr(sylvester, "PI_DENSE_LIMIT", 20)
+        solver = bare_solver(default_net(40))
+        factory = ResolventFactory.for_system(solver.system)
+        with pytest.raises(NumericalError, match="stalled"):
+            solver.solve_pi(solver.system.g2, max_rank=8)
+        stats = factory.sparse_lu_stats
+        assert stats["real"] + stats["complex"] <= 1 + 4 + 8
+
+
+class TestSchurRouting:
+    """A sparse workspace solves on its sparse LU even after a dense
+    Schur form was built for it (the dense Π route and coupled builds
+    build one); taking directions from the Schur form instead stalled
+    the default ladder's H3 chain at the basis cap from n = 128."""
+
+    def test_shifted_solves_stay_on_the_sparse_lu(self):
+        ws = workspace(default_net(40))
+        ws.schur
+        rhs = np.ones(ws.n)
+        before = sparse_lus(ws)
+        x = ws.solve_shifted(0.37, rhs)
+        xt = ws.solve_shifted_transpose(0.37, rhs)
+        assert sparse_lus(ws) == before + 1  # one LU serves both
+        assert np.array_equal(x, -ws.resolvent.solve(-0.37, rhs))
+        assert np.array_equal(xt, -ws.resolvent.solve_transpose(-0.37, rhs))
+
+    @pytest.mark.parametrize("strategy, order", [
+        ("decoupled", 8), ("coupled", 6),
+    ])
+    def test_default_ladder_n128_reduces(self, strategy, order):
+        rom = AssociatedTransformMOR(
+            orders=(3, 2, 1), strategy=strategy
+        ).reduce(default_net(128).compile(sparse=True))
+        assert rom.order == order
 
 
 class TestWarmStart:
