@@ -21,13 +21,20 @@ evaluated on the imaginary axis:
 These quantities give a *frequency-domain* check of a ROM that is
 independent of transient integration: the ROM preserves the distortion
 figures exactly to the matched moment order.
+
+HD2/HD3 need only the sum-type kernels at coincident arguments, so a
+sweep (and a single tone, as a one-point grid) evaluates its whole grid
+in one batch — :meth:`~repro.volterra.evaluator.VolterraEvaluator.
+sum_kernels`: one contraction per coefficient matrix and one
+multi-shift solve per kernel order, instead of a kernel assembly per
+point.  The IM products and the DC rectification term use the general
+distinct-frequency kernels.
 """
 
 import numpy as np
 
 from .._validation import as_vector
-from ..engine import SolvePlan
-from ..errors import NumericalError, SystemStructureError, TaskCancelled
+from ..errors import NumericalError, SystemStructureError
 from ..volterra.evaluator import volterra_evaluator
 
 __all__ = [
@@ -54,34 +61,40 @@ def _require_siso(system):
         )
 
 
-def _sum_type_metrics(system, evaluator, omega, amplitude):
-    """Single-tone sum-type harmonic metrics (no difference-type solves).
+def _harmonics(system, evaluator, omegas, amplitude, cancel=None):
+    """Single-tone sum-type harmonic metrics over a frequency grid.
 
     The shared implementation behind :func:`single_tone_distortion` and
-    the per-point tasks of :func:`distortion_sweep`: fundamental, second
-    and third harmonic output amplitudes plus the HD2/HD3 ratios, from
-    the memoized ``H1``/``H2``/``H3`` kernels at ``+jω`` only.
+    :func:`distortion_sweep`: fundamental, second and third harmonic
+    output amplitudes plus the HD2/HD3 ratios, one array entry per
+    ``omegas`` point, from one grid-batched
+    :meth:`~repro.volterra.evaluator.VolterraEvaluator.sum_kernels`
+    call at ``+jω`` (no difference-type solves).  A point whose output
+    does not see ``H1`` (zero fundamental) gets infinite HD2/HD3.
 
-    Returns ``(metrics, kernel_magnitudes)`` — the second dict carries
-    the raw ``|C·Hk|`` values for callers that need amplitude-free
-    references (e.g. the difference-term noise floor).
+    Returns ``(metrics, h2_sum)`` — the second array carries the raw
+    ``|C·H2(jω, jω)|`` values, the amplitude-free reference of the
+    difference-term noise floor.
     """
-    jw = 1j * float(omega)
     a = float(amplitude)
-    h1 = abs(_output_scalar(system, evaluator.h1(jw)))
-    h2_sum = abs(_output_scalar(system, evaluator.h2(jw, jw)))
-    h3_triple = abs(_output_scalar(system, evaluator.h3(jw, jw, jw)))
-    fundamental = a * h1
+    h1, h2, h3 = evaluator.sum_kernels(1j * omegas, cancel=cancel)
+    output = system.output
+    h2_sum = np.abs(output @ h2)[0]
+    fundamental = a * np.abs(output @ h1)[0]
     second = 0.5 * a**2 * h2_sum
-    third = 0.25 * a**3 * h3_triple
+    third = 0.25 * a**3 * np.abs(output @ h3)[0]
+    seen = fundamental != 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        hd2 = np.where(seen, second / fundamental, np.inf)
+        hd3 = np.where(seen, third / fundamental, np.inf)
     metrics = {
         "fundamental": fundamental,
         "second_harmonic": second,
         "third_harmonic": third,
-        "hd2": second / fundamental if fundamental else np.inf,
-        "hd3": third / fundamental if fundamental else np.inf,
+        "hd2": hd2,
+        "hd3": hd3,
     }
-    return metrics, {"h1": h1, "h2_sum": h2_sum, "h3_triple": h3_triple}
+    return metrics, h2_sum
 
 
 def _difference_term(system, name, exact, offset, scale, reference=0.0):
@@ -190,14 +203,15 @@ def single_tone_distortion(system, omega, amplitude=1.0, evaluator=None):
     w = float(omega)
     jw = 1j * w
     a = float(amplitude)
-    metrics, kernels = _sum_type_metrics(system, ev, w, a)
+    grid, h2_sum = _harmonics(system, ev, np.array([w]), a)
+    metrics = {name: float(values[0]) for name, values in grid.items()}
     h2_diff = _difference_term(
         system,
         "dc_shift",
         lambda: ev.h2(jw, -jw),
         lambda delta: ev.h2(jw, 1j * (delta - w)),
         scale=abs(w),
-        reference=kernels["h2_sum"],
+        reference=float(h2_sum[0]),
     )
     metrics["dc_shift"] = 0.5 * a**2 * h2_diff
     return metrics
@@ -270,50 +284,25 @@ def distortion_sweep(system, omegas, amplitude=1.0, cancel=None):
     distortion-vs-frequency plot, and a compact way to compare a ROM
     against the full model over a whole band.
 
-    The whole grid runs through one shared factorization of ``G1``: the
-    ``H1(jω)`` seeds are batch-solved up front
-    (:meth:`VolterraEvaluator.prime_h1`), the symmetric-pair H2 grid is
-    batch-primed (:meth:`VolterraEvaluator.prime_h2`), and every
-    higher-order kernel reuses the memoized sub-kernels, so a sweep
-    costs one ``O(n³)`` factorization plus ``O(n²)`` per grid point
-    instead of a fresh factorization per kernel per point.
+    The whole grid is one batched kernel evaluation
+    (:meth:`VolterraEvaluator.sum_kernels`): ``H1(jω)``, ``H2(jω, jω)``
+    and ``H3(jω, jω, jω)`` for every point come from one contraction
+    per coefficient matrix and one multi-shift solve per order, all on
+    one shared factorization of ``G1``.  ``H1``/``H2`` reuse the
+    evaluator's memo; ``H3`` and the answers are recomputed on every
+    call.  Only the sum-type kernels enter HD2/HD3, so no
+    difference-type (DC) solves are performed.
 
-    Only the sum-type kernels enter HD2/HD3, so no difference-type (DC)
-    solves are performed.  The per-point H3 assemblies are independent
-    and run as one engine plan, one task per point.
-
-    *cancel* (a zero-argument callable polled between stages and tasks)
-    makes the sweep cooperatively cancellable: once it reports True the
-    sweep raises :class:`~repro.errors.TaskCancelled` at the next
-    boundary instead of finishing the grid.  Kernels solved before the
-    cancellation stay memoized (they are deterministic values), so a
-    cancelled sweep never poisons the evaluator cache.
+    *cancel* (a zero-argument callable) is polled before each kernel
+    order and between sparse per-shift factorizations: once it reports
+    True the sweep raises :class:`~repro.errors.TaskCancelled` instead
+    of finishing the grid.  Kernels solved before the cancellation stay
+    memoized (they are deterministic values), so a cancelled sweep
+    never poisons the evaluator cache.
     """
     omegas = as_vector(np.asarray(omegas, dtype=float), "omegas")
     _require_siso(system)
-    evaluator = volterra_evaluator(system)
-    amplitude = float(amplitude)
-    jws = 1j * omegas
-    if cancel is not None and cancel():
-        raise TaskCancelled("distortion sweep cancelled before priming")
-    evaluator.prime_h1(jws)
-    if cancel is not None and cancel():
-        raise TaskCancelled(
-            "distortion sweep cancelled after the H1 seed batch"
-        )
-    evaluator.prime_h2([(jw, jw) for jw in jws])
-    hd2 = np.empty(omegas.size)
-    hd3 = np.empty(omegas.size)
-
-    def _point(idx):
-        metrics, _ = _sum_type_metrics(
-            system, evaluator, omegas[idx], amplitude
-        )
-        hd2[idx] = metrics["hd2"]
-        hd3[idx] = metrics["hd3"]
-
-    plan = SolvePlan("distortion_sweep")
-    for idx in range(omegas.size):
-        plan.add(_point, idx)
-    plan.execute(cancel=cancel)
-    return omegas, hd2, hd3
+    metrics, _ = _harmonics(
+        system, volterra_evaluator(system), omegas, amplitude, cancel
+    )
+    return omegas, metrics["hd2"], metrics["hd3"]

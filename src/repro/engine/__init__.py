@@ -32,9 +32,11 @@ Which layers emit plans
   ``AssociatedRealization.moment_vectors``, ``DecoupledH2Realization``
   (eq.-18 independent subsystems) and
   ``mor.AssociatedTransformMOR.build_basis``.
-* ``volterra.VolterraEvaluator.prime_h2`` — the symmetric-pair H2 grid.
-* ``analysis.distortion_sweep`` — one task per frequency point.
 * ``pipeline.run_parametric`` — one distortion sweep per family member.
+
+A distortion sweep itself emits no plan: it evaluates its whole grid
+as one batch (``volterra.VolterraEvaluator.sum_kernels``) and polls
+``cancel`` between kernel orders.
 """
 
 from ..errors import (  # noqa: F401  (re-export: engine failures)

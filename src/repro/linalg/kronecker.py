@@ -176,7 +176,7 @@ def kron_matvec(factors, x):
     return tensor.reshape(-1)
 
 
-def sparse_kron_apply(mat, factors):
+def sparse_kron_apply(mat, factors, columnwise=False):
     """Compute ``mat @ kron(*factors)`` without forming the product.
 
     Parameters
@@ -188,10 +188,18 @@ def sparse_kron_apply(mat, factors):
     factors : sequence of (n_t, m_t) ndarrays
         Kronecker factors (dense; typically memoized ``H1``/``H2``
         blocks).
+    columnwise : bool
+        Treat the factors' columns as a batch axis instead: every factor
+        is ``(n_t, K)`` and column ``k`` of the ``(p, K)`` result is
+        ``mat @ (f_1[:, k] ⊗ … ⊗ f_d[:, k])`` — *mat* applied to the
+        column-wise Kronecker (Khatri–Rao) product.  A distortion sweep
+        contracts its whole frequency grid in one call this way.  Each
+        result column depends on its own factor columns only, bit for
+        bit, whatever the batch around it.
 
     Returns
     -------
-    (p, prod(m_t)) ndarray.
+    (p, prod(m_t)) ndarray, or (p, K) with *columnwise*.
 
     Notes
     -----
@@ -213,11 +221,20 @@ def sparse_kron_apply(mat, factors):
             f"mat has {mat.shape[1]} columns, expected prod(n_t) = "
             f"{expected}"
         )
+    if columnwise:
+        batch = {f.shape[1] for f in factors}
+        if len(batch) != 1:
+            raise ValidationError(
+                "columnwise factors must share one column count, got "
+                f"{sorted(batch)}"
+            )
+        out_cols = batch.pop()
+    else:
+        out_cols = int(np.prod([f.shape[1] for f in factors]))
     # COO input passes through untouched, so hot loops (the Volterra
     # kernel assembly contracts the same G2/G3 at every frequency
     # triple) can convert once and reuse.
     coo = mat if isinstance(mat, sp.coo_matrix) else sp.coo_matrix(mat)
-    out_cols = int(np.prod([f.shape[1] for f in factors]))
     dtype = np.result_type(coo.data, *factors)
     out = np.zeros((mat.shape[0], out_cols), dtype=dtype)
     if coo.nnz == 0:
@@ -230,20 +247,16 @@ def sparse_kron_apply(mat, factors):
         idx = idx // nd
     parts.reverse()
     gathered = [f[p] for f, p in zip(factors, parts)]  # (nnz, m_t) each
-    if len(factors) == 1:
-        contrib = coo.data[:, None] * gathered[0]
-    elif len(factors) == 2:
-        contrib = np.einsum(
-            "e,ep,eq->epq", coo.data, *gathered, optimize=True
-        ).reshape(coo.nnz, out_cols)
-    elif len(factors) == 3:
-        contrib = np.einsum(
-            "e,ep,eq,er->epqr", coo.data, *gathered, optimize=True
-        ).reshape(coo.nnz, out_cols)
-    else:
-        raise ValidationError(
-            f"sparse_kron_apply supports 1..3 factors, got {len(factors)}"
-        )
+    # Per nonzero: the product of its factor rows — elementwise over a
+    # shared batch axis, else their row-major outer (Kronecker) product.
+    contrib = coo.data[:, None] * gathered[0]
+    for g in gathered[1:]:
+        if columnwise:
+            contrib = contrib * g
+        else:
+            contrib = (contrib[:, :, None] * g[:, None, :]).reshape(
+                coo.nnz, -1
+            )
     scatter_add_rows(out, coo.row, contrib)
     return out
 

@@ -12,8 +12,12 @@ plain resolvent ``(s I − G1)^{-1}``:
 * :meth:`ResolventFactory.solve_many` batches whole shift grids: the
   right-hand side is rotated into the Schur basis once, each shift costs
   one triangular substitution, and the back-rotation is a single GEMM
-  over all shifts — the primitive behind the batched frequency sweeps in
-  :mod:`repro.analysis.distortion` and :mod:`repro.volterra.response`.
+  over all shifts — the primitive behind the frequency responses in
+  :mod:`repro.volterra.response`.
+* :meth:`ResolventFactory.solve_columns` solves column ``k`` of a block
+  at shift ``k`` — the multi-shift solve behind the grid-batched
+  ``H2(s, s)`` / ``H3(s, s, s)`` kernels of a distortion sweep
+  (:meth:`~repro.volterra.evaluator.VolterraEvaluator.sum_kernels`).
 * :meth:`ResolventFactory.for_system` memoizes one factory per system
   object (invalidated when the state matrix is replaced), so distortion
   analysis, Volterra kernel evaluation and MOR basis construction on the
@@ -32,11 +36,11 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 
 from .._validation import as_square_matrix
-from ..errors import NumericalError, ValidationError
+from ..errors import NumericalError, TaskCancelled, ValidationError
 from .lu import csc_pattern_digest, sparse_lu_shared
 from .schur import SchurForm
 
-__all__ = ["ResolventFactory"]
+__all__ = ["ResolventFactory", "matmul_columns"]
 
 #: Relative threshold below which ``s I − G1`` is considered singular.
 _SINGULAR_RTOL = 1e-13
@@ -47,6 +51,20 @@ _SPARSE_LU_CACHE = 64
 #: Serializes :meth:`ResolventFactory.for_system` so that concurrent
 #: callers hammering the same system always observe exactly one factory.
 _FOR_SYSTEM_LOCK = threading.RLock()
+
+
+def matmul_columns(mat, block):
+    """``mat @ block`` computed one column at a time.
+
+    A dense GEMM runs its tail columns through a different BLAS kernel,
+    so a column's last bits would depend on the batch around it.  The
+    stacked product here runs one matrix-vector product per column
+    (sparse products already accumulate column by column), so batched
+    kernel columns come out identical whichever grid computed them.
+    """
+    if sp.issparse(mat):
+        return mat @ block
+    return np.matmul(mat, block.T[:, :, None])[:, :, 0].T
 
 
 class _RealSparseLU:
@@ -147,6 +165,7 @@ class ResolventFactory:
             # so concurrent callers (serve handler threads sharing this
             # factory) never trample each other.
             self._neg_t = -self.schur.t
+            (self._trtrs,) = sla.get_lapack_funcs(("trtrs",), (self._neg_t,))
             self._work = threading.local()
             self._diag = self.schur.eigenvalues
             self._scale = max(np.abs(self._diag).max(), 1.0)
@@ -287,7 +306,17 @@ class ResolventFactory:
             work = self._neg_t.copy()
             self._work.mat = work
         np.fill_diagonal(work, s - self._diag)
-        return sla.solve_triangular(work, w, lower=False)
+        # LAPACK trtrs called exactly as ``sla.solve_triangular`` calls
+        # it for a C-ordered matrix (the transposed lower system), so
+        # the result is bit-identical without its per-call validation —
+        # which cost more than the substitution itself at ROM sizes.
+        y, info = self._trtrs(work.T, w, lower=1, trans=1)
+        if info != 0:
+            raise NumericalError(
+                f"triangular resolvent solve at s = {s} failed "
+                f"(LAPACK info {info})"
+            )
+        return y
 
     # -- public API ----------------------------------------------------------
 
@@ -388,6 +417,57 @@ class ResolventFactory:
             x = self.schur.q @ ys
             out = np.moveaxis(x.reshape(self.n, k, m), 1, 0)
         return out[:, :, 0] if squeeze else out
+
+    def solve_columns(self, shifts, rhs, cancel=None):
+        """Solve ``(s_k I − A) x_k = rhs[:, k]`` — column ``k`` at shift ``k``.
+
+        Parameters
+        ----------
+        shifts : sequence of K complex
+        rhs : (n, K) array_like
+        cancel : callable, optional
+            Polled before each per-shift sparse factorization; once it
+            reports True the solve raises
+            :class:`~repro.errors.TaskCancelled`.
+
+        Returns
+        -------
+        (n, K) complex ndarray.
+
+        The dense path is one ``Qᴴ`` product, K triangular substitutions
+        on this thread's work matrix and one ``Q`` product, both products
+        taken column by column (:func:`matmul_columns`); the sparse path
+        solves each column on the cached LU of its shift.  Column ``k``
+        is bit-identical to ``solve(shifts[k], rhs[:, k:k+1])`` in any
+        batch, which lets memoized kernel columns serve later sweeps
+        over other grids.
+        """
+        shifts = np.atleast_1d(np.asarray(shifts, dtype=complex))
+        rhs = np.asarray(rhs, dtype=complex)
+        if rhs.shape != (self.n, shifts.size):
+            raise ValidationError(
+                f"rhs has shape {rhs.shape}, expected "
+                f"({self.n}, {shifts.size}): one column per shift"
+            )
+        with self._lock:
+            self.solve_count += shifts.size
+        if self.schur is None:
+            out = np.empty_like(rhs)
+            for idx, s in enumerate(shifts):
+                if cancel is not None and cancel():
+                    raise TaskCancelled(
+                        "multi-shift solve cancelled between "
+                        "per-shift factorizations"
+                    )
+                out[:, idx : idx + 1] = self._sparse_lu(s).solve(
+                    np.ascontiguousarray(rhs[:, idx : idx + 1])
+                )
+            return out
+        rotated = matmul_columns(self.schur.q.conj().T, rhs)
+        for idx, s in enumerate(shifts):
+            col = slice(idx, idx + 1)
+            rotated[:, col] = self._triangular(s, rotated[:, col])
+        return matmul_columns(self.schur.q, rotated)
 
     def matvec(self, x):
         """Apply ``A @ x`` (testing convenience)."""

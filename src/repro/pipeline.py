@@ -30,7 +30,7 @@ import numpy as np
 
 from . import memory
 from ._validation import check_positive_int
-from .analysis.distortion import _sum_type_metrics, distortion_sweep
+from .analysis.distortion import distortion_sweep
 from .analysis.metrics import max_relative_error
 from .checkpoint import JobState, checkpoint_for
 from .circuits.netlist import Netlist
@@ -46,7 +46,6 @@ from .store import ModelStore, ReductionArtifact, fingerprint_system
 from .systems.exponential import ExponentialODE
 from .systems.polynomial import PolynomialODE
 from .volterra.associated import AssociatedWorkspace
-from .volterra.evaluator import volterra_evaluator
 
 __all__ = [
     "ReductionJob",
@@ -521,8 +520,8 @@ def _sweep_result(system, rom, sweep_job, explicit_query=None,
     system: ``to_explicit`` returns a fresh object per call, which
     would discard the memoized Volterra evaluator, so a long-lived
     process passes its retained explicit system and repeat sweeps skip
-    re-priming.  *cancel* is the cooperative-cancellation poll of every
-    sweep here.
+    the H1/H2 solves.  *cancel* is the cooperative-cancellation poll of
+    every sweep here.
     """
     omegas = sweep_job.omegas
     if explicit_query is None:
@@ -873,26 +872,6 @@ class ParametricReductionJob:
         }
 
 
-def _distortion_arrays(explicit, omegas, amplitude, evaluator=None):
-    """HD2/HD3 arrays of one already-explicit system, inline.
-
-    The scalar loop behind the parametric sweep fan-out and the
-    interpolation-tier probe checks.
-    """
-    if evaluator is None:
-        evaluator = volterra_evaluator(explicit)
-    omegas = np.asarray(omegas, dtype=float).reshape(-1)
-    hd2 = np.empty(omegas.size)
-    hd3 = np.empty(omegas.size)
-    for idx in range(omegas.size):
-        metrics, _ = _sum_type_metrics(
-            explicit, evaluator, omegas[idx], amplitude
-        )
-        hd2[idx] = metrics["hd2"]
-        hd3[idx] = metrics["hd3"]
-    return hd2, hd3
-
-
 def _probe_omegas(omegas, probe_points):
     """An evenly spread ``probe_points``-subset of the sweep grid."""
     omegas = np.asarray(omegas, dtype=float).reshape(-1)
@@ -1153,10 +1132,10 @@ def run_parametric(target, reduce=None, sweep=None, mc=None, store=None,
             return None, None
         basis = merge_bases([left["rom"].basis, right["rom"].basis])
         candidate = system.project(basis)
-        hd2c, hd3c = _distortion_arrays(
+        _, hd2c, hd3c = distortion_sweep(
             candidate.to_explicit(), probe, sweep_job.amplitude
         )
-        hd2f, hd3f = _distortion_arrays(
+        _, hd2f, hd3f = distortion_sweep(
             system.to_explicit(), probe, sweep_job.amplitude
         )
         devs = [
@@ -1304,7 +1283,7 @@ def run_parametric(target, reduce=None, sweep=None, mc=None, store=None,
 
     def _sweep(record):
         explicit = record["rom"].system.to_explicit()
-        hd2, hd3 = _distortion_arrays(explicit, omegas, amplitude)
+        _, hd2, hd3 = distortion_sweep(explicit, omegas, amplitude)
         record["hd2"], record["hd3"] = hd2, hd3
 
     for record in all_records:

@@ -24,7 +24,11 @@ gives it (``REPRO_MEMORY_BUDGET`` / ``REPRO_MAX_BLOCK``).
 Concurrency model: the event loop only parses HTTP and routes; verb
 work runs on a small thread pool (the numerical kernels release the
 GIL, and the shared factorization and kernel caches are lock-guarded,
-so handler threads can serve the same system at once).
+so handler threads can serve the same system at once).  The handler
+threads are the daemon's only parallelism: :func:`run_daemon` puts
+every OpenBLAS loaded in the process on one thread, because a threaded
+BLAS call leaves its worker threads spinning after it returns, on the
+cores the other handlers and their clients need.
 The loop tracks in-flight requests and sheds load *before* dispatch —
 a full queue answers ``429 Too Many Requests`` with ``Retry-After``
 instead of queueing unboundedly.  Per-request deadlines answer ``504``
@@ -42,6 +46,7 @@ body's extent is unknown).
 import asyncio
 import concurrent.futures
 import contextlib
+import ctypes
 import functools
 import json
 import sys
@@ -70,6 +75,47 @@ _REASONS = {
 #: bound how many *requests* make progress at once; each request runs
 #: its numerical work serially on its handler thread.
 _HANDLERS = 4
+
+#: Thread-count setters of the OpenBLAS builds numpy and scipy ship
+#: (each wheel bundles its own copy, with or without the 64-bit-integer
+#: symbol suffix) and of a plain system OpenBLAS.
+_OPENBLAS_SETTERS = (
+    "scipy_openblas_set_num_threads64_",
+    "scipy_openblas_set_num_threads",
+    "openblas_set_num_threads64_",
+    "openblas_set_num_threads",
+)
+
+
+def _single_thread_blas():
+    """Put every OpenBLAS mapped into this process on one thread.
+
+    Returns how many libraries were set: 0 without ``/proc/self/maps``
+    or without a loaded OpenBLAS (other BLAS builds are left alone).
+    """
+    try:
+        with open("/proc/self/maps", encoding="ascii",
+                  errors="replace") as maps:
+            paths = sorted({
+                line.split()[-1] for line in maps
+                if "openblas" in line.rsplit("/", 1)[-1].lower()
+            })
+    except OSError:
+        return 0
+    count = 0
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for name in _OPENBLAS_SETTERS:
+            setter = getattr(lib, name, None)
+            if setter is not None:
+                setter.argtypes = [ctypes.c_int]
+                setter(1)
+                count += 1
+                break
+    return count
 
 
 class ServeDaemon:
@@ -412,8 +458,11 @@ def run_daemon(service, host="127.0.0.1", port=0, queue_limit=8,
     Prints one ``serving on http://host:port`` line to stdout once the
     socket is bound (clients and the CI smoke test parse it — with
     ``--port 0`` it is the only way to learn the picked port), then
-    serves until interrupted.  Returns the process exit code.
+    serves until interrupted.  Returns the process exit code.  The
+    process's OpenBLAS stays on one thread from here on (see the module
+    docstring).
     """
+    _single_thread_blas()
     daemon = ServeDaemon(
         service, host=host, port=port, queue_limit=queue_limit,
         timeout=timeout, stats_interval=stats_interval,

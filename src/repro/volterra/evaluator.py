@@ -1,10 +1,10 @@
 """Memoizing Volterra-kernel evaluator over a shared resolvent factory.
 
 ``volterra_h3`` needs every ``H1(sᵢ)`` and every ``H2(sᵢ, sⱼ)``; a
-distortion sweep needs ``H1``/``H2``/``H3`` at each grid point, with the
-same ``H1(jω)`` appearing inside all of them.  Evaluating each kernel
-from scratch therefore recomputes the same resolvent solves many times
-over — and re-factors ``sI − G1`` for every single one.
+distortion sweep needs ``H1(s)``, ``H2(s, s)`` and ``H3(s, s, s)`` at
+each grid point.  Evaluating each kernel from scratch recomputes the
+same resolvent solves many times over — and re-factors ``sI − G1`` for
+every single one.
 
 :class:`VolterraEvaluator` fixes both levels:
 
@@ -12,11 +12,18 @@ over — and re-factors ``sI − G1`` for every single one.
   ResolventFactory` (a single Schur factorization of ``G1``, shared with
   the associated-transform machinery via
   :meth:`ResolventFactory.for_system`), so any shift costs ``O(n²)``;
-* computed ``H1(s)`` / ``H2(s1, s2)`` blocks are memoized (bounded LRU),
-  so nested kernel assembly and whole frequency sweeps reuse them.  The
-  ``H2`` cache is keyed on the *unordered* frequency pair: the kernel
-  symmetry ``H2(s1, s2) = H2(s2, s1) P_swap`` turns one stored block
-  into both orderings via column indexing.
+* computed ``H1(s)`` and ``H2(s1, s2)`` blocks are memoized (bounded
+  LRU).  The ``H2`` cache is keyed on the *unordered* frequency pair:
+  the kernel symmetry ``H2(s1, s2) = H2(s2, s1) P_swap`` turns one
+  stored block into both orderings via column indexing.  ``H3`` is
+  never memoized, and neither are sweep answers;
+* :meth:`VolterraEvaluator.sum_kernels` evaluates the sum-type kernels
+  of a whole frequency grid at once — one contraction per coefficient
+  matrix and one multi-shift solve per order — reading and filling the
+  same ``H1``/``H2`` memo as the general :meth:`~VolterraEvaluator.h1`
+  / :meth:`~VolterraEvaluator.h2`.  The general ``h2(s1, s2)`` /
+  ``h3(s1, s2, s3)`` serve the distinct-frequency (IM) and MIMO
+  callers.
 
 Caches hold factored forms and solved blocks — never approximations —
 so results match the direct formulas to rounding (asserted in
@@ -29,9 +36,9 @@ from collections import OrderedDict
 
 import numpy as np
 
-from ..engine import SolvePlan
+from ..errors import SystemStructureError, TaskCancelled
 from ..linalg.kronecker import sparse_kron_apply
-from ..linalg.resolvent import ResolventFactory
+from ..linalg.resolvent import ResolventFactory, matmul_columns
 from .transfer import _require_explicit, permutation_indices
 
 __all__ = ["VolterraEvaluator", "volterra_evaluator"]
@@ -160,8 +167,9 @@ class VolterraEvaluator:
         """Batch-solve ``H1`` at all uncached *shifts* in one pass.
 
         Uses :meth:`ResolventFactory.solve_many`, which hoists the basis
-        rotations out of the shift loop — the fast way to seed a whole
-        frequency grid before a sweep.
+        rotations out of the shift loop — the way to seed the tones of
+        an intermodulation analysis before its general ``h2``/``h3``
+        calls.
         """
         with self._cache_lock:
             wanted = []
@@ -243,35 +251,6 @@ class VolterraEvaluator:
             return cached[:, permutation_indices(system.n_inputs, (1, 0))]
         return cached.copy()
 
-    def prime_h2(self, pairs):
-        """Batch-solve ``H2`` at all uncached frequency *pairs*.
-
-        *pairs* is an iterable of ``(s1, s2)`` tuples.  Keys are
-        canonicalized to the unordered pair (the symmetric-pair cache),
-        deduplicated against the memo table, and the missing kernels are
-        emitted as one :class:`~repro.engine.SolvePlan` — the
-        embarrassingly parallel H2 grid behind a distortion sweep.  The
-        required ``H1`` seeds should be primed first
-        (:meth:`prime_h1`); they are resolved through the shared memo
-        either way.
-        """
-        with self._cache_lock:
-            wanted = []
-            seen = set()
-            for s1, s2 in pairs:
-                key, _ = self._h2_key(s1, s2)
-                if key not in seen and key not in self._h2_cache:
-                    seen.add(key)
-                    wanted.append(key)
-        if not wanted:
-            return
-        plan = SolvePlan("evaluator.prime_h2")
-        for key in wanted:
-            plan.add(self._h2_compute, key[0], key[1], tag=key)
-        blocks = plan.execute()
-        for key, block in zip(wanted, blocks):
-            self._cache_put(self._h2_cache, key, block, "h2_solves")
-
     # -- H3 ------------------------------------------------------------------
 
     def _d1_coupling_h3(self, s_list):
@@ -351,6 +330,122 @@ class VolterraEvaluator:
                 terms += 0.5 * block[:, permutation_indices(m, perm)]
 
         return self.factory.solve(s1 + s2 + s3, terms) / 3.0
+
+    # -- grid-batched sum-type kernels ---------------------------------------
+
+    def _memo_columns(self, cache, keys, counters, compute):
+        """One memoized ``(n, 1)`` column per key, as an ``(n, K)`` block.
+
+        Hits come from *cache*; the distinct missing keys are computed by
+        one ``compute(indices)`` call (indices into *keys*, returning one
+        column each) and inserted first-insert-wins, so concurrent sweeps
+        agree on every entry.  *counters* names the ``(hit, solve)``
+        stats, counted per key as the scalar lookups count them.
+        """
+        hit_counter, solve_counter = counters
+        columns = [self._cache_get(cache, key, hit_counter) for key in keys]
+        missing = {}
+        for idx, key in enumerate(keys):
+            if columns[idx] is None:
+                missing.setdefault(key, idx)
+        if missing:
+            block = compute(list(missing.values()))
+            for j, key in enumerate(missing):
+                missing[key] = self._cache_put(
+                    cache, key, block[:, j : j + 1].copy(), solve_counter
+                )
+            columns = [
+                missing[key] if col is None else col
+                for key, col in zip(keys, columns)
+            ]
+        return np.hstack(columns)
+
+    def sum_kernels(self, shifts, cancel=None):
+        """``H1(s)``, ``H2(s, s)`` and ``H3(s, s, s)`` for a whole grid.
+
+        SISO only.  Returns three ``(n, K)`` blocks whose column ``k``
+        belongs to ``shifts[k]`` — everything a harmonic-distortion sweep
+        needs, in one pass per order.  At coincident arguments the
+        symmetric-kernel identities of harmonic probing collapse the
+        general assembly (the six ``H1 ⊗ H2`` pairings of ``H3`` become
+        two):
+
+            H2(s, s)    = (2sI − G1)⁻¹ [G2 (h1 ⊗ h1) + D1 h1]
+            H3(s, s, s) = (3sI − G1)⁻¹ [G2 (h1 ⊗ h2) + G2 (h2 ⊗ h1)
+                                        + D1 h2 + G3 (h1 ⊗ h1 ⊗ h1)]
+
+        Each coefficient matrix is contracted once per order against the
+        column-wise Kronecker products of the whole grid
+        (:func:`~repro.linalg.kronecker.sparse_kron_apply` with
+        ``columnwise=True``) and each order is one multi-shift solve
+        (:meth:`ResolventFactory.solve_columns`).
+
+        ``H1`` and ``H2(s, s)`` columns are memoized under the keys of
+        :meth:`h1` / :meth:`h2`, so either path's entries serve the
+        other; ``H3`` is recomputed on every call (``h3_evals`` grows by
+        K).  *cancel* is polled before each order and between sparse
+        per-shift factorizations; a cancelled call raises
+        :class:`~repro.errors.TaskCancelled` and leaves the memo valid.
+        """
+        system = self.system
+        if system.n_inputs != 1:
+            raise SystemStructureError(
+                "grid-batched sum-type kernels are defined for "
+                "single-input systems; drive one input at a time"
+            )
+        shifts = np.atleast_1d(np.asarray(shifts, dtype=complex)).ravel()
+        keys = [complex(s) for s in shifts]
+        d1 = None if system.d1 is None else system.d1[0]
+        solve = self.factory.solve_columns
+
+        def poll(stage):
+            if cancel is not None and cancel():
+                raise TaskCancelled(
+                    f"kernel evaluation cancelled before the {stage} stage"
+                )
+
+        poll("H1")
+        h1 = self._memo_columns(
+            self._h1_cache, keys, ("h1_hits", "h1_solves"),
+            lambda idx: solve(
+                shifts[idx], np.repeat(system.b, len(idx), axis=1), cancel
+            ),
+        )
+
+        poll("H2")
+        if system.g2 is None and d1 is None:
+            h2 = np.zeros_like(h1)
+        else:
+            def h2_columns(idx):
+                a = h1[:, idx]
+                terms = np.zeros_like(a)
+                if system.g2 is not None:
+                    terms += sparse_kron_apply(
+                        self._g2_coo, (a, a), columnwise=True
+                    )
+                if d1 is not None:
+                    terms += matmul_columns(d1, a)
+                return solve(2.0 * shifts[idx], terms, cancel)
+
+            h2 = self._memo_columns(
+                self._h2_cache, [(key, key) for key in keys],
+                ("h2_hits", "h2_solves"), h2_columns,
+            )
+
+        poll("H3")
+        with self._cache_lock:
+            self.stats["h3_evals"] += len(keys)
+        terms = np.zeros_like(h1)
+        if system.g2 is not None:
+            terms += sparse_kron_apply(self._g2_coo, (h1, h2), columnwise=True)
+            terms += sparse_kron_apply(self._g2_coo, (h2, h1), columnwise=True)
+        if d1 is not None:
+            terms += matmul_columns(d1, h2)
+        if system.g3 is not None:
+            terms += sparse_kron_apply(
+                self._g3_coo, (h1, h1, h1), columnwise=True
+            )
+        return h1, h2, solve(3.0 * shifts, terms, cancel)
 
 
 def volterra_evaluator(system):

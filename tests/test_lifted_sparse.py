@@ -128,6 +128,32 @@ class TestSparseKronApply:
         g2 = sp.random(5, 25, density=0.1, random_state=0, format="csr")
         with pytest.raises(ValidationError):
             sparse_kron_apply(g2, [np.eye(4), np.eye(5)])
+        with pytest.raises(ValidationError):
+            sparse_kron_apply(
+                g2, [np.ones((5, 3)), np.ones((5, 4))], columnwise=True
+            )
+
+    @pytest.mark.parametrize("order", [2, 3])
+    def test_columnwise_is_khatri_rao(self, rng, order):
+        """Column k of the batched contraction is mat @ (a_k ⊗ b_k [⊗ c_k]),
+        and does not depend on the batch around it."""
+        n, k = 6, 7
+        mat = sp.random(n, n**order, density=0.2, random_state=5,
+                        format="csr")
+        factors = [
+            rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k))
+            for _ in range(order)
+        ]
+        out = sparse_kron_apply(mat, factors, columnwise=True)
+        assert out.shape == (n, k)
+        for col in range(k):
+            single = [f[:, col : col + 1] for f in factors]
+            ref = sparse_kron_apply(mat, single)
+            assert np.abs(out[:, col] - ref[:, 0]).max() < 1e-12
+        part = sparse_kron_apply(
+            mat, [f[:, 2:5] for f in factors], columnwise=True
+        )
+        assert np.array_equal(part, out[:, 2:5])
 
 
 class TestLowRankKronSolves:
@@ -478,5 +504,8 @@ class TestPrimeDedup:
         shifts = np.tile(1j * np.linspace(0.1, 1.0, 50), 4)
         ev.prime_h1(shifts)
         assert ev.stats["h1_solves"] == 50
-        ev.prime_h2([(0.1j, 0.2j), (0.2j, 0.1j)] * 10)
+        # Both orderings of a pair share one unordered-pair H2 entry.
+        for _ in range(10):
+            ev.h2(0.1j, 0.2j)
+            ev.h2(0.2j, 0.1j)
         assert ev.stats["h2_solves"] == 1

@@ -18,6 +18,7 @@ import json
 import numpy as np
 import pytest
 
+from repro.analysis.distortion import distortion_sweep
 from repro.circuits import Netlist, quadratic_rc_ladder_netlist
 from repro.circuits.mna import structural_digest
 from repro.errors import ValidationError
@@ -33,7 +34,6 @@ from repro.params import (
 from repro.pipeline import (
     ParametricReductionJob,
     ReductionJob,
-    _distortion_arrays,
     _worst_rel_dev,
     run_parametric,
 )
@@ -279,7 +279,7 @@ class TestRunParametric:
                 sparse=True
             )
             rom = reduce_job.reducer().reduce(system)
-            hd2, hd3 = _distortion_arrays(
+            _, hd2, hd3 = distortion_sweep(
                 rom.system.to_explicit(), omegas, SWEEP["amplitude"]
             )
             assert _worst_rel_dev(corner["hd2"], hd2) <= 1e-9

@@ -15,7 +15,7 @@ import pytest
 import scipy.sparse as sp
 
 from repro.analysis import distortion_sweep, single_tone_distortion
-from repro.errors import NumericalError
+from repro.errors import NumericalError, TaskCancelled, ValidationError
 from repro.linalg import ResolventFactory
 from repro.simulation import JacobianCache, newton_solve, simulate, sine_source
 from repro.systems import QLDAE
@@ -151,6 +151,57 @@ class TestResolventFactory:
         factory = ResolventFactory(np.diag([-1.0, -2.0]))
         with pytest.raises(NumericalError):
             factory.solve(-1.0, np.ones(2))
+        with pytest.raises(NumericalError):
+            factory.solve_columns([0.5j, -2.0], np.ones((2, 2)))
+
+    def test_solve_columns_bit_identical_to_solve(self, rng):
+        """Column k equals solve(shift k) to the bit in any batch: memoized
+        kernel columns must not depend on the grid that computed them."""
+        a = -2.0 * np.eye(9) + 0.4 * rng.standard_normal((9, 9))
+        factory = ResolventFactory(a)
+        shifts = 1j * np.linspace(0.1, 2.0, 13)
+        rhs = rng.standard_normal((9, 13)) + 1j * rng.standard_normal((9, 13))
+        full = factory.solve_columns(shifts, rhs)
+        assert full.shape == (9, 13)
+        for idx, s in enumerate(shifts):
+            single = factory.solve(s, rhs[:, idx : idx + 1])[:, 0]
+            assert np.array_equal(full[:, idx], single)
+        for lo, hi in ((0, 1), (3, 8), (5, 13)):
+            part = factory.solve_columns(shifts[lo:hi], rhs[:, lo:hi])
+            assert np.array_equal(part, full[:, lo:hi])
+
+    def test_solve_columns_sparse_matches_dense(self, rng):
+        dense = -2.0 * np.eye(8) + 0.2 * rng.standard_normal((8, 8))
+        dense[np.abs(dense) < 0.1] = 0.0
+        np.fill_diagonal(dense, -2.0)
+        f_dense = ResolventFactory(dense)
+        f_sparse = ResolventFactory(sp.csr_matrix(dense))
+        shifts = [0.5, 1.0 + 1.0j, 0.3j]
+        rhs = rng.standard_normal((8, 3)) + 1j * rng.standard_normal((8, 3))
+        assert np.allclose(
+            f_sparse.solve_columns(shifts, rhs),
+            f_dense.solve_columns(shifts, rhs),
+            atol=1e-10,
+        )
+        with pytest.raises(ValidationError):
+            f_dense.solve_columns(shifts, rhs[:, :2])
+
+    def test_solve_columns_sparse_polls_cancel_per_shift(self):
+        dense = -2.0 * np.eye(6) + np.diag(np.full(5, 0.3), 1)
+        factory = ResolventFactory(sp.csr_matrix(dense))
+        polls = []
+
+        def cancel():
+            polls.append(None)
+            return len(polls) > 2
+
+        with pytest.raises(TaskCancelled):
+            factory.solve_columns(
+                [0.1j, 0.2j, 0.3j, 0.4j], np.ones((6, 4)), cancel=cancel
+            )
+        # Two shifts factored before the third poll cancelled the rest.
+        assert len(polls) == 3
+        assert factory.sparse_lu_stats["complex"] == 2
 
     def test_for_system_caches_and_invalidates(self, small_qldae):
         f1 = ResolventFactory.for_system(small_qldae)

@@ -10,11 +10,15 @@ agreement after overwrite).
 """
 
 import json
+import os
 import socket
+import subprocess
+import sys
 import threading
 import time
 import urllib.error
 import urllib.request
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -48,6 +52,7 @@ def ladder_spec(n=12, **kwargs):
 
 REDUCE = {"orders": [3, 2, 0]}
 SWEEP = {"start": 0.05, "stop": 0.3, "points": 5}
+REPO_SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 def build_artifact(n=12, orders=(3, 2, 0)):
@@ -622,6 +627,40 @@ class TestDaemon:
         finally:
             daemon.stop_background()
 
+    @pytest.mark.skipif(not os.path.exists("/proc/self/maps"),
+                        reason="finds OpenBLAS through /proc/self/maps")
+    def test_daemon_process_runs_blas_on_one_thread(self):
+        # run_daemon's BLAS setting is process-wide and permanent, so it
+        # is checked in a child that imports what `repro serve` imports.
+        script = (
+            "import ctypes, json\n"
+            "import repro.cli\n"
+            "from repro.serve.daemon import _single_thread_blas\n"
+            "pinned = _single_thread_blas()\n"
+            "with open('/proc/self/maps') as maps:\n"
+            "    paths = sorted({line.split()[-1] for line in maps\n"
+            "                    if 'openblas' in line.rsplit('/', 1)[-1]})\n"
+            "threads = []\n"
+            "for path in paths:\n"
+            "    lib = ctypes.CDLL(path)\n"
+            "    for name in ('scipy_openblas_get_num_threads64_',\n"
+            "                 'scipy_openblas_get_num_threads',\n"
+            "                 'openblas_get_num_threads64_',\n"
+            "                 'openblas_get_num_threads'):\n"
+            "        if hasattr(lib, name):\n"
+            "            threads.append(getattr(lib, name)())\n"
+            "            break\n"
+            "print(json.dumps({'pinned': pinned, 'threads': threads}))\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", script],
+            env={**os.environ, "PYTHONPATH": REPO_SRC},
+            capture_output=True, text=True, check=True,
+        )
+        child = json.loads(result.stdout)
+        assert child["pinned"] == len(child["threads"])
+        assert child["threads"] == [1] * len(child["threads"])
+
 
 # ---------------------------------------------------------------------------
 # concurrent store access (N readers + a writer on one key)
@@ -638,12 +677,38 @@ class TestConcurrentStoreAccess:
         stop = threading.Event()
         failures = []
         reader_stores = [ModelStore(tmp_path) for _ in range(4)]
+        path = writer_store.artifact_path(key)
+
+        def none_diagnosis(store, existed_before, corrupt_before):
+            # ModelStore.load returns None from three branches: a missing
+            # path, a quarantined (corrupt) read, or a schema mismatch.
+            existed_after = path.exists()
+            if store.corrupt > corrupt_before:
+                branch = "read failed and was quarantined as corrupt"
+            elif not existed_after:
+                branch = "artifact path missing"
+            else:
+                branch = "schema mismatch (path present, no quarantine)"
+            quarantined = sorted(
+                str(p.relative_to(tmp_path))
+                for p in tmp_path.rglob("*.corrupt*")
+            )
+            return (
+                f"load returned None mid-overwrite: {branch}; artifact "
+                f"path existed before/after load: {existed_before}/"
+                f"{existed_after}; handle corrupt count {corrupt_before} "
+                f"-> {store.corrupt}; corrupt files: {quarantined}"
+            )
 
         def reader(store):
             while not stop.is_set():
+                existed_before = path.exists()
+                corrupt_before = store.corrupt
                 loaded = store.load(key)
                 if loaded is None:
-                    failures.append("load returned None mid-overwrite")
+                    failures.append(
+                        none_diagnosis(store, existed_before, corrupt_before)
+                    )
                     return
                 if not loaded.verify():
                     failures.append("loaded artifact failed basis check")
