@@ -2,28 +2,21 @@
 
 A multi-hour basis build at ``n >> 10^4`` that dies at 95% must not
 restart from zero.  :class:`JobState` snapshots a reduction's progress
-at *stage* boundaries — one stage per chunk of Krylov-chain tasks — so
-a killed build resumes from its last committed stage and produces a
-**bit-identical** ROM: together with each stage the workspace's mutable
-solver state (the shared extended-Krylov basis, the fallback-shift
-cache, the factored Π) is snapshotted, so the resumed chains see
-exactly the floating-point environment the cold run would have given
-them.
+at *stage* boundaries — one stage per Krylov chain — so a killed build
+loses at most the chain that was running, and resumes from its last
+committed stage to a **bit-identical** ROM: together with each stage
+the workspace's mutable solver state (the shared extended-Krylov basis,
+the fallback-shift cache, the factored Π) is snapshotted whenever it
+changed, so the resumed chains see exactly the floating-point
+environment the cold run would have given them.
 
 On-disk layout under the checkpoint directory::
 
     manifest.json          committed-stage index — the single commit point
-    blocks/<digest>.npz    per-stage chain-block payloads
+    blocks/<digest>.npz    per-stage chain payloads
     solver-<digest>.npz    extended-Krylov solver snapshot as of a stage
     pi-<digest>.npz        factored-Π snapshot (written once: Π is
                            immutable after its build)
-    tiles/<digest>/        append-only *tile* log of the one in-flight
-                           stage: per-task payloads/snapshots plus
-                           ``log.jsonl``, whose fsync'd lines are the
-                           tile commit points.  Folded into the stage
-                           block at ``commit_stage`` and cleared, so a
-                           SIGKILL mid-stage loses at most one tile of
-                           work, not the whole stage.
 
 Commit protocol (crash consistency): the stage's block payload and
 solver snapshot are written first (atomic + fsync through
@@ -41,29 +34,30 @@ Checkpoints are keyed by the same structural × reducer fingerprint the
 :class:`~repro.store.ModelStore` shards artifacts by
 (:func:`checkpoint_for`), so a checkpoint can never be resumed against
 a different system or reducer configuration: a mismatch discards the
-stale state and starts fresh.
+stale state and starts fresh.  So does damage: a manifest that does not
+parse, or a committed block or last-stage snapshot that cannot be read,
+discards the checkpoint when it is opened — a checkpoint must never be
+able to crash the build.
 """
 
 import hashlib
 import json
-import os
+import logging
 import shutil
 from pathlib import Path
 
 from .errors import ValidationError
-from .serialize import (
-    durable_write,
-    fsync_directory,
-    load_payload,
-    save_payload,
-)
+from .serialize import durable_write, load_payload, save_payload
 from .testing.faults import fault_point
 
 __all__ = ["CHECKPOINT_SCHEMA", "JobState", "checkpoint_for"]
 
+_log = logging.getLogger(__name__)
+
 #: Manifest schema version; a mismatch discards the checkpoint (stale
 #: state is merely a lost head start, never worth a migration bug).
-CHECKPOINT_SCHEMA = 1
+#: Version 2: one stage per chain (version 1 grouped up to four).
+CHECKPOINT_SCHEMA = 2
 
 
 def _stage_digest(stage_id):
@@ -97,12 +91,10 @@ class JobState:
         self.directory = Path(directory)
         self.system_fingerprint = system_fingerprint
         self.reducer_fingerprint = reducer_fingerprint
-        self._stages = {}   # stage_id -> {"id", "block", "solver"}
+        self._stages = {}   # stage_id -> {"id", "block", "solver", "pi"}
         self._order = []    # stage ids in commit order
         self.loaded = 0
         self.computed = 0
-        self.tiles_loaded = 0
-        self.tiles_computed = 0
         self.resumed = False
         self.directory.mkdir(parents=True, exist_ok=True)
         self._read_manifest()
@@ -142,7 +134,31 @@ class JobState:
         for entry in stages:
             self._stages[entry["id"]] = entry
             self._order.append(entry["id"])
+        if not self._readable():
+            # A committed file a resume would read is missing or
+            # damaged: by the same rule, start fresh.
+            self._wipe()
+            return
         self.resumed = bool(self._order)
+
+    def _readable(self):
+        """True when every committed block, and every snapshot the last
+        stage references, loads."""
+        if not self._order:
+            return True
+        try:
+            last = self._stages[self._order[-1]]
+            names = [
+                f"blocks/{self._stages[sid]['block']}" for sid in self._order
+            ]
+            names += [last[key] for key in ("solver", "pi") if last[key]]
+            for name in names:
+                load_payload(self.directory / name)
+        except Exception as exc:
+            _log.warning("discarding damaged checkpoint %s: %r",
+                         self.directory, exc)
+            return False
+        return True
 
     def _write_manifest(self):
         manifest = {
@@ -180,11 +196,8 @@ class JobState:
         return list(self._order)
 
     def has_stage(self, stage_id):
-        """True when *stage_id* is committed and its block is readable."""
-        entry = self._stages.get(stage_id)
-        if entry is None:
-            return False
-        return (self.directory / "blocks" / entry["block"]).exists()
+        """True when *stage_id* is committed."""
+        return stage_id in self._stages
 
     def load_stage(self, stage_id):
         """The committed payload tree of *stage_id* (counts as a hit)."""
@@ -197,27 +210,19 @@ class JobState:
         self.loaded += 1
         return payload
 
-    def solver_state(self, stage_id=None):
-        """Solver snapshot recorded as of *stage_id* (default: the last
-        committed stage), with the solver and Π halves merged back into
-        one :meth:`~repro.volterra.associated.AssociatedWorkspace
+    def solver_state(self):
+        """Solver snapshot recorded as of the last committed stage, with
+        the solver and Π halves merged back into one
+        :meth:`~repro.volterra.associated.AssociatedWorkspace
         .restore_solver_state` payload.  ``None`` when nothing is
-        committed or the stage carried no solver state."""
+        committed or no stage carried solver state."""
         if not self._order:
             return None
-        if stage_id is None:
-            stage_id = self._order[-1]
-        entry = self._stages.get(stage_id)
-        if entry is None:
-            return None
+        entry = self._stages[self._order[-1]]
         merged = {}
-        for field in ("solver", "pi"):
-            name = entry.get(field)
-            if name is None:
-                continue
-            path = self.directory / name
-            if path.exists():
-                merged.update(load_payload(path))
+        for key in ("solver", "pi"):
+            if entry[key]:
+                merged.update(load_payload(self.directory / entry[key]))
         return merged or None
 
     def commit_stage(self, stage_id, payload, solver_state=None,
@@ -272,8 +277,7 @@ class JobState:
         return entry
 
     def _collect_garbage(self):
-        """Unlink solver/Π snapshots no longer referenced by any stage,
-        and tile logs of stages that have since been committed."""
+        """Unlink solver/Π snapshots no longer referenced by any stage."""
         referenced = set()
         for entry in self._stages.values():
             referenced.add(entry.get("solver"))
@@ -285,147 +289,6 @@ class JobState:
                         path.unlink()
                     except OSError:
                         pass
-        tiles_root = self.directory / "tiles"
-        if tiles_root.is_dir():
-            committed = {_stage_digest(sid) for sid in self._order}
-            for child in tiles_root.iterdir():
-                if child.is_dir() and child.name in committed:
-                    shutil.rmtree(child, ignore_errors=True)
-
-    # -- tiles ---------------------------------------------------------------
-    #
-    # Within one in-flight stage, every chain task is a *tile*.  Tiles
-    # commit through a cheap append-only log (payload + optional solver
-    # snapshots written atomically first, then one fsync'd JSON line —
-    # the commit point), so the durability granularity matches the
-    # compute granularity: a SIGKILL between any two tasks loses at
-    # most the single task that was running.  The stage commit
-    # supersedes its tiles and clears the log.
-
-    def _tiles_dir(self, stage_id):
-        return self.directory / "tiles" / _stage_digest(stage_id)
-
-    def _tile_entries(self, tiles_dir):
-        """The committed tile prefix of *tiles_dir*: contiguous indices
-        from 0 with readable payloads; a torn tail line (crash mid-
-        append) or a gap ends the prefix."""
-        log = tiles_dir / "log.jsonl"
-        try:
-            text = log.read_text(encoding="utf-8")
-        except OSError:
-            return []
-        entries = []
-        for line in text.splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                entry = json.loads(line)
-            except Exception:
-                break
-            if entry.get("index") != len(entries):
-                break
-            if not (tiles_dir / entry["payload"]).exists():
-                break
-            entries.append(entry)
-        return entries
-
-    def _resumable_tile_dir(self):
-        """The tile directory of the one in-flight (uncommitted) stage,
-        or ``None``.  Multiple pending directories cannot arise from
-        the commit protocol; if external damage produces them anyway,
-        tiles are ignored wholesale rather than guessed at."""
-        root = self.directory / "tiles"
-        if not root.is_dir():
-            return None
-        committed = {_stage_digest(sid) for sid in self._order}
-        pending = [
-            child for child in root.iterdir()
-            if child.is_dir() and child.name not in committed
-        ]
-        if len(pending) == 1:
-            return pending[0]
-        return None
-
-    def load_tile_entries(self, stage_id):
-        """Log entries of *stage_id*'s resumable tile prefix."""
-        tiles_dir = self._tiles_dir(stage_id)
-        if self._resumable_tile_dir() != tiles_dir:
-            return []
-        return self._tile_entries(tiles_dir)
-
-    def load_tiles(self, stage_id):
-        """Payload trees of *stage_id*'s committed tile prefix (each
-        counts as a tile resume hit)."""
-        tiles_dir = self._tiles_dir(stage_id)
-        payloads = []
-        for entry in self.load_tile_entries(stage_id):
-            payloads.append(load_payload(tiles_dir / entry["payload"]))
-            self.tiles_loaded += 1
-        return payloads
-
-    def commit_tile(self, stage_id, tile_index, payload, solver_state=None,
-                    pi_state=None):
-        """Durably append one tile to *stage_id*'s tile log.
-
-        The payload (and, when the workspace's solver state changed
-        since the last commit, its snapshot halves) is written atomic +
-        fsync first; the single fsync'd log line is the commit point.
-        Crash sites ``checkpoint.before_tile`` / ``checkpoint
-        .after_tile`` bracket it.
-        """
-        tiles_dir = self._tiles_dir(stage_id)
-        tiles_dir.mkdir(parents=True, exist_ok=True)
-        tile_index = int(tile_index)
-        fault_point("checkpoint.before_tile")
-        payload_name = f"tile-{tile_index:04d}.npz"
-        save_payload(tiles_dir / payload_name, payload, compress=False)
-        solver_name = pi_name = None
-        if solver_state is not None:
-            solver_name = f"solver-{tile_index:04d}.npz"
-            save_payload(
-                tiles_dir / solver_name, solver_state, compress=False
-            )
-        if pi_state is not None:
-            pi_name = f"pi-{tile_index:04d}.npz"
-            save_payload(tiles_dir / pi_name, pi_state, compress=False)
-        entry = {
-            "index": tile_index, "payload": payload_name,
-            "solver": solver_name, "pi": pi_name,
-        }
-        log = tiles_dir / "log.jsonl"
-        fresh = not log.exists()
-        with open(log, "a", encoding="utf-8") as fh:
-            fh.write(json.dumps(entry, sort_keys=True) + "\n")
-            fh.flush()
-            os.fsync(fh.fileno())
-        if fresh:
-            fsync_directory(tiles_dir)
-        self.tiles_computed += 1
-        fault_point("checkpoint.after_tile")
-        return entry
-
-    def has_resumable_tiles(self):
-        """True when an in-flight stage left committed tiles behind."""
-        pending = self._resumable_tile_dir()
-        return pending is not None and bool(self._tile_entries(pending))
-
-    def latest_solver_state(self):
-        """:meth:`solver_state` of the last committed stage, overlaid
-        with any snapshots the in-flight stage's tile log recorded —
-        the state a mid-stage resume must restore before re-entering
-        the build."""
-        merged = dict(self.solver_state() or {})
-        pending = self._resumable_tile_dir()
-        if pending is not None:
-            solver_name = pi_name = None
-            for entry in self._tile_entries(pending):
-                solver_name = entry.get("solver") or solver_name
-                pi_name = entry.get("pi") or pi_name
-            for name in (solver_name, pi_name):
-                if name and (pending / name).exists():
-                    merged.update(load_payload(pending / name))
-        return merged or None
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -436,8 +299,6 @@ class JobState:
             "stages_committed": len(self._order),
             "loaded": int(self.loaded),
             "computed": int(self.computed),
-            "tiles_loaded": int(self.tiles_loaded),
-            "tiles_computed": int(self.tiles_computed),
             "resumed": bool(self.resumed),
         }
 

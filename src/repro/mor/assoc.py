@@ -48,12 +48,6 @@ from .base import ReducedOrderModel
 
 __all__ = ["AssociatedTransformMOR"]
 
-#: Tasks per checkpoint stage on the checkpointed build path.  Small
-#: enough that a kill between any two commits loses at most a few
-#: chains; large enough that the per-stage manifest rewrite stays a
-#: rounding error against the chain solves.
-_CHECKPOINT_CHUNK = 4
-
 
 def _rom_stability_details(reduced):
     """Spectral-abscissa diagnostics of a reduced system's linear part.
@@ -141,17 +135,17 @@ class AssociatedTransformMOR:
 
         All Krylov chains — per transfer function, per expansion point,
         per retained input column, and (for the decoupled strategy) per
-        eq.-(18) subsystem — are independent, so the whole build is
-        emitted as **one** engine plan.
+        eq.-(18) subsystem — are independent.  They run one engine task
+        each, in one fixed order.
 
-        With *checkpoint* (a :class:`~repro.checkpoint.JobState`) the
-        build instead executes in deterministically ordered stages of at
-        most ``_CHECKPOINT_CHUNK`` chains, durably committing each stage
-        (chain vectors + the workspace's mutable solver state) as it
-        completes.  A killed build re-entered with the same checkpoint
-        loads the committed prefix from disk, restores the solver state
-        the last commit recorded, and computes only the remaining stages
-        — yielding a bit-identical basis.
+        With *checkpoint* (a :class:`~repro.checkpoint.JobState`) every
+        chain is a checkpoint stage: once its task returns, its vectors
+        and whatever part of the workspace's mutable solver state
+        changed since the last commit are durably committed.  A killed
+        build re-entered with the same checkpoint restores the solver
+        state of the last commit, loads the committed chains from disk
+        and computes only the rest — losing at most the chain that was
+        running, and yielding a bit-identical basis.
 
         *max_block* forces the row-block size every streamed n-row
         intermediate (the Π build, blocked Gram updates, tile-wise
@@ -181,12 +175,9 @@ class AssociatedTransformMOR:
             # Restore *before* the realizations are constructed: the
             # decoupled-H2 realization consumes Π and the shared
             # low-rank solver at init time, and a resumed build must
-            # see exactly the state the committed stages — plus any
-            # tiles the in-flight stage durably logged before a kill —
-            # were computed with (also skipping the Π recompute).
-            state = checkpoint.latest_solver_state()
-            if state:
-                workspace.restore_solver_state(state)
+            # see exactly the state the committed chains were computed
+            # with (also skipping the Π recompute).
+            workspace.restore_solver_state(checkpoint.solver_state())
         q1, q2, q3 = self.orders
 
         r1 = associated_h1(system, workspace) if q1 > 0 else None
@@ -199,208 +190,95 @@ class AssociatedTransformMOR:
                 r2 = associated_h2(system, workspace)
         r3 = associated_h3(system, workspace) if q3 > 0 else None
 
-        # One spec per (transfer function × expansion point):
-        # (label, s0, chain callables, subsystem tags or None), in the
-        # deterministic order both execution paths share.
-        specs = []
+        # Basis blocks ``(label, s0, vectors)`` in merge order, and every
+        # chain as ``(block it feeds, callable)`` in the fixed order the
+        # chains run and commit in.
+        blocks, chains = [], []
+
+        def add(label, s0, fns=()):
+            block = (label, s0, [])
+            blocks.append(block)
+            chains.extend((block, fn) for fn in fns)
+            return block
+
         for s0 in self.expansion_points:
             if r1 is not None:
-                fns = r1.chain_tasks(q1, s0=s0, deduplicate=self.deduplicate)
-                specs.append(("H1", s0, fns, None))
-            if dec2 is not None:
-                tasks = dec2.chain_tasks(
-                    q2, s0=s0, deduplicate=self.deduplicate
-                )
-                specs.append((
-                    "H2-dec", s0,
-                    [fn for _, fn in tasks],
-                    [subsystem for subsystem, _ in tasks],
+                add("H1", s0, r1.chain_tasks(
+                    q1, s0=s0, deduplicate=self.deduplicate
                 ))
-            elif r2 is not None:
-                fns = r2.chain_tasks(q2, s0=s0, deduplicate=self.deduplicate)
-                specs.append(("H2", s0, fns, None))
-            if r3 is not None:
-                fns = r3.chain_tasks(q3, s0=s0, deduplicate=self.deduplicate)
-                specs.append(("H3", s0, fns, None))
-
-        if checkpoint is None:
-            # Emit every independent chain into one plan, remembering
-            # how to regroup the ordered results into the per-block
-            # layout the details dict has always reported.
-            plan = SolvePlan("assoc-mor.build_basis")
-            bounds = []
-            for label, s0, fns, subsystems in specs:
-                start = len(plan)
-                for index, fn in enumerate(fns):
-                    tag = (
-                        (f"H2-sub{subsystems[index]}", s0)
-                        if subsystems is not None else (label, s0)
+            if dec2 is not None:
+                # One block per eq.-(18) subsystem; the two subsystems'
+                # chains stay interleaved per input column, as
+                # chain_tasks orders them.
+                subs = [add(f"H2-sub{idx}", s0) for idx in (0, 1)]
+                chains.extend(
+                    (subs[idx], fn) for idx, fn in dec2.chain_tasks(
+                        q2, s0=s0, deduplicate=self.deduplicate
                     )
-                    plan.add(fn, tag=tag)
-                bounds.append((start, len(plan)))
-            results = plan.execute()
-            group_chains = [
-                (label, s0, results[start:end], subsystems)
-                for (label, s0, _, subsystems), (start, end)
-                in zip(specs, bounds)
-            ]
-        else:
-            group_chains = self._execute_checkpointed(
-                specs, workspace, checkpoint
-            )
-
-        blocks = []
-        details = {"blocks": []}
-        for label, s0, chains, subsystems in group_chains:
-            if label == "H2-dec":
-                per_sub = {0: [], 1: []}
-                for subsystem, chain in zip(subsystems, chains):
-                    per_sub[subsystem].extend(chain)
-                for idx in (0, 1):
-                    block = memory.admit(
-                        stack_columns(per_sub[idx], f"H2-sub{idx}"),
-                        f"H2-sub{idx}",
-                    )
-                    blocks.append(block)
-                    details["blocks"].append(
-                        (f"H2-sub{idx}", s0, block.shape[1])
-                    )
-            else:
-                block = memory.admit(
-                    stack_columns(
-                        [vec for chain in chains for vec in chain], label
-                    ),
-                    label,
                 )
-                blocks.append(block)
-                details["blocks"].append((label, s0, block.shape[1]))
+            elif r2 is not None:
+                add("H2", s0, r2.chain_tasks(
+                    q2, s0=s0, deduplicate=self.deduplicate
+                ))
+            if r3 is not None:
+                add("H3", s0, r3.chain_tasks(
+                    q3, s0=s0, deduplicate=self.deduplicate
+                ))
 
-        if not blocks:
+        # Committed chains are consumed strictly as a prefix, and a
+        # solver snapshot is written only when that half of the state
+        # moved since the one the manifest references (on a resume,
+        # the restored state).
+        resuming = checkpoint is not None and checkpoint.resumed
+        saved = workspace.solver_version() if resuming else (None, None)
+        for index, ((label, s0, vectors), fn) in enumerate(chains):
+            stage_id = f"{index:03d}:{label}@{s0!r}"
+            if resuming and checkpoint.has_stage(stage_id):
+                payload = checkpoint.load_stage(stage_id)
+                vectors.extend(np.asarray(vec) for vec in payload["chain"])
+                continue
+            resuming = False
+            plan = SolvePlan(f"assoc-mor.build_basis[{stage_id}]")
+            plan.add(fn, tag=(label, s0))
+            chain = plan.execute()[0]
+            vectors.extend(chain)
+            if checkpoint is None:
+                continue
+            version = workspace.solver_version()
+            snapshot = pi_snapshot = None
+            if index < len(chains) - 1:
+                # No stage follows the last one, so its solver state
+                # can never be resumed from: skip the snapshot writes.
+                if version[0] != saved[0]:
+                    snapshot = workspace.lowrank_state()
+                if version[1] != saved[1]:
+                    pi_snapshot = workspace.pi_state()
+            checkpoint.commit_stage(
+                stage_id, {"chain": chain},
+                solver_state=snapshot, pi_state=pi_snapshot,
+            )
+            saved = version
+
+        admitted = []
+        details = {"blocks": []}
+        for label, s0, vectors in blocks:
+            block = memory.admit(stack_columns(vectors, label), label)
+            admitted.append(block)
+            details["blocks"].append((label, s0, block.shape[1]))
+
+        if not admitted:
             raise ValidationError(
                 "no basis blocks were generated; the requested transfer "
                 "functions are all identically zero for this system"
             )
-        basis = merge_bases(blocks, tol=self.tol)
-        details["raw_vectors"] = int(sum(b.shape[1] for b in blocks))
+        basis = merge_bases(admitted, tol=self.tol)
+        details["raw_vectors"] = int(sum(b.shape[1] for b in admitted))
         details["deflated_to"] = int(basis.shape[1])
         if dec2 is not None and workspace.pi_plan is not None:
             details["pi_plan"] = dict(workspace.pi_plan)
         if checkpoint is not None:
             details["checkpoint"] = checkpoint.describe()
         return basis, details
-
-    def _execute_checkpointed(self, specs, workspace, checkpoint):
-        """Run the chain groups stage by stage against *checkpoint*.
-
-        Stages execute in a fixed deterministic order; committed stages
-        are consumed strictly as a prefix (a gap — possible only through
-        external file damage — breaks the prefix and everything after it
-        is recomputed, so the solver-state evolution always matches the
-        cold run).  Within the one in-flight stage every chain task
-        commits as a *tile* through the checkpoint's append-only tile
-        log, so a SIGKILL between any two tasks loses at most the task
-        that was running; the stage commit folds its tiles into the
-        durable stage block and clears the log.  The workspace's
-        mutable solver state is snapshotted with a tile/stage only when
-        it changed since the matching previous commit.
-        """
-        # On resume the restored snapshot *is* the committed version;
-        # on a cold start there is no committed version yet, so the
-        # first stage always snapshots (capturing e.g. the Π computed
-        # during realization construction).  The two snapshot halves are
-        # versioned independently: the Krylov basis grows with most
-        # stages, the (large) Π factor is written exactly once.  The
-        # stage-level track is kept separate from the tile-level track:
-        # stage entries carry snapshot references forward from the
-        # previous *stage*, so deduplicating a stage commit against a
-        # tile snapshot (cleared with the stage) would leave the
-        # manifest pointing at stale state.  After a mid-stage tile
-        # resume the stage track stays at "never", forcing the next
-        # stage commit to persist the tile-restored state durably.
-        never = object()
-        stage_lowrank = stage_pi = never
-        if checkpoint.resumed and not checkpoint.has_resumable_tiles():
-            stage_lowrank, stage_pi = workspace.solver_version()
-        total_stages = sum(
-            -(-len(fns) // _CHECKPOINT_CHUNK) for _, _, fns, _ in specs
-        )
-        group_chains = []
-        prefix = True
-        stage_index = 0
-        for gindex, (label, s0, fns, subsystems) in enumerate(specs):
-            chains = []
-            chunk_starts = range(0, len(fns), _CHECKPOINT_CHUNK)
-            for cindex, lo in enumerate(chunk_starts):
-                hi = min(lo + _CHECKPOINT_CHUNK, len(fns))
-                stage_id = f"{gindex:02d}.{cindex:02d}:{label}@{s0!r}"
-                stage_index += 1
-                if prefix and checkpoint.has_stage(stage_id):
-                    payload = checkpoint.load_stage(stage_id)
-                    part = [
-                        [np.asarray(vec) for vec in chain]
-                        for chain in payload["chains"]
-                    ]
-                else:
-                    part = []
-                    if prefix:
-                        # Mid-stage resume: consume the in-flight
-                        # stage's committed tile prefix.  The restored
-                        # solver state already includes these tiles'
-                        # effect (build_basis restores
-                        # ``latest_solver_state``), so recomputation
-                        # continues exactly where the kill struck.
-                        part = [
-                            [np.asarray(vec) for vec in tile["chain"]]
-                            for tile in checkpoint.load_tiles(stage_id)
-                        ]
-                    prefix = False
-                    tile_lowrank, tile_pi = workspace.solver_version()
-                    for index in range(lo + len(part), hi):
-                        tag = (
-                            (f"H2-sub{subsystems[index]}", s0)
-                            if subsystems is not None else (label, s0)
-                        )
-                        plan = SolvePlan(
-                            f"assoc-mor.build_basis[{stage_id}"
-                            f"#{index - lo}]"
-                        )
-                        plan.add(fns[index], tag=tag)
-                        chain = plan.execute()[0]
-                        part.append(chain)
-                        if index < hi - 1:
-                            # The stage commit right after the last
-                            # task supersedes its tile: skip the
-                            # double write.
-                            snapshot = pi_snapshot = None
-                            lowrank_v, pi_v = workspace.solver_version()
-                            if lowrank_v != tile_lowrank:
-                                snapshot = workspace.lowrank_state()
-                            if pi_v != tile_pi:
-                                pi_snapshot = workspace.pi_state()
-                            checkpoint.commit_tile(
-                                stage_id, index - lo, {"chain": chain},
-                                solver_state=snapshot,
-                                pi_state=pi_snapshot,
-                            )
-                            tile_lowrank, tile_pi = lowrank_v, pi_v
-                    snapshot = pi_snapshot = None
-                    lowrank_v, pi_v = workspace.solver_version()
-                    if stage_index < total_stages:
-                        # No stage follows the last one, so its solver
-                        # state can never be resumed from: skip the
-                        # (largest) snapshot write entirely.
-                        if lowrank_v != stage_lowrank:
-                            snapshot = workspace.lowrank_state()
-                        if pi_v != stage_pi:
-                            pi_snapshot = workspace.pi_state()
-                    checkpoint.commit_stage(
-                        stage_id, {"chains": part},
-                        solver_state=snapshot, pi_state=pi_snapshot,
-                    )
-                    stage_lowrank, stage_pi = lowrank_v, pi_v
-                chains.extend(part)
-            group_chains.append((label, s0, chains, subsystems))
-        return group_chains
 
     def reduce(self, system, checkpoint=None, max_block=None,
                workspace=None):

@@ -29,7 +29,6 @@ Design points:
 
 import contextlib
 import hashlib
-import inspect
 import json
 import os
 import shutil
@@ -197,15 +196,6 @@ def artifact_key(system, reducer, system_fingerprint=None):
     digest.update(str(system_fingerprint).encode())
     digest.update(reducer_fingerprint(reducer).encode())
     return digest.hexdigest()
-
-
-def _accepts_checkpoint(reducer):
-    """True when ``reducer.reduce`` takes a ``checkpoint`` keyword."""
-    try:
-        signature = inspect.signature(reducer.reduce)
-    except (TypeError, ValueError):
-        return False
-    return "checkpoint" in signature.parameters
 
 
 class ModelStore:
@@ -438,9 +428,10 @@ class ModelStore:
         the store entry is (re)written.
 
         *checkpoint* (a :class:`~repro.checkpoint.JobState`) is passed
-        through to reducers whose ``reduce`` accepts one, so a killed
-        miss-path build resumes from its last committed stage instead of
-        restarting; reducers without checkpoint support run unchanged.
+        straight through to ``reducer.reduce``, so a killed miss-path
+        build resumes from its last committed stage instead of
+        restarting; a reducer that cannot checkpoint fails loudly
+        rather than silently running without one.
 
         *system_fingerprint* — the precomputed
         :func:`fingerprint_system` value — lets a serving process that
@@ -458,7 +449,7 @@ class ModelStore:
             self.hits += 1
             return artifact, True
         self.misses += 1
-        if checkpoint is not None and _accepts_checkpoint(reducer):
+        if checkpoint is not None:
             rom = reducer.reduce(system, checkpoint=checkpoint)
         else:
             rom = reducer.reduce(system)

@@ -30,11 +30,9 @@ Instrumented sites
 ``durable.before_replace``   text temp file written+fsynced, not renamed
 ``durable.after_replace``    text renamed, directory not yet fsynced
 ``store.before_meta``        artifact.npz published, meta.json not yet
-``checkpoint.before_block``  stage computed, block file not yet written
+``checkpoint.before_block``  chain computed, block file not yet written
 ``checkpoint.before_commit`` block+solver written, manifest not rewritten
 ``checkpoint.after_commit``  stage fully committed (manifest durable)
-``checkpoint.before_tile``   tile computed, payload not yet written
-``checkpoint.after_tile``    tile durably appended to the tile log
 ``engine.task``              entry of every SolveTask execution attempt
 ========================== =================================================
 """

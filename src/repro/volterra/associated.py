@@ -485,11 +485,14 @@ class AssociatedWorkspace:
     # -- checkpoint state ----------------------------------------------------
 
     def solver_version(self):
-        """Cheap fingerprint of the mutable lazy solver state.
+        """Cheap ``(low-rank, Π)`` fingerprint of the mutable lazy
+        solver state.
 
-        Changes whenever :meth:`solver_state` would snapshot something
-        different; the checkpoint layer compares versions between stages
-        to skip redundant solver-state writes.
+        The first half changes whenever :meth:`lowrank_state` would
+        snapshot something different, the second when Π gets built;
+        a checkpointed build compares versions after each chain and
+        writes only the snapshot half that moved since its last
+        commit.
         """
         with self._lazy_lock:
             lowrank = (
@@ -498,33 +501,24 @@ class AssociatedWorkspace:
             )
             return (lowrank, self._pi is not None)
 
-    def solver_state(self):
-        """Payload-tree snapshot of the lazily built *mutable* solver
-        state: the shared extended-Krylov basis (+ fallback-shift cache)
-        of :attr:`lowrank_kron` and the cached Π.  Deterministic
-        factorizations (Schur form, LU caches, lifted operators) are
-        rebuilt on demand and not snapshotted.  Empty dict when nothing
-        mutable has been built yet.
-        """
-        state = self.lowrank_state() or {}
-        state.update(self.pi_state() or {})
-        return state
-
     def lowrank_state(self):
-        """The extended-Krylov half of :meth:`solver_state` — the part
-        that keeps growing as chains are solved — or ``None`` when the
-        low-rank solver has not been built."""
+        """Payload-tree snapshot of the shared extended-Krylov basis
+        (+ fallback-shift cache) of :attr:`lowrank_kron` — the mutable
+        state that keeps growing as chains are solved — or ``None``
+        when the low-rank solver has not been built.  Deterministic
+        factorizations (Schur form, LU caches, lifted operators) are
+        rebuilt on demand and not snapshotted."""
         with self._lazy_lock:
             if self._lowrank is None:
                 return None
             return {"lowrank": self._lowrank.state_dict()}
 
     def pi_state(self):
-        """The Π half of :meth:`solver_state` (Π and its
+        """Payload-tree snapshot of the cached Π (and its
         :attr:`pi_plan`), or ``None`` when Π has not been built.  Π is
         computed once and never mutated, so the checkpoint layer writes
         this (large ``n × r²``) snapshot once instead of once per
-        stage."""
+        chain."""
         with self._lazy_lock:
             if self._pi is None:
                 return None
@@ -535,7 +529,8 @@ class AssociatedWorkspace:
             return {"pi": pi, "pi_plan": self.pi_plan}
 
     def restore_solver_state(self, state):
-        """Restore a :meth:`solver_state` snapshot onto this workspace.
+        """Restore a snapshot — :meth:`lowrank_state` and/or
+        :meth:`pi_state` merged into one dict — onto this workspace.
 
         Overwrites any locally grown solver state: a resumed build must
         continue from exactly the snapshot the committed stages were

@@ -11,6 +11,7 @@ the system, so reuse would hide state leaks.
 """
 
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -164,7 +165,13 @@ class TestBitIdenticalResume:
         assert array_digest(rom.basis) == cold_digest
 
     def test_sigkill_resume_matches_cold_run(self, tmp_path, cold_digest):
-        """The acceptance path: SIGKILL mid-build, resume bit-identically."""
+        """The acceptance path: SIGKILL mid-build, resume bit-identically.
+
+        H1, the two eq.-(18) subsystems of A2(H2) and A3(H3) run one
+        chain each, and each chain commits its own stage.  The kill
+        lands after the second commit, between the two A2(H2) chains:
+        the resume loads both committed chains and computes only the
+        two that were never committed."""
         ckdir = tmp_path / "ck"
         script = (
             "from repro.checkpoint import JobState\n"
@@ -189,7 +196,11 @@ class TestBitIdenticalResume:
         assert resumed.resumed and len(resumed) == 2
         rom = make_reducer().reduce(fresh_system(), checkpoint=resumed)
         assert array_digest(rom.basis) == cold_digest
-        assert rom.details["checkpoint"]["loaded"] >= 1
+        info = rom.details["checkpoint"]
+        assert (info["loaded"], info["computed"]) == (2, 2)
+        assert [sid.split(":")[1] for sid in resumed.stage_ids()] == [
+            "H1@0.0", "H2-sub0@0.0", "H2-sub1@0.0", "H3@0.0",
+        ]
 
     def test_checkpointed_build_itself_is_bit_identical(self, tmp_path,
                                                         cold_digest):
@@ -358,6 +369,31 @@ class TestPipelineWiring:
                               checkpoint=ckdir, resume=True)
         info = result.report()["reduction"]["checkpoint"]
         assert info["resumed"] and info["loaded"] >= 1
+        assert array_digest(result.rom.basis) == cold_digest
+
+    @pytest.mark.parametrize("pattern", ["blocks/*.npz", "solver-*.npz"])
+    def test_damaged_checkpoint_is_discarded(self, tmp_path, cold_digest,
+                                             pattern):
+        """A truncated block or last-stage solver snapshot discards the
+        checkpoint when it is opened, as a garbled manifest does: resume
+        refuses with its ValidationError, and a plain checkpointed run
+        starts fresh and matches the cold run."""
+        ckdir = tmp_path / "ck"
+        faults.configure("checkpoint.after_commit:1:raise")
+        with pytest.raises(FaultInjected):
+            run_pipeline(self._spec(), reduce=self._REDUCE, checkpoint=ckdir)
+        faults.configure(None)
+        (damaged,) = ckdir.glob(pattern)
+        with open(damaged, "r+b") as handle:
+            handle.truncate(64)
+        shutil.copytree(ckdir, tmp_path / "copy")
+        with pytest.raises(ValidationError, match="no committed"):
+            run_pipeline(self._spec(), reduce=self._REDUCE,
+                         checkpoint=tmp_path / "copy", resume=True)
+        result = run_pipeline(self._spec(), reduce=self._REDUCE,
+                              checkpoint=ckdir)
+        info = result.report()["reduction"]["checkpoint"]
+        assert not info["resumed"] and info["loaded"] == 0
         assert array_digest(result.rom.basis) == cold_digest
 
     def test_memory_budget_reported(self, tmp_path):

@@ -10,8 +10,9 @@ import pytest
 import scipy.sparse as sp
 
 from repro.analysis.distortion import distortion_sweep
+from repro.checkpoint import JobState
 from repro.circuits.examples import quadratic_rc_ladder_netlist
-from repro.mor import AssociatedTransformMOR
+from repro.mor import AssociatedTransformMOR, NORMReducer
 from repro.store import (
     ModelStore,
     ReductionArtifact,
@@ -113,6 +114,15 @@ class TestStoreSemantics:
         _, hit1 = ModelStore(root).reduce(system, reducer)
         _, hit2 = ModelStore(root).reduce(system, reducer)
         assert (hit1, hit2) == (False, True)
+
+    def test_checkpoint_goes_straight_to_the_reducer(self, tmp_path):
+        """A reducer that cannot checkpoint fails loudly instead of
+        silently building without the checkpoint it was given."""
+        store = ModelStore(tmp_path / "store")
+        with pytest.raises(TypeError, match="checkpoint"):
+            store.reduce(ladder(12).compile(), NORMReducer(orders=(2, 1, 0)),
+                         checkpoint=JobState(tmp_path / "ck"))
+        assert len(store) == 0
 
     def test_different_config_is_a_miss(self, tmp_path):
         store = ModelStore(tmp_path / "store")

@@ -1,5 +1,5 @@
-"""Blockwise-streamed solver core: tile-boundary parity, capped-peak
-builds at scale, and mid-tile SIGKILL resume.
+"""Blockwise-streamed solver core: tile-boundary parity and
+capped-peak builds at scale.
 
 The streaming refactor must be *invisible* numerically: with one block
 covering all rows the arithmetic is the exact historical code path
@@ -10,33 +10,21 @@ configured ``max_block``, not ``n`` — asserted with tracemalloc under
 a poisoned ``toarray`` so no dense n x n fallback can sneak in.
 """
 
-import os
-import subprocess
-import sys
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 from repro import memory
-from repro.checkpoint import JobState
 from repro.circuits import quadratic_rc_ladder_netlist
 from repro.mor.assoc import AssociatedTransformMOR
-from repro.serialize import array_digest
-from repro.testing import faults
-
-REPO_SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 @pytest.fixture(autouse=True)
 def _clean_state():
-    faults.configure(None)
     memory.configure(None)
     yield
-    faults.configure(None)
-    faults.reset()
     memory.configure(None)
 
 
@@ -138,71 +126,3 @@ class TestPeakMemoryFollowsMaxBlock:
             tracemalloc.stop()
         assert rom.basis.shape[0] == 4096
         assert peak <= 100 * 1024 * 1024, f"traced peak {peak / 1e6:.1f} MB"
-
-
-class TestSigkillMidTile:
-    def test_sigkill_after_tile_resumes_losing_at_most_one_tile(
-            self, tmp_path):
-        """SIGKILL right after the first durable tile append: the
-        resumed build reloads that tile (recomputing at most the one
-        in flight) and the final basis hashes identically."""
-        ckdir = tmp_path / "ck"
-        n = 24
-        script = (
-            "from repro.checkpoint import JobState\n"
-            "from repro.circuits import quadratic_rc_ladder_netlist\n"
-            "from repro.mor.assoc import AssociatedTransformMOR\n"
-            f"net = quadratic_rc_ladder_netlist({n}, r=10.0, g_leak=1.0,"
-            " g_quad=0.5, quad_nodes=4)\n"
-            "mor = AssociatedTransformMOR(orders=(3, 2, 1),"
-            " strategy='decoupled')\n"
-            f"mor.reduce(net.compile(sparse=True),"
-            f" checkpoint=JobState({str(ckdir)!r}))\n"
-        )
-        env = dict(os.environ)
-        env["PYTHONPATH"] = REPO_SRC
-        env["REPRO_FAULT"] = "checkpoint.after_tile:1:kill"
-        result = subprocess.run(
-            [sys.executable, "-c", script], env=env,
-            capture_output=True, text=True,
-        )
-        assert result.returncode == -9, result.stderr
-
-        net = quadratic_rc_ladder_netlist(
-            n, r=10.0, g_leak=1.0, g_quad=0.5, quad_nodes=4
-        )
-        cold = make_reducer().reduce(net.compile(sparse=True))
-        cold_digest = array_digest(cold.basis)
-
-        resumed = JobState(ckdir)
-        assert resumed.has_resumable_tiles()
-        net = quadratic_rc_ladder_netlist(
-            n, r=10.0, g_leak=1.0, g_quad=0.5, quad_nodes=4
-        )
-        rom = make_reducer().reduce(
-            net.compile(sparse=True), checkpoint=resumed
-        )
-        assert array_digest(rom.basis) == cold_digest
-        assert resumed.tiles_loaded == 1
-        info = rom.details["checkpoint"]
-        assert info["tiles_loaded"] == 1
-
-    def test_kill_before_tile_write_falls_back_to_stage_resume(
-            self, tmp_path):
-        """Dying before the payload lands leaves no readable tile: the
-        torn entry must be invisible and the stage track still resume
-        bit-identically."""
-        ckdir = tmp_path / "ck"
-        faults.configure("checkpoint.before_tile:1:raise")
-        with pytest.raises(Exception):
-            make_reducer().reduce(
-                fresh_system(24), checkpoint=JobState(ckdir)
-            )
-        faults.configure(None)
-        cold_digest = array_digest(make_reducer().reduce(
-            fresh_system(24)
-        ).basis)
-        resumed = JobState(ckdir)
-        assert not resumed.has_resumable_tiles()
-        rom = make_reducer().reduce(fresh_system(24), checkpoint=resumed)
-        assert array_digest(rom.basis) == cold_digest
