@@ -14,6 +14,7 @@ classical alternatives on one weakly nonlinear workload:
 Reported: ROM order, transient error, build time.
 """
 
+import os
 import time
 
 import numpy as np
@@ -29,7 +30,11 @@ from repro.mor import (
 from repro.simulation import simulate, step_source
 from repro.systems import QLDAE, StateSpace, carleman_bilinearize
 
-from .conftest import paper_scale
+
+def paper_scale():
+    """Paper-scale sizes unless ``REPRO_BENCH_QUICK=1``."""
+    return os.environ.get("REPRO_BENCH_QUICK", "0") != "1"
+
 
 N_NODES = 50 if paper_scale() else 14
 ORDERS = (6, 3, 0)

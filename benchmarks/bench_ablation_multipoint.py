@@ -12,6 +12,8 @@ expansion point collapses the error by two orders of magnitude at a
 *smaller* ROM size.
 """
 
+import os
+
 import numpy as np
 import pytest
 
@@ -20,7 +22,11 @@ from repro.circuits import varistor_surge_protector
 from repro.mor import AssociatedTransformMOR
 from repro.simulation import simulate, surge_source
 
-from .conftest import paper_scale
+
+def paper_scale():
+    """Paper-scale sizes unless ``REPRO_BENCH_QUICK=1``."""
+    return os.environ.get("REPRO_BENCH_QUICK", "0") != "1"
+
 
 N_STATES = 102 if paper_scale() else 30
 T_END, DT = 30.0, 0.02

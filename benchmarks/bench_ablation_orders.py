@@ -7,6 +7,8 @@ transient error, showing (i) error decreasing with richer subspaces and
 the paper's central complexity claim.
 """
 
+import os
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,11 @@ from repro.circuits import nonlinear_transmission_line
 from repro.mor import AssociatedTransformMOR
 from repro.simulation import simulate, step_source
 
-from .conftest import paper_scale
+
+def paper_scale():
+    """Paper-scale sizes unless ``REPRO_BENCH_QUICK=1``."""
+    return os.environ.get("REPRO_BENCH_QUICK", "0") != "1"
+
 
 N_NODES = 36 if paper_scale() else 16
 EXPANSION = 0.5

@@ -13,6 +13,7 @@ generation into independent subsystems.  This bench times:
 across system sizes, plus coupled vs decoupled H2 basis construction.
 """
 
+import os
 import time
 
 import numpy as np
@@ -25,7 +26,11 @@ from repro.circuits import quadratic_rc_ladder
 from repro.linalg import KronSumSolver, kron_sum_power
 from repro.mor import AssociatedTransformMOR
 
-from .conftest import paper_scale
+
+def paper_scale():
+    """Paper-scale sizes unless ``REPRO_BENCH_QUICK=1``."""
+    return os.environ.get("REPRO_BENCH_QUICK", "0") != "1"
+
 
 SIZES = (20, 40, 60) if paper_scale() else (10, 16)
 

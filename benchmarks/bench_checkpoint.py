@@ -5,8 +5,13 @@ Measures, on the sep-healthy sparse quadratic ladder at circuit scale:
 
 * **checkpoint overhead** — the same ``orders=(3, 2, 1)`` decoupled
   reduction cold vs with stage-boundary checkpointing (block payloads +
-  solver snapshots + durable manifest rewrites).  The acceptance budget
-  is <= 10% overhead.
+  solver snapshots + durable manifest rewrites), over interleaved
+  cold/checkpointed pairs (5 at full scale, 1 at quick scale).  Reported
+  as the median and quartiles of the per-pair overhead; the acceptance
+  budget is a median <= 10%.  Wall time on a shared host swings by more
+  than the budget from run to run, so the deterministic side of the
+  cost is reported too: stages committed, and the files and bytes the
+  checkpointed run writes.
 * **resume time** — a build crashed at its second commit resumed from
   the checkpoint, with bit-identity of the resumed basis asserted
   against the cold run (SHA-256 of the basis bytes).
@@ -27,9 +32,11 @@ Each invocation **appends** one run entry to the keyed list in
 ``REPRO_BENCH_QUICK=1`` to shrink the case for CI smoke.
 """
 
+import contextlib
 import os
 import platform
 import shutil
+import statistics
 import sys
 import tempfile
 import time
@@ -51,6 +58,9 @@ from repro.testing import faults  # noqa: E402
 OUT_PATH = Path(__file__).resolve().parent / "BENCH_sweep.json"
 
 DEFAULT_N = 20000
+
+#: Acceptance budget for the median checkpoint overhead.
+OVERHEAD_BUDGET = 0.10
 
 
 def _quick():
@@ -75,15 +85,48 @@ def _timed(fn):
     return result, time.perf_counter() - t0w, time.process_time() - t0c
 
 
-def run_case(n_nodes, workdir, repeats=2):
+@contextlib.contextmanager
+def counted_writes(root):
+    """Count the files and bytes moved into place under *root*.
+
+    Every durable checkpoint write (stage block, solver and Π snapshot,
+    manifest) lands through ``os.replace`` of an fsync'd temp file, so
+    wrapping that one call counts them all.
+    """
+    counts = {"files": 0, "bytes": 0}
+    root = os.fspath(root)
+    replace = os.replace
+
+    def counting_replace(src, dst, **kwargs):
+        if os.fspath(dst).startswith(root):
+            counts["files"] += 1
+            counts["bytes"] += os.path.getsize(src)
+        return replace(src, dst, **kwargs)
+
+    os.replace = counting_replace
+    try:
+        yield counts
+    finally:
+        os.replace = replace
+
+
+def _quartiles(values):
+    """``(q1, median, q3)`` of *values* (all three equal for one value)."""
+    if len(values) == 1:
+        return (values[0],) * 3
+    return tuple(statistics.quantiles(values, n=4, method="inclusive"))
+
+
+def run_case(n_nodes, workdir, pairs=5):
     ckdir = Path(workdir) / "ck"
 
-    # Interleave cold and checkpointed runs and keep the best of each:
-    # on shared hosts the run-to-run wall noise otherwise dwarfs the
-    # few-percent overhead this benchmark exists to measure.
+    # Interleave cold and checkpointed runs, one pair at a time, and
+    # summarize the per-pair overheads by median and quartiles: on
+    # shared hosts single runs swing by more than the few-percent
+    # overhead this benchmark exists to measure.
     cold_walls, cold_cpus, ck_walls, ck_cpus = [], [], [], []
-    digest = stages = None
-    for _ in range(max(1, repeats)):
+    digest = stages = writes = None
+    for _ in range(max(1, pairs)):
         rom_cold, wall, cpu = _timed(
             lambda: make_reducer().reduce(fresh_system(n_nodes))
         )
@@ -92,11 +135,12 @@ def run_case(n_nodes, workdir, repeats=2):
         digest = array_digest(rom_cold.basis)
         basis_cold = np.array(rom_cold.basis)
         shutil.rmtree(ckdir, ignore_errors=True)
-        rom_ck, wall, cpu = _timed(
-            lambda: make_reducer().reduce(
-                fresh_system(n_nodes), checkpoint=JobState(ckdir)
+        with counted_writes(ckdir) as writes:
+            rom_ck, wall, cpu = _timed(
+                lambda: make_reducer().reduce(
+                    fresh_system(n_nodes), checkpoint=JobState(ckdir)
+                )
             )
-        )
         ck_walls.append(wall)
         ck_cpus.append(cpu)
         assert array_digest(rom_ck.basis) == digest, (
@@ -104,8 +148,10 @@ def run_case(n_nodes, workdir, repeats=2):
         )
         stages = rom_ck.details["checkpoint"]["stages_committed"]
         shutil.rmtree(ckdir)
-    cold_s, checkpointed_s = min(cold_walls), min(ck_walls)
-    cold_cpu_s, checkpointed_cpu_s = min(cold_cpus), min(ck_cpus)
+    overheads = [ck / cold - 1.0 for ck, cold in zip(ck_walls, cold_walls)]
+    cpu_overheads = [ck / cold - 1.0 for ck, cold in zip(ck_cpus, cold_cpus)]
+    q1, median, q3 = _quartiles(overheads)
+    cpu_q1, cpu_median, cpu_q3 = _quartiles(cpu_overheads)
 
     # crash at the second commit, then resume from the checkpoint
     faults.configure("checkpoint.before_commit:2:raise")
@@ -148,19 +194,28 @@ def run_case(n_nodes, workdir, repeats=2):
         "orders": [3, 2, 1],
         "strategy": "decoupled",
         "basis_sha256": digest,
-        "cold_s": cold_s,
-        "checkpointed_s": checkpointed_s,
-        "checkpoint_overhead": checkpointed_s / cold_s - 1.0,
-        "cold_cpu_s": cold_cpu_s,
-        "checkpointed_cpu_s": checkpointed_cpu_s,
-        "checkpoint_cpu_overhead": checkpointed_cpu_s / cold_cpu_s - 1.0,
+        "pairs": len(overheads),
+        "cold_s": statistics.median(cold_walls),
+        "checkpointed_s": statistics.median(ck_walls),
+        "checkpoint_overhead": median,
+        "checkpoint_overhead_q1": q1,
+        "checkpoint_overhead_q3": q3,
+        "checkpoint_overheads": overheads,
+        "within_budget": median <= OVERHEAD_BUDGET,
+        "cold_cpu_s": statistics.median(cold_cpus),
+        "checkpointed_cpu_s": statistics.median(ck_cpus),
+        "checkpoint_cpu_overhead": cpu_median,
+        "checkpoint_cpu_overhead_q1": cpu_q1,
+        "checkpoint_cpu_overhead_q3": cpu_q3,
         "stages_committed": stages,
+        "files_written": writes["files"],
+        "bytes_written": writes["bytes"],
         "crashed_s": crashed_s,
         "resume_s": resume_s,
         "resume_loaded": resumed_info["loaded"],
         "resume_computed": resumed_info["computed"],
         "spill_s": spill_s,
-        "spill_overhead": spill_s / cold_s - 1.0,
+        "spill_overhead": spill_s / statistics.median(cold_walls) - 1.0,
         "spilled_blocks": spill_stats["spilled_blocks"],
         "spilled_mb": spill_stats["spilled_bytes"] / 1e6,
         "spill_max_abs_dev": spill_dev,
@@ -186,15 +241,21 @@ def main():
     workdir = tempfile.mkdtemp(prefix="repro-bench-ck-")
     try:
         results["fault_tolerance"] = run_case(
-            n, workdir, repeats=1 if _quick() else 2
+            n, workdir, pairs=1 if _quick() else 5
         )
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
     case = results["fault_tolerance"]
     print(
         "  cold {cold_s:.2f}s -> checkpointed {checkpointed_s:.2f}s "
-        "({checkpoint_overhead:+.1%} wall, {checkpoint_cpu_overhead:+.1%} "
-        "cpu, {stages_committed} stages)\n"
+        "(medians of {pairs} pairs)\n"
+        "  overhead: wall median {checkpoint_overhead:+.1%} "
+        "[q1 {checkpoint_overhead_q1:+.1%}, q3 {checkpoint_overhead_q3:+.1%}]"
+        ", cpu median {checkpoint_cpu_overhead:+.1%} "
+        "[q1 {checkpoint_cpu_overhead_q1:+.1%}, "
+        "q3 {checkpoint_cpu_overhead_q3:+.1%}]\n"
+        "  writes: {stages_committed} stages, {files_written} files, "
+        "{bytes_written} bytes\n"
         "  crash@2nd-commit {crashed_s:.2f}s -> resume {resume_s:.2f}s "
         "(loaded {resume_loaded}, computed {resume_computed}, "
         "bit-identical)\n"
@@ -203,6 +264,11 @@ def main():
         "max dev {spill_max_abs_dev:.1e}, traced peak "
         "{spill_tracemalloc_peak_mb:.1f} MB)"
         .format(**case)
+    )
+    verdict = "meets" if case["within_budget"] else "MISSES"
+    print(
+        f"  median wall overhead {case['checkpoint_overhead']:+.1%} "
+        f"{verdict} the {OVERHEAD_BUDGET:.0%} budget"
     )
     count = append_run(OUT_PATH, results)
     print(f"appended run {count} to {OUT_PATH}")

@@ -16,6 +16,7 @@ cases and writes ``benchmarks/BENCH_sweep.json`` so future PRs have a
 perf trajectory.
 """
 
+import os
 import time
 
 import numpy as np
@@ -25,7 +26,11 @@ from repro.circuits import nonlinear_transmission_line
 from repro.mor import AssociatedTransformMOR
 from repro.simulation import simulate, sine_source
 
-from .conftest import paper_scale
+
+def paper_scale():
+    """Paper-scale sizes unless ``REPRO_BENCH_QUICK=1``."""
+    return os.environ.get("REPRO_BENCH_QUICK", "0") != "1"
+
 
 # The sweep and transient cases always run on the paper-scale circuit
 # (n ≈ 200): that is the acceptance workload, and with the cached paths

@@ -32,13 +32,12 @@ import threading
 from collections import OrderedDict
 
 import numpy as np
-import scipy.linalg as sla
 import scipy.sparse as sp
 
 from .._validation import as_square_matrix
 from ..errors import NumericalError, TaskCancelled, ValidationError
 from .lu import csc_pattern_digest, sparse_lu_shared
-from .schur import SchurForm
+from .schur import SchurForm, _solve_upper
 
 __all__ = ["ResolventFactory", "matmul_columns"]
 
@@ -165,7 +164,6 @@ class ResolventFactory:
             # so concurrent callers (serve handler threads sharing this
             # factory) never trample each other.
             self._neg_t = -self.schur.t
-            (self._trtrs,) = sla.get_lapack_funcs(("trtrs",), (self._neg_t,))
             self._work = threading.local()
             self._diag = self.schur.eigenvalues
             self._scale = max(np.abs(self._diag).max(), 1.0)
@@ -306,17 +304,7 @@ class ResolventFactory:
             work = self._neg_t.copy()
             self._work.mat = work
         np.fill_diagonal(work, s - self._diag)
-        # LAPACK trtrs called exactly as ``sla.solve_triangular`` calls
-        # it for a C-ordered matrix (the transposed lower system), so
-        # the result is bit-identical without its per-call validation —
-        # which cost more than the substitution itself at ROM sizes.
-        y, info = self._trtrs(work.T, w, lower=1, trans=1)
-        if info != 0:
-            raise NumericalError(
-                f"triangular resolvent solve at s = {s} failed "
-                f"(LAPACK info {info})"
-            )
-        return y
+        return _solve_upper(work, w)
 
     # -- public API ----------------------------------------------------------
 

@@ -10,12 +10,21 @@ We implement the same idea with the **complex** Schur form, whose ``T``
 factor is strictly upper triangular.  That removes the 2×2-block case of
 the real quasi-triangular form at the cost of complex arithmetic; for real
 inputs all results are real up to rounding (asserted in the test suite).
+
+Every dense Schur-basis substitution in the library — the shifted
+solves here, the column sweeps of :mod:`repro.linalg.sylvester` and the
+resolvent factory's dense branch — goes through :func:`_solve_upper`,
+one direct LAPACK ``ztrtrs`` call.  The sweeps make one such call per
+column (``n²`` of them for the dense Π), where
+:func:`scipy.linalg.solve_triangular`'s finiteness scans and dispatch
+cost several times the ``O(n²)`` substitution itself.
 """
 
 import threading
 
 import numpy as np
 import scipy.linalg as sla
+from scipy.linalg.lapack import ztrtrs
 
 from .._validation import as_square_matrix
 from ..errors import NumericalError
@@ -25,6 +34,32 @@ __all__ = ["SchurForm"]
 #: Relative threshold below which a shifted triangular diagonal is
 #: considered singular.
 _SINGULAR_RTOL = 1e-13
+
+
+def _solve_upper(t, b, trans=0):
+    """Solve ``T y = b`` (``trans=0``) or ``Tᵀ y = b`` (``trans=1``).
+
+    *t* is an upper-triangular complex matrix, *b* a vector or a matrix
+    of stacked right-hand sides.  LAPACK ``ztrtrs`` is called exactly as
+    :func:`scipy.linalg.solve_triangular` calls it — an F-ordered *t*
+    as is, a C-ordered one as the lower-triangular ``t.T`` with *trans*
+    flipped — so results are bit-identical, minus its per-call
+    validation.  Callers refuse near-singular shifts beforehand; an
+    exactly zero diagonal entry still raises
+    :class:`~repro.errors.NumericalError`.
+    """
+    if t.flags.f_contiguous:
+        y, info = ztrtrs(t, b, lower=0, trans=trans)
+    else:
+        y, info = ztrtrs(t.T, b, lower=1, trans=1 - trans)
+    if info > 0:
+        raise NumericalError(
+            "triangular solve is singular "
+            f"(diagonal entry {info - 1} is exactly zero)"
+        )
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of ztrtrs")
+    return y
 
 
 class SchurForm:
@@ -94,7 +129,7 @@ class SchurForm:
         if squeeze:
             rhs = rhs[:, None]
         w = self.q.conj().T @ rhs
-        y = sla.solve_triangular(self._shifted_t(alpha), w, lower=False)
+        y = _solve_upper(self._shifted_t(alpha), w)
         x = self.q @ y
         return x[:, 0] if squeeze else x
 
@@ -112,9 +147,7 @@ class SchurForm:
         w = self.q.T @ rhs
         # (Tᵀ + alpha I) y = w  solved as an upper-triangular transposed
         # system.
-        y = sla.solve_triangular(
-            self._shifted_t(alpha), w, lower=False, trans="T"
-        )
+        y = _solve_upper(self._shifted_t(alpha), w, trans=1)
         x = self.q.conj() @ y
         return x[:, 0] if squeeze else x
 

@@ -14,7 +14,13 @@ Sparse fast path: a scipy-sparse iteration matrix (what sparse systems'
 implicit_step`) is detected here and factored **once** with
 ``scipy.sparse.linalg.splu`` — it is never densified, so a circuit-sized
 chord-Newton transient costs ``O(nnz)`` per factorization instead of
-``O(n³)``.  Dense matrices take the LAPACK ``lu_factor`` path unchanged.
+``O(n³)``.  Dense matrices are factored with LAPACK ``getrf`` and solved
+with ``getrs``, called directly: the same calls ``scipy.linalg.lu_factor``
+and ``lu_solve`` make, so results are bit-identical, minus the per-call
+finiteness scan of every right-hand side — a non-finite residual gives a
+non-finite step instead, which ends in :class:`ConvergenceError` just the
+same.  An exactly zero pivot raises :class:`NumericalError` on both
+branches (SuperLU raises on its own).
 """
 
 import threading
@@ -34,15 +40,31 @@ _CHORD_REFRESH_RATIO = 0.5
 
 
 class _DenseFactorization:
-    """LAPACK LU of a dense iteration matrix."""
+    """LAPACK LU of a dense matrix (``getrf`` / ``getrs`` called directly).
+
+    The factor keeps ``lu_factor``'s finiteness check of the matrix; an
+    exactly zero pivot raises :class:`NumericalError` rather than
+    leaving ``getrs`` to divide by it.
+    """
 
     is_sparse = False
 
-    def __init__(self, jac):
-        self._lu = sla.lu_factor(jac)
+    def __init__(self, mat):
+        mat = np.asarray_chkfinite(mat)
+        getrf, self._getrs = sla.get_lapack_funcs(("getrf", "getrs"), (mat,))
+        self._lu, self._piv, info = getrf(mat)
+        if info > 0:
+            raise NumericalError(
+                f"matrix is exactly singular (pivot {info - 1} is zero)"
+            )
+        if info < 0:
+            raise ValueError(f"illegal value in argument {-info} of getrf")
 
     def solve(self, rhs):
-        return sla.lu_solve(self._lu, rhs)
+        x, info = self._getrs(self._lu, self._piv, rhs)
+        if info < 0:
+            raise ValueError(f"illegal value in argument {-info} of getrs")
+        return x
 
 
 class _SparseFactorization:
@@ -62,18 +84,19 @@ class _SparseFactorization:
         return self._lu.solve(rhs)
 
 
-def _factorize(jac):
-    """Factor an iteration matrix, sparse-aware; returns a solver with a
+def _factorize(mat):
+    """Factor a square matrix, sparse-aware; returns a solver with a
     ``solve(rhs)`` method and an ``is_sparse`` flag."""
-    if sp.issparse(jac):
-        return _SparseFactorization(jac)
-    return _DenseFactorization(jac)
+    if sp.issparse(mat):
+        return _SparseFactorization(mat)
+    return _DenseFactorization(mat)
 
 
 #: Exceptions the factorization/backsolve layer can raise on a singular
-#: iteration matrix (LAPACK raises ValueError/LinAlgError, the shared
-#: sparse_lu helper NumericalError, SuperLU's backsolve RuntimeError).
-_FACTOR_ERRORS = (ValueError, RuntimeError, sla.LinAlgError, NumericalError)
+#: or non-finite iteration matrix (the dense factor NumericalError or
+#: ValueError, the shared sparse_lu helper NumericalError, SuperLU's
+#: backsolve RuntimeError).
+_FACTOR_ERRORS = (ValueError, RuntimeError, NumericalError)
 
 
 class JacobianCache:

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.errors import ConvergenceError, ValidationError
+import repro.simulation.integrators as integrators
+from repro.errors import ConvergenceError, NumericalError, ValidationError
 from repro.simulation import (
     THETA_BACKWARD_EULER,
     exponential_pulse_source,
@@ -18,6 +19,7 @@ from repro.simulation import (
     surge_source,
     zero_source,
 )
+from repro.simulation.newton import JacobianCache
 from repro.systems import QLDAE
 
 
@@ -96,6 +98,23 @@ class TestNewton:
         with pytest.raises(ConvergenceError):
             newton_solve(res, jac, np.array([0.0]))
 
+    @pytest.mark.parametrize("chord", [False, True])
+    def test_non_finite_residual_raises(self, chord):
+        # The dense backsolve does not scan its right-hand side: a
+        # non-finite residual gives a non-finite step, which must still
+        # end Newton with ConvergenceError, from a cached LU too.
+        jac = lambda x: np.eye(2)
+        cache = None
+        if chord:
+            cache = JacobianCache()
+            newton_solve(lambda x: x - 1.0, jac, np.zeros(2), jac_cache=cache)
+            assert cache.lu is not None
+        with pytest.raises(ConvergenceError):
+            newton_solve(
+                lambda x: np.array([np.nan, x[1]]), jac, np.zeros(2),
+                jac_cache=cache,
+            )
+
 
 class TestImplicitStep:
     def test_linear_exactness_order(self, rng):
@@ -158,6 +177,27 @@ class TestSimulate:
         rf = simulate(fast, step_source(1.0), 2.0, 0.01)
         rs = simulate(slow, step_source(1.0), 2.0, 0.01)
         assert rs.states[-1, 0] < rf.states[-1, 0]
+
+    def test_dense_mass_factored_once_per_run(self, monkeypatch):
+        factored = []
+        real = integrators._factorize
+        monkeypatch.setattr(
+            integrators, "_factorize",
+            lambda mat: factored.append(mat) or real(mat),
+        )
+        mass = np.array([[2.0, 0.3], [0.1, 1.5]])
+        sys = QLDAE(-np.eye(2), np.ones(2), mass=mass)
+        res = simulate(sys, step_source(1.0), 1.0, 0.05)
+        assert res.steps == 21
+        assert len(factored) == 1 and factored[0] is sys.mass
+        # The memoized LU reproduces a fresh dense solve of the mass.
+        f = np.array([0.7, -0.2])
+        assert np.allclose(sys._mass_lu[1].solve(f), np.linalg.solve(mass, f))
+
+    def test_singular_dense_mass_raises(self):
+        sys = QLDAE(-np.eye(2), np.ones(2), mass=np.diag([1.0, 0.0]))
+        with pytest.raises(NumericalError):
+            implicit_step(sys, np.zeros(2), [1.0], [1.0], 0.1)
 
     def test_nonlinear_saturation(self, small_qldae):
         res = simulate(small_qldae, step_source(0.2), 10.0, 0.01)

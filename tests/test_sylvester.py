@@ -2,17 +2,23 @@
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 from repro.errors import NumericalError, ValidationError
 from repro.linalg import (
     KronSumSolver,
+    ResolventFactory,
     SchurForm,
     kron_sum_power,
+    kron_sum_power_matvec,
+    mode_apply,
     pi_sylvester_residual,
     solve_pi_sylvester,
     triangular_sylvester_solve,
     triangular_sylvester_solve_transposed,
 )
+from repro.linalg import sylvester
+from repro.linalg.sylvester import _SYLVESTER_BLOCK
 
 
 @pytest.fixture
@@ -134,3 +140,169 @@ class TestPiSylvester:
         a = np.diag([2.0, 1.0, 1.0])
         with pytest.raises(NumericalError):
             solve_pi_sylvester(a, np.ones((3, 9)))
+
+
+# -- the dense sweeps across block boundaries ---------------------------------
+#
+# Oracles: the sweeps as written against ``scipy.linalg.solve_triangular``
+# (same blocking, same summation grouping, one checked call per column).
+# The library's sweeps call LAPACK ``ztrtrs`` directly in the same
+# layout, so they must agree with these bit for bit.
+
+
+def _oracle_forward(t, alpha, w):
+    n, m = w.shape
+    diag = np.diag(t)
+    y = np.empty((n, m), dtype=complex)
+    shifted = t.astype(complex, copy=True)
+    for hi in range(m, 0, -_SYLVESTER_BLOCK):
+        lo = max(0, hi - _SYLVESTER_BLOCK)
+        rhs_block = np.ascontiguousarray(w[:, lo:hi], dtype=complex)
+        if hi < m:
+            rhs_block -= y[:, hi:] @ t[lo:hi, hi:m].T
+        for j in range(hi - 1, lo - 1, -1):
+            rhs = rhs_block[:, j - lo]
+            if j + 1 < hi:
+                rhs = rhs - y[:, j + 1 : hi] @ t[j, j + 1 : hi]
+            np.fill_diagonal(shifted, diag + (t[j, j] + alpha))
+            y[:, j] = sla.solve_triangular(shifted, rhs, lower=False)
+    return y
+
+
+def _oracle_transposed(t, alpha, w):
+    n, m = w.shape
+    diag = np.diag(t)
+    y = np.empty((n, m), dtype=complex)
+    shifted = t.astype(complex, copy=True)
+    for lo in range(0, m, _SYLVESTER_BLOCK):
+        hi = min(m, lo + _SYLVESTER_BLOCK)
+        rhs_block = np.ascontiguousarray(w[:, lo:hi], dtype=complex)
+        if lo > 0:
+            rhs_block -= y[:, :lo] @ t[:lo, lo:hi]
+        for j in range(lo, hi):
+            rhs = rhs_block[:, j - lo]
+            if j > lo:
+                rhs = rhs - y[:, lo:j] @ t[lo:j, j]
+            np.fill_diagonal(shifted, diag + (t[j, j] + alpha))
+            y[:, j] = sla.solve_triangular(
+                shifted, rhs, lower=False, trans="T"
+            )
+    return y
+
+
+def _oracle_pi(schur, g2):
+    n = schur.n
+    t, q = schur.t, schur.q
+    diag = np.diag(t)
+    c = np.asarray(-g2).reshape(n, n, n).astype(complex)
+    c = mode_apply(c, q.conj().T, 0)
+    c = mode_apply(c, q.T, 1)
+    c = mode_apply(c, q.T, 2)
+    y = np.empty((n, n, n), dtype=complex)
+    shifted = t.astype(complex, copy=True)
+    for k in range(n):
+        for j in range(n):
+            rhs = c[:, j, k].copy()
+            if j > 0:
+                rhs += y[:, :j, k] @ t[:j, j]
+            if k > 0:
+                rhs += y[:, j, :k] @ t[:k, k]
+            np.fill_diagonal(shifted, diag - (t[j, j] + t[k, k]))
+            y[:, j, k] = sla.solve_triangular(shifted, rhs, lower=False)
+    y = mode_apply(y, q, 0)
+    y = mode_apply(y, q.conj(), 1)
+    y = mode_apply(y, q.conj(), 2)
+    return y.reshape(n, n * n)
+
+
+def _triangular_case(n, order, seed=7):
+    """A well-conditioned complex upper-triangular T and a dense W."""
+    rng = np.random.default_rng(seed + n)
+    off = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    diag = -1.0 - rng.random(n) + 1j * rng.standard_normal(n)
+    t = np.triu(off, k=1) / np.sqrt(n) + np.diag(diag)
+    w = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    return np.array(t, order=order), w
+
+
+class TestSweepsAcrossBlocks:
+    ALPHA = 0.3 - 0.2j
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("n", [63, 64, 65, 130])
+    def test_forward_sweep(self, n, order):
+        t, w = _triangular_case(n, order)
+        y = triangular_sylvester_solve(t, self.ALPHA, w)
+        assert np.array_equal(y, _oracle_forward(t, self.ALPHA, w))
+        residual = t @ y + y @ t.T + self.ALPHA * y - w
+        assert np.abs(residual).max() < 1e-12 * np.abs(w).max() * n
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("n", [63, 64, 65, 130])
+    def test_transposed_sweep(self, n, order):
+        t, w = _triangular_case(n, order)
+        y = triangular_sylvester_solve_transposed(t, self.ALPHA, w)
+        assert np.array_equal(y, _oracle_transposed(t, self.ALPHA, w))
+        residual = t.T @ y + y @ t + self.ALPHA * y - w
+        assert np.abs(residual).max() < 1e-12 * np.abs(w).max() * n
+
+    def test_dense_pi_matches_oracle(self):
+        rng = np.random.default_rng(20)
+        n = 20
+        g1 = -2.0 * np.eye(n) + 0.3 * rng.standard_normal((n, n))
+        g2 = rng.standard_normal((n, n * n))
+        solver = KronSumSolver(g1)
+        pi = solve_pi_sylvester(g1, g2, solver=solver)
+        oracle = _oracle_pi(solver.schur, g2)
+        assert np.array_equal(pi, np.ascontiguousarray(oracle.real))
+        assert pi_sylvester_residual(g1, g2, pi) < 1e-9
+
+    def test_three_way_residual_at_65(self):
+        rng = np.random.default_rng(65)
+        n = 65
+        a = -2.0 * np.eye(n) + 0.2 * rng.standard_normal((n, n))
+        rhs = rng.standard_normal(n**3)
+        shift = 0.4 + 0.1j
+        x = KronSumSolver(a).solve(rhs, k=3, shift=shift)
+        residual = kron_sum_power_matvec(a, 3, x) + shift * x - rhs
+        assert np.abs(residual).max() < 1e-10 * np.abs(rhs).max()
+
+    def test_three_way_refuses_before_any_slab(self, monkeypatch):
+        n = 65
+        # λ_k = −1 − k/n and shift = −3·λ_1: the pairings with
+        # i + j + r = 3 vanish, so only the lowest slabs are singular and
+        # a check made slab by slab would solve slab n − 1 first.
+        eig = -1.0 - np.arange(n) / n
+        shift = -3.0 * eig[1]
+        solver = KronSumSolver(np.diag(eig))
+        special = int(np.argmin(np.abs(solver.schur.eigenvalues - eig[1])))
+        assert special < n - 1  # a lazy check would solve slab n-1 first
+        slabs = []
+        real = sylvester.triangular_sylvester_solve
+        monkeypatch.setattr(
+            sylvester,
+            "triangular_sylvester_solve",
+            lambda *args: slabs.append(1) or real(*args),
+        )
+        with pytest.raises(NumericalError):
+            solver.solve(np.ones(n**3), k=3, shift=shift)
+        assert slabs == []
+
+    def test_no_dense_sweep_calls_scipy_solve_triangular(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("scipy.linalg.solve_triangular was called")
+
+        monkeypatch.setattr(sla, "solve_triangular", forbidden)
+        t, w = _triangular_case(65, "F")
+        triangular_sylvester_solve(t, 0.5, w)
+        triangular_sylvester_solve_transposed(t, 0.5, w)
+        rng = np.random.default_rng(3)
+        n = 8
+        g1 = -1.5 * np.eye(n) + 0.3 * rng.standard_normal((n, n))
+        solver = KronSumSolver(g1)
+        for k in (1, 2, 3):
+            solver.solve(rng.standard_normal(n**k), k=k, shift=0.2)
+        for k in (1, 2):
+            solver.solve_transpose(rng.standard_normal(n**k), k=k, shift=0.2)
+        solve_pi_sylvester(g1, rng.standard_normal((n, n * n)), solver=solver)
+        ResolventFactory(g1).solve(0.5j, rng.standard_normal(n))
