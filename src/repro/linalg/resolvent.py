@@ -37,7 +37,7 @@ import scipy.sparse as sp
 from .._validation import as_square_matrix
 from ..errors import NumericalError, TaskCancelled, ValidationError
 from .lu import csc_pattern_digest, sparse_lu_shared
-from .schur import SchurForm, _solve_upper
+from .schur import SchurForm, _diagonal, _solve_upper
 
 __all__ = ["ResolventFactory", "matmul_columns"]
 
@@ -301,9 +301,9 @@ class ResolventFactory:
         self._check_shift(s)
         work = getattr(self._work, "mat", None)
         if work is None:
-            work = self._neg_t.copy()
-            self._work.mat = work
-        np.fill_diagonal(work, s - self._diag)
+            work = self._work.mat = self._neg_t.copy()
+            self._work.diag = _diagonal(work)
+        self._work.diag[:] = s - self._diag
         return _solve_upper(work, w)
 
     # -- public API ----------------------------------------------------------

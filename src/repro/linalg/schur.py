@@ -62,6 +62,20 @@ def _solve_upper(t, b, trans=0):
     return y
 
 
+def _diagonal(mat):
+    """Writable strided view of the diagonal of a square matrix.
+
+    Its one stride is the sum of the matrix's strides, so writes land on
+    the diagonal whatever the memory order (C, F or neither).  The
+    shifted sweeps rewrite a work matrix's diagonal once per column or
+    shift through such a view, one slice assignment, instead of
+    :func:`numpy.fill_diagonal`'s flat-iterator write.
+    """
+    return np.lib.stride_tricks.as_strided(
+        mat, shape=(min(mat.shape),), strides=(sum(mat.strides),)
+    )
+
+
 class SchurForm:
     """Complex Schur decomposition ``A = Q T Qᴴ`` with shifted solves.
 
@@ -103,9 +117,9 @@ class SchurForm:
     def _shifted_t(self, alpha):
         work = getattr(self._work, "mat", None)
         if work is None:
-            work = self.t.copy()
-            self._work.mat = work
-        np.fill_diagonal(work, self.eigenvalues + alpha)
+            work = self._work.mat = self.t.copy()
+            self._work.diag = _diagonal(work)
+        self._work.diag[:] = self.eigenvalues + alpha
         return work
 
     def _check_shift(self, alpha):

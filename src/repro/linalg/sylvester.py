@@ -41,7 +41,7 @@ from .._validation import as_matrix, as_square_matrix
 from ..errors import NumericalError, ValidationError
 from ._hotloops import scatter_add_rows
 from .kronecker import mode_apply
-from .schur import SchurForm, _solve_upper
+from .schur import SchurForm, _diagonal, _solve_upper
 
 __all__ = [
     "triangular_sylvester_solve",
@@ -111,15 +111,25 @@ def triangular_sylvester_solve(t, alpha, w):
     """
     t = np.asarray(t)
     w = np.asarray(w, dtype=complex)
-    n, m = w.shape
     diag = np.diag(t)
-    pair_sums = diag[:, None] + diag[None, :m] + alpha
+    pair_sums = diag[:, None] + diag[None, : w.shape[1]] + alpha
     _check_diag_gap(pair_sums, max(np.abs(diag).max(), 1.0))
+    return _sylvester_sweep(t, diag, alpha, w)
+
+
+def _sylvester_sweep(t, diag, alpha, w):
+    """The column sweep of :func:`triangular_sylvester_solve`, without
+    its pairing check: for callers that checked every pairing up front
+    (the 3-way sweep checks all of its slabs before solving the first).
+    *diag* is ``diag(t)``; *w* is complex."""
+    n, m = w.shape
     y = np.empty((n, m), dtype=complex)
     # One shared work matrix: only the diagonal changes per column, so
     # the O(n²) allocate-and-add of ``T + beta I`` is hoisted out of the
-    # sweep (an O(n³)-per-solve saving across the m columns).
+    # sweep (an O(n³)-per-solve saving across the m columns), and the
+    # diagonal is rewritten through one strided view.
     shifted = t.astype(complex, copy=True)
+    shifted_diag = _diagonal(shifted)
     # Blocked sweep: the coupling from all already-solved columns right
     # of a block lands as one GEMM per block (level-3 BLAS) instead of
     # one GEMV per column over an ever-longer tail — the couplings are
@@ -140,7 +150,7 @@ def triangular_sylvester_solve(t, alpha, w):
             rhs = rhs_block[:, j - lo]
             if j + 1 < hi:
                 rhs = rhs - y[:, j + 1 : hi] @ t[j, j + 1 : hi]
-            np.fill_diagonal(shifted, diag + (t[j, j] + alpha))
+            shifted_diag[:] = diag + (t[j, j] + alpha)
             y[:, j] = _solve_upper(shifted, rhs)
     return y
 
@@ -160,6 +170,7 @@ def triangular_sylvester_solve_transposed(t, alpha, w):
     _check_diag_gap(pair_sums, max(np.abs(diag).max(), 1.0))
     y = np.empty((n, m), dtype=complex)
     shifted = t.astype(complex, copy=True)
+    shifted_diag = _diagonal(shifted)
     # Blocked left-to-right sweep, mirroring the forward solve: the
     # coupling from all already-solved columns left of a block is one
     # GEMM; intra-block couplings stay per-column, with the same fixed
@@ -175,7 +186,7 @@ def triangular_sylvester_solve_transposed(t, alpha, w):
             rhs = rhs_block[:, j - lo]
             if j > lo:
                 rhs = rhs - y[:, lo:j] @ t[lo:j, j]
-            np.fill_diagonal(shifted, diag + (t[j, j] + alpha))
+            shifted_diag[:] = diag + (t[j, j] + alpha)
             y[:, j] = _solve_upper(shifted, rhs, trans=1)
     return y
 
@@ -298,7 +309,8 @@ class KronSumSolver:
         transformed slab by slab.  At most three n³ complex arrays are
         alive at once: the right-hand side, ``Y``, and either ``W`` or
         the result.  The singular-pairing check takes its minimum slab
-        by slab too, and refuses before any slab is solved.
+        by slab too, and refuses before any slab is solved; it covers
+        every slab's pairings, so the slab sweeps do not check again.
         """
         n = self.n
         t = self.schur.t
@@ -322,7 +334,7 @@ class KronSumSolver:
                 rhs_slab -= (
                     t[r, r + 1 :] @ y[r + 1 :].reshape(-1, n * n)
                 ).reshape(n, n)
-            y[r] = triangular_sylvester_solve(t, shift + t[r, r], rhs_slab)
+            y[r] = _sylvester_sweep(t, diag, shift + t[r, r], rhs_slab)
         del w
         for r in range(n):
             y[r] = q @ y[r] @ q.T
@@ -407,6 +419,7 @@ def _solve_pi_schur(schur, g2):
     # over (j, k): couplings come from p < j (mode 1) and p < k (mode 2).
     y = np.empty((n, n, n), dtype=complex)
     shifted = t.astype(complex, copy=True)
+    shifted_diag = _diagonal(shifted)
     for k in range(n):
         for j in range(n):
             rhs = c[:, j, k].copy()
@@ -414,7 +427,7 @@ def _solve_pi_schur(schur, g2):
                 rhs += y[:, :j, k] @ t[:j, j]
             if k > 0:
                 rhs += y[:, j, :k] @ t[:k, k]
-            np.fill_diagonal(shifted, diag - (t[j, j] + t[k, k]))
+            shifted_diag[:] = diag - (t[j, j] + t[k, k])
             y[:, j, k] = _solve_upper(shifted, rhs)
     del c
 
@@ -1805,6 +1818,7 @@ class LowRankKronSolver:
             "pbc,bd,ce->pde", g2r[g2_rows], q, q, optimize=True
         ).reshape(g2_rows.size, r * r)
         shifted = t.copy()
+        shifted_diag = _diagonal(shifted)
         while True:
             v = left_basis.u
             k = left_basis.dim
@@ -1821,7 +1835,7 @@ class LowRankKronSolver:
                 rhs = c[:, :, e]
                 if e:
                     rhs = rhs + y[:, :, :e] @ t[:e, e]
-                np.fill_diagonal(shifted, lam + lam[e])
+                shifted_diag[:] = lam + lam[e]
                 sol, scale, _ = ztrsyl(s, shifted, rhs, isgn=-1)
                 y[:, :, e] = sol / scale
             y = z @ y.reshape(k, r * r)

@@ -380,8 +380,13 @@ class PipelineResult:
         self.memory_info = memory_info
 
     def report(self):
-        """JSON-able report of the whole pipeline run."""
-        report = {"system": dict(self.system_info)}
+        """JSON-safe report of the whole pipeline run.
+
+        Assembled first, then passed through
+        :func:`~repro.serialize.json_safe` in one walk, so callers that
+        encode it (the CLI, the serving daemon) need not walk it again.
+        """
+        report = {"system": self.system_info}
         if self.jobs:
             report["jobs"] = {
                 key: job.to_dict() for key, job in self.jobs.items()
@@ -389,28 +394,28 @@ class PipelineResult:
         if self.rom is not None:
             report["reduction"] = {
                 "method": self.rom.method,
-                "orders": json_safe(self.rom.orders),
-                "expansion_points": json_safe(self.rom.expansion_points),
+                "orders": self.rom.orders,
+                "expansion_points": self.rom.expansion_points,
                 "rom_order": int(self.rom.order),
                 "full_order": int(self.rom.full_order),
-                "build_time_s": json_safe(self.rom.build_time),
+                "build_time_s": self.rom.build_time,
                 "store_hit": self.store_hit,
                 "reduce_time_s": self.reduce_time,
             }
             pi_plan = self.rom.details.get("pi_plan")
             if pi_plan is not None:
-                report["reduction"]["pi_plan"] = json_safe(pi_plan)
+                report["reduction"]["pi_plan"] = pi_plan
             if self.artifact is not None:
-                report["reduction"]["provenance"] = self.artifact.describe()
+                report["reduction"]["provenance"] = self.artifact.provenance
             if self.checkpoint_info is not None:
-                report["reduction"]["checkpoint"] = dict(self.checkpoint_info)
+                report["reduction"]["checkpoint"] = self.checkpoint_info
         if self.memory_info is not None:
-            report["memory"] = dict(self.memory_info)
+            report["memory"] = self.memory_info
         if self.sweep is not None:
-            report["sweep"] = json_safe(self.sweep)
+            report["sweep"] = self.sweep
         if self.transient is not None:
-            report["transient"] = json_safe(self.transient)
-        return report
+            report["transient"] = self.transient
+        return json_safe(report)
 
     def __repr__(self):
         parts = [f"n={self.system_info.get('n_states')}"]
@@ -957,22 +962,23 @@ class ParametricResult:
         self.store_stats = store_stats
 
     def report(self):
-        """JSON-able report (the CLI's and the ``/mc`` endpoint's body)."""
+        """JSON-safe report (the CLI's and the ``/mc`` endpoint's body),
+        made safe in one :func:`~repro.serialize.json_safe` walk."""
         report = {
-            "system": dict(self.system_info),
-            "grid": json_safe(self.grid_info),
-            "mc": json_safe(self.mc_info),
-            "tiers": dict(self.tiers),
-            "corners": json_safe(self.corners),
-            "distributions": json_safe(self.distributions),
+            "system": self.system_info,
+            "grid": self.grid_info,
+            "mc": self.mc_info,
+            "tiers": self.tiers,
+            "corners": self.corners,
+            "distributions": self.distributions,
             "jobs": {k: job.to_dict() for k, job in self.jobs.items()},
-            "timings": json_safe(self.timings),
+            "timings": self.timings,
         }
         if self.draws:
-            report["draws"] = json_safe(self.draws)
+            report["draws"] = self.draws
         if self.store_stats is not None:
-            report["store"] = dict(self.store_stats)
-        return report
+            report["store"] = self.store_stats
+        return json_safe(report)
 
     def __repr__(self):
         tiers = ", ".join(f"{k}={v}" for k, v in sorted(self.tiers.items()))

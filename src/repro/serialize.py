@@ -35,6 +35,7 @@ sites so the guarantee is testable.
 
 import hashlib
 import json
+import math
 import os
 import tempfile
 
@@ -294,6 +295,18 @@ def array_digest(value):
     return update_digest(hashlib.sha256(), value).hexdigest()
 
 
+#: Exact types :func:`json_safe` returns as they are.
+_JSON_PASSTHROUGH = frozenset({str, int, bool, type(None)})
+
+#: ndarray dtypes whose ``tolist()`` yields exactly what the element-wise
+#: walk would (Python bools, ints, floats and complexes): booleans,
+#: integers, float16/32/64 and complex64/128 — not ``longdouble``, whose
+#: elements stay numpy scalars.  Float arrays take this path only when
+#: every value is finite.
+_TOLIST_EXACT = frozenset("?bBhHiIlLqQnNpPefdFD")
+_TOLIST_FLOAT = frozenset("efd")
+
+
 def json_safe(value):
     """Coerce diagnostics (e.g. ``ReducedOrderModel.details``) to the
     payload-scalar subset: numpy scalars unwrap, complex numbers stay
@@ -305,7 +318,36 @@ def json_safe(value):
     strict RFC-8259 JSON has no tokens for them, and the pipeline/CLI
     reports built on this helper promise machine-parseable output
     (``json.dumps(..., allow_nan=False)`` downstream enforces it).
+
+    One typed pass: the common node types are dispatched on their exact
+    type — a ``float`` is checked with :func:`math.isfinite`, lists,
+    tuples and dicts recurse, and a numeric ndarray whose values are all
+    finite converts with a single ``tolist()``.  Everything else (numpy
+    scalars, subclasses, non-finite or ``longdouble`` arrays, unknown
+    objects) takes the ``isinstance`` chain, so the output is the same
+    for every input.  The result is a fixed point: ``json_safe`` of it
+    returns an equal tree.
     """
+    kind = type(value)
+    if kind in _JSON_PASSTHROUGH:
+        return value
+    if kind is float:
+        return value if math.isfinite(value) else repr(value)
+    if kind is list or kind is tuple:
+        return [json_safe(item) for item in value]
+    if kind is dict:
+        return {str(key): json_safe(val) for key, val in value.items()}
+    if kind is np.ndarray:
+        char = value.dtype.char
+        if char in _TOLIST_EXACT and (
+            char not in _TOLIST_FLOAT or np.isfinite(value).all()
+        ):
+            return value.tolist()
+    return _json_safe_node(value)
+
+
+def _json_safe_node(value):
+    """:func:`json_safe` of one node by ``isinstance`` (any subclass)."""
     if value is None or isinstance(value, (bool, str)):
         return value
     if isinstance(value, (int, np.integer)):

@@ -263,7 +263,9 @@ class ServeOutcome:
         ``command`` key the CLI has always emitted, a top-level
         ``serving`` block (wall time), plus ``reduction.served_from`` /
         ``reduction.artifact_key`` when a reduction ran — existing
-        consumers of the report shape are untouched.
+        consumers of the report shape are untouched.  The tags are
+        plain JSON scalars, so the tree stays as JSON-safe as the
+        pipeline report it extends.
         """
         report = self.result.report()
         report["command"] = self.verb

@@ -245,7 +245,7 @@ class ServeDaemon:
                 "depth": int(self._inflight),
                 "limit": int(self.queue_limit),
             }
-            return 200, stats
+            return 200, json_safe(stats)
         if path.startswith("/v1/"):
             verb = path[len("/v1/"):]
             if verb not in REQUEST_TYPES:
@@ -260,9 +260,12 @@ class ServeDaemon:
 
     @staticmethod
     async def _reply(writer, status, report, keep_alive):
-        data = json.dumps(
-            json_safe(report), default=repr, allow_nan=False
-        ).encode("utf-8")
+        # Every payload is JSON-safe where it is made: the pipeline
+        # reports walk themselves once, ``_dispatch`` walks /metrics and
+        # the rest are literals, so the reply encodes without a walk.
+        data = json.dumps(report, default=repr, allow_nan=False).encode(
+            "utf-8"
+        )
         head_lines = [
             f"HTTP/1.1 {status} {_REASONS.get(status, 'Unknown')}",
             "Content-Type: application/json",

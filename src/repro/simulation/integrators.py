@@ -14,6 +14,17 @@ identity matrix is only built when a Newton refresh assembles
 through an LU factored once per system (:func:`_mass_factor`), not once
 per step.
 
+One stepper (:class:`_ThetaStepper`) is the fixed-step loop of
+:func:`~repro.simulation.transient.simulate` and, one step at a time,
+:func:`implicit_step`.  It settles the per-run work once (the θ and dt
+checks, ``dt·θ``, the mass handling) and evaluates f once per Newton
+iterate: the f Newton computed at the iterate it accepts is
+``f(x_{k+1}, u_{k+1})``, which the next step starts from instead of
+evaluating it again.  A step whose first residual (at the predictor) is
+not finite raises :class:`~repro.errors.ConvergenceError`
+(:func:`~repro.simulation.newton.newton_solve` refuses it), so an
+overflowing right-hand side never passes for a converged step.
+
 Sparse systems (CSR ``g1``/``mass``, e.g. circuit-stamped MNA models)
 stay sparse through the whole step: the iteration matrix ``M − dt·θ·J``
 is assembled in CSR, and the Newton layer factors it with a sparse LU.
@@ -33,6 +44,92 @@ THETA_BACKWARD_EULER = 1.0
 THETA_TRAPEZOIDAL = 0.5
 
 
+class _ThetaStepper:
+    """The fixed-step θ-scheme loop's state for one run.
+
+    Everything fixed for the run is settled once, here: the θ and dt
+    checks, ``dt·θ`` and ``dt·(1−θ)``, the mass term of the iteration
+    matrix and the predictor's mass LU.  :meth:`step` then solves one
+    step by Newton, evaluating f once per Newton iterate: its residual
+    keeps the f it computed, and since Newton's last residual evaluation
+    is always at the iterate it accepts, that f is ``f(x_{k+1},
+    u_{k+1})`` — exactly the ``f(x_k, u_k)`` the next step starts from.
+    """
+
+    def __init__(self, system, dt, theta, newton_tol, max_iterations,
+                 jac_cache):
+        if not 0.0 < theta <= 1.0:
+            raise ValidationError(f"theta must be in (0, 1], got {theta}")
+        if dt <= 0.0:
+            raise ValidationError("dt must be positive")
+        self.system = system
+        self.dt = dt
+        self.dt_theta = dt * theta
+        self.dt_explicit = dt * (1.0 - theta)
+        self.newton_tol = newton_tol
+        self.max_iterations = max_iterations
+        self.jac_cache = jac_cache
+        self.mass = mass = system.mass
+        self._sparse = getattr(system, "is_sparse", False) or sp.issparse(
+            mass
+        )
+        self._mass_lu = None if mass is None else _mass_factor(system, mass)
+        # The M of the iteration matrix M − dt·θ·J, built at the first
+        # Jacobian refresh (an identity when the system has no mass),
+        # and its dense copy for mixed sparse/dense pairs.
+        self._jac_mass = None
+        self._jac_mass_dense = None
+        self._u = None  # the step's end-point input u_{k+1}
+        self._const = None  # M x_k + dt·(1−θ)·f(x_k, u_k)
+        self._f = self._f_at = None  # last f evaluated, and where
+
+    def _residual(self, x):
+        f = self.system.rhs(x, self._u)
+        self._f, self._f_at = f, x
+        mass_x = x if self.mass is None else self.mass @ x
+        return mass_x - self.dt_theta * f - self._const
+
+    def _jacobian(self, x):
+        jac = self.system.jacobian(x, self._u)
+        m = self._jac_mass
+        if m is None:
+            m = self.mass
+            if m is None:
+                n = self.system.n_states
+                m = sp.identity(n, format="csr") if self._sparse else np.eye(n)
+            self._jac_mass = m
+        if sp.issparse(m) and sp.issparse(jac):
+            return sp.csr_matrix(m - self.dt_theta * jac)
+        if sp.issparse(jac):
+            jac = jac.toarray()
+        if self._jac_mass_dense is None:
+            self._jac_mass_dense = m.toarray() if sp.issparse(m) else m
+        return self._jac_mass_dense - self.dt_theta * jac
+
+    def step(self, x_k, f_k, u_k1):
+        """Advance from ``x_k`` (where ``f_k = f(x_k, u_k)``) to the step's
+        end point under input *u_k1*; returns ``(x_{k+1}, f(x_{k+1},
+        u_{k+1}), newton_iterations)``."""
+        self._u = u_k1
+        mass_x = x_k if self.mass is None else self.mass @ x_k
+        self._const = mass_x + self.dt_explicit * f_k
+        # Predictor: explicit-Euler-ish guess keeps Newton counts low.
+        if self._mass_lu is None:
+            guess = x_k + self.dt * f_k
+        else:
+            guess = x_k + self.dt * self._mass_lu.solve(f_k)
+        x, iterations = newton_solve(
+            self._residual,
+            self._jacobian,
+            guess,
+            tol=self.newton_tol,
+            max_iterations=self.max_iterations,
+            jac_cache=self.jac_cache,
+        )
+        f = self._f if self._f_at is x else self.system.rhs(x, u_k1)
+        return x, f, iterations
+
+
 def implicit_step(
     system,
     x_k,
@@ -45,6 +142,10 @@ def implicit_step(
     jac_cache=None,
 ):
     """Advance one implicit θ-step; returns ``(x_{k+1}, newton_iters)``.
+
+    One step of the stepper :func:`~repro.simulation.transient.simulate`
+    runs.  Called on its own it evaluates ``f(x_k, u_k)`` itself, which
+    ``simulate`` carries over from the previous step.
 
     Parameters
     ----------
@@ -60,53 +161,11 @@ def implicit_step(
         convergence degrades.  Only valid while ``dt`` and ``theta`` stay
         fixed between calls (the fixed-step driver guarantees this).
     """
-    if not 0.0 < theta <= 1.0:
-        raise ValidationError(f"theta must be in (0, 1], got {theta}")
-    if dt <= 0.0:
-        raise ValidationError("dt must be positive")
-    n = system.n_states
-    mass = system.mass
-    sparse_system = getattr(system, "is_sparse", False) or sp.issparse(mass)
-    f_k = system.rhs(x_k, u_k)
-    const = _apply_mass(mass, x_k) + dt * (1.0 - theta) * f_k
-
-    def residual(x):
-        return _apply_mass(mass, x) - dt * theta * system.rhs(x, u_k1) - const
-
-    mass_dense = None  # lazy one-time densification for mixed pairs only
-
-    def jacobian(x):
-        nonlocal mass_dense
-        jac = system.jacobian(x, u_k1)
-        m = mass
-        if m is None:
-            m = sp.identity(n, format="csr") if sparse_system else np.eye(n)
-        if sp.issparse(m) and sp.issparse(jac):
-            return sp.csr_matrix(m - dt * theta * jac)
-        if sp.issparse(jac):
-            jac = jac.toarray()
-        if mass_dense is None:
-            mass_dense = m.toarray() if sp.issparse(m) else m
-        return mass_dense - dt * theta * jac
-
-    # Predictor: explicit-Euler-ish guess keeps Newton counts low.
-    if mass is None:
-        guess = x_k + dt * f_k
-    else:
-        guess = x_k + dt * _mass_factor(system, mass).solve(f_k)
-    return newton_solve(
-        residual,
-        jacobian,
-        guess,
-        tol=newton_tol,
-        max_iterations=max_iterations,
-        jac_cache=jac_cache,
+    stepper = _ThetaStepper(
+        system, dt, theta, newton_tol, max_iterations, jac_cache
     )
-
-
-def _apply_mass(mass, x):
-    """``M x``, with an absent mass matrix standing for the identity."""
-    return x if mass is None else mass @ x
+    x, _, iterations = stepper.step(x_k, system.rhs(x_k, u_k), u_k1)
+    return x, iterations
 
 
 def _mass_factor(system, mass):

@@ -21,6 +21,13 @@ finiteness scan of every right-hand side — a non-finite residual gives a
 non-finite step instead, which ends in :class:`ConvergenceError` just the
 same.  An exactly zero pivot raises :class:`NumericalError` on both
 branches (SuperLU raises on its own).
+
+A non-finite first residual is refused with :class:`ConvergenceError`
+(``iterations=0``) before any factorization: an infinite one would make
+the convergence floor, which scales with it, infinite too.  Each call
+evaluates the residual once per iterate and last at the iterate it
+returns, which lets the transient stepper carry ``f(x_{k+1}, u_{k+1})``
+into the next step instead of evaluating f there again.
 """
 
 import threading
@@ -200,14 +207,28 @@ def newton_solve(
     -------
     (x, iterations)
 
+    The last ``residual`` call is always at the returned ``x`` (the
+    starting guess, or the iterate the final line search accepted), so
+    a caller's residual can keep what it computed there — the transient
+    stepper carries its ``f(x, u)`` into the next step this way.
+
     Raises
     ------
     ConvergenceError
-        When the iteration stalls or exceeds *max_iterations*.
+        When the first residual is not finite (``iterations=0``), or
+        when the iteration stalls or exceeds *max_iterations*.
     """
     x = np.array(x0, dtype=float)
     res = residual(x)
     norm = np.abs(res).max()
+    if not np.isfinite(norm):
+        # An infinite first residual would make the convergence floor
+        # itself infinite and pass x0 off as converged.
+        raise ConvergenceError(
+            "Newton's first residual is not finite",
+            iterations=0,
+            residual=float(norm),
+        )
     floor = tol * max(norm, 1.0) + 1e-14
     if norm <= floor:
         return x, 0

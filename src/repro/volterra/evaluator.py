@@ -15,15 +15,20 @@ every single one.
 * computed ``H1(s)`` and ``H2(s1, s2)`` blocks are memoized (bounded
   LRU).  The ``H2`` cache is keyed on the *unordered* frequency pair:
   the kernel symmetry ``H2(s1, s2) = H2(s2, s1) P_swap`` turns one
-  stored block into both orderings via column indexing.  ``H3`` is
-  never memoized, and neither are sweep answers;
+  stored block into both orderings via column indexing;
 * :meth:`VolterraEvaluator.sum_kernels` evaluates the sum-type kernels
   of a whole frequency grid at once — one contraction per coefficient
   matrix and one multi-shift solve per order — reading and filling the
   same ``H1``/``H2`` memo as the general :meth:`~VolterraEvaluator.h1`
-  / :meth:`~VolterraEvaluator.h2`.  The general ``h2(s1, s2)`` /
-  ``h3(s1, s2, s3)`` serve the distinct-frequency (IM) and MIMO
-  callers.
+  / :meth:`~VolterraEvaluator.h2`, plus a third memo of its
+  ``H3(s, s, s)`` columns, so a repeat sweep point solves nothing.
+  Each order's memo holds at most ``max_entries`` columns (LRU); a
+  full-model column costs ``16·n`` bytes.  The general
+  ``h2(s1, s2)`` / ``h3(s1, s2, s3)`` serve the distinct-frequency
+  (IM) and MIMO callers; ``h3`` is recomputed on every call and shares
+  nothing with the ``H3(s, s, s)`` memo (its six-pairing assembly
+  differs from the collapsed sum-type formula at rounding level).
+  Sweep answers themselves are never memoized.
 
 Caches hold factored forms and solved blocks — never approximations —
 so results match the direct formulas to rounding (asserted in
@@ -43,7 +48,8 @@ from .transfer import _require_explicit, permutation_indices
 
 __all__ = ["VolterraEvaluator", "volterra_evaluator"]
 
-#: Default bound on memoized H1/H2 entries (oldest-used evicted first).
+#: Default bound on memoized entries per kernel order (oldest-used
+#: evicted first).
 _DEFAULT_MAX_ENTRIES = 4096
 
 #: Serializes :func:`volterra_evaluator` so concurrent callers observe
@@ -69,14 +75,18 @@ class VolterraEvaluator:
     factory : ResolventFactory, optional
         Resolvent solver to share; defaults to the system's cached one.
     max_entries : int
-        Bound on the number of memoized ``H1`` and ``H2`` blocks each.
+        Bound on the number of memoized ``H1`` blocks, ``H2`` blocks and
+        ``H3(s, s, s)`` columns, each.
 
     Attributes
     ----------
     stats : dict
         Counters (``h1_solves``, ``h1_hits``, ``h2_solves``, ``h2_hits``,
-        ``h3_evals``) — used by the tests to assert reuse actually
-        happens.
+        ``h3_evals``, ``h3_hits``) — used by the tests to assert reuse
+        actually happens.  ``h3_evals`` counts the ``H3`` blocks
+        computed: one per general :meth:`h3` call, and one per
+        ``H3(s, s, s)`` column :meth:`sum_kernels` inserts into its
+        memo; ``h3_hits`` counts that memo's hits.
     """
 
     def __init__(self, system, factory=None, max_entries=_DEFAULT_MAX_ENTRIES):
@@ -86,7 +96,8 @@ class VolterraEvaluator:
         self._factory = factory
         self._h1_cache = OrderedDict()
         self._h2_cache = OrderedDict()
-        # One lock guards both memo tables and the stats counters, so
+        self._h3_cache = OrderedDict()
+        # One lock guards the memo tables and the stats counters, so
         # serve handler threads can share one evaluator.  Kernel
         # *computation* happens outside the lock: two threads racing on
         # the same cold key duplicate the (deterministic) solve and the
@@ -108,6 +119,7 @@ class VolterraEvaluator:
             "h2_solves": 0,
             "h2_hits": 0,
             "h3_evals": 0,
+            "h3_hits": 0,
         }
 
     @property
@@ -128,6 +140,7 @@ class VolterraEvaluator:
         with self._cache_lock:
             self._h1_cache.clear()
             self._h2_cache.clear()
+            self._h3_cache.clear()
 
     def _cache_get(self, cache, key, hit_counter):
         """Locked lookup; a hit bumps *hit_counter* and LRU recency."""
@@ -380,10 +393,16 @@ class VolterraEvaluator:
         ``columnwise=True``) and each order is one multi-shift solve
         (:meth:`ResolventFactory.solve_columns`).
 
-        ``H1`` and ``H2(s, s)`` columns are memoized under the keys of
+        Every order is memoized per column, each bounded by
+        ``max_entries`` (a full-model column holds ``n`` complex values,
+        ``16·n`` bytes): ``H1`` and ``H2(s, s)`` under the keys of
         :meth:`h1` / :meth:`h2`, so either path's entries serve the
-        other; ``H3`` is recomputed on every call (``h3_evals`` grows by
-        K).  *cancel* is polled before each order and between sparse
+        other, and ``H3(s, s, s)`` under ``(s, s, s)`` in a memo of its
+        own.  Only the missing points of an order are computed, and a
+        column does not depend on the grid around it, so a hit is bit
+        for bit the column a fresh evaluator computes; ``h3_evals``
+        grows by the ``H3`` columns inserted, ``h3_hits`` by the rest.
+        *cancel* is polled before each order and between sparse
         per-shift factorizations; a cancelled call raises
         :class:`~repro.errors.TaskCancelled` and leaves the memo valid.
         """
@@ -433,19 +452,38 @@ class VolterraEvaluator:
             )
 
         poll("H3")
-        with self._cache_lock:
-            self.stats["h3_evals"] += len(keys)
-        terms = np.zeros_like(h1)
-        if system.g2 is not None:
-            terms += sparse_kron_apply(self._g2_coo, (h1, h2), columnwise=True)
-            terms += sparse_kron_apply(self._g2_coo, (h2, h1), columnwise=True)
-        if d1 is not None:
-            terms += matmul_columns(d1, h2)
-        if system.g3 is not None:
-            terms += sparse_kron_apply(
-                self._g3_coo, (h1, h1, h1), columnwise=True
-            )
-        return h1, h2, solve(3.0 * shifts, terms, cancel)
+
+        def h3_columns(idx):
+            # C-ordered, like whole-grid blocks (fancy indexing would
+            # give F-ordered ones): the dense first rotation in
+            # ``solve_columns`` hands each column to BLAS as a vector,
+            # and some kernels round a unit-stride vector (a column of
+            # an F-ordered block) differently from a strided one.
+            a, b = np.take(h1, idx, axis=1), np.take(h2, idx, axis=1)
+            terms = np.zeros_like(a)
+            if system.g2 is not None:
+                terms += sparse_kron_apply(
+                    self._g2_coo, (a, b), columnwise=True
+                )
+                terms += sparse_kron_apply(
+                    self._g2_coo, (b, a), columnwise=True
+                )
+            if d1 is not None:
+                terms += matmul_columns(d1, b)
+            if system.g3 is not None:
+                terms += sparse_kron_apply(
+                    self._g3_coo, (a, a, a), columnwise=True
+                )
+            return solve(3.0 * shifts[idx], terms, cancel)
+
+        h3 = self._memo_columns(
+            self._h3_cache, [(key, key, key) for key in keys],
+            ("h3_hits", "h3_evals"), h3_columns,
+        )
+        # F-ordered, as ``solve_columns`` returns a block: the output
+        # projections downstream are GEMMs whose rounding follows the
+        # operand layout.
+        return h1, h2, np.asfortranarray(h3)
 
 
 def volterra_evaluator(system):

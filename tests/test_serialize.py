@@ -7,6 +7,10 @@ storage must stay sparse (enforced with a poisoned ``toarray``), and
 wrong-class / corrupt payloads must fail loudly.
 """
 
+import enum
+from collections import OrderedDict
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -112,6 +116,15 @@ class TestPayloadCodec:
         assert out["c"] == [1, 2]
         assert out["z"] == 1j
 
+    def test_json_safe_matches_the_isinstance_walk(self):
+        for value in JSON_SAFE_CORPUS:
+            assert repr(json_safe(value)) == repr(_isinstance_json_safe(value))
+
+    def test_json_safe_is_a_fixed_point(self):
+        for value in JSON_SAFE_CORPUS:
+            once = json_safe(value)
+            assert repr(json_safe(once)) == repr(once)
+
     def test_array_digest_distinguishes_pattern_and_data(self):
         a = sp.csr_matrix(np.diag([1.0, 2.0, 0.0]))
         b = sp.csr_matrix(np.diag([1.0, 0.0, 2.0]))  # same data, moved
@@ -119,6 +132,69 @@ class TestPayloadCodec:
         assert array_digest(a) != array_digest(b)
         assert array_digest(a) != array_digest(c)
         assert array_digest(a) == array_digest(a.copy())
+
+
+def _isinstance_json_safe(value):
+    """Test-local copy of ``json_safe`` as a plain ``isinstance`` walk (the
+    implementation before the exact-type dispatch)."""
+    if value is None or isinstance(value, (bool, str)):
+        return value
+    if isinstance(value, (int, np.integer)):
+        return int(value)
+    if isinstance(value, (float, np.floating)):
+        value = float(value)
+        return value if np.isfinite(value) else repr(value)
+    if isinstance(value, (complex, np.complexfloating)):
+        return complex(value)
+    if isinstance(value, np.ndarray):
+        return _isinstance_json_safe(value.tolist())
+    if isinstance(value, (list, tuple)):
+        return [_isinstance_json_safe(item) for item in value]
+    if isinstance(value, dict):
+        return {
+            str(key): _isinstance_json_safe(val) for key, val in value.items()
+        }
+    return str(value)
+
+
+class _Level(enum.IntEnum):
+    HIGH = 3
+
+
+class _Float(float):
+    pass
+
+
+class _Array(np.ndarray):
+    pass
+
+
+_NON_FINITE = np.array([1.0, np.nan, np.inf, -np.inf])
+
+JSON_SAFE_CORPUS = [
+    None, True, False, "text", 0, -7, 2**70, 1.5, float("nan"),
+    float("inf"), float("-inf"), -0.0, 1 + 2j, complex(np.nan, 1.0),
+    _Level.HIGH, _Float(2.5), _Float("inf"),
+    np.int8(-3), np.int64(9), np.uint8(7), np.float16(0.1),
+    np.float32(0.1), np.float64(np.inf), np.longdouble(0.1),
+    np.bool_(True), np.complex64(1 - 1j), np.complex128(np.nan),
+    _NON_FINITE, _NON_FINITE.reshape(2, 2), _NON_FINITE.astype(np.float32),
+    np.linspace(0.0, 1.0, 5), np.arange(6).reshape(2, 3),
+    np.arange(4, dtype=np.uint16), np.array([True, False]),
+    np.array([1 + 1j, np.nan + 0j, complex(0, np.inf)]),
+    np.array([0.5, 1.5], dtype=np.float16), np.array([0.1], np.longdouble),
+    np.array([1 + 2j], dtype=np.clongdouble),
+    np.array(2.5), np.array(np.nan), np.array(-np.inf), np.array(3),
+    np.array(True), np.array(1 + 2j), np.zeros(0), np.zeros((0, 3)),
+    np.array(["a", "b"]), np.array([1, "x", None], dtype=object),
+    np.array(["2024-01-01"], dtype="datetime64[D]"),
+    np.array([1.0, 2.0]).view(_Array), np.ma.masked_array([1.0, 2.0], [0, 1]),
+    [1.0, float("nan"), [np.float64(-np.inf), (np.int32(2), 3)]],
+    (1, (2.0, np.nan), []), {"a": 1, 2: np.array([np.inf]), None: (1,)},
+    OrderedDict([("b", np.float32(np.nan)), ("a", [np.array(1.0)])]),
+    {"nested": {"deep": [{"x": np.arange(3.0)}, OrderedDict(y=1j)]}},
+    sp.csr_matrix(np.eye(2)), Path("some/where"), {1, 2}, object,
+]
 
 
 class TestStateSpaceRoundTrip:

@@ -9,6 +9,7 @@ rests on (atomic overwrites, no spurious quarantines, basis-SHA
 agreement after overwrite).
 """
 
+import asyncio
 import json
 import os
 import socket
@@ -40,6 +41,7 @@ from repro.serve import (
     SimulateRequest,
     SweepRequest,
 )
+from repro.serialize import json_safe
 from repro.store import ModelStore, ReductionArtifact, fingerprint_system
 
 
@@ -665,6 +667,101 @@ class TestDaemon:
 # ---------------------------------------------------------------------------
 # concurrent store access (N readers + a writer on one key)
 # ---------------------------------------------------------------------------
+
+class _Sink:
+    """Collects what ``ServeDaemon._reply`` writes to its stream."""
+
+    def __init__(self):
+        self.data = b""
+
+    def write(self, data):
+        self.data += data
+
+    async def drain(self):
+        pass
+
+
+def _reply_body(report):
+    sink = _Sink()
+    asyncio.run(ServeDaemon._reply(sink, 200, report, True))
+    return sink.data.split(b"\r\n\r\n", 1)[1]
+
+
+def _two_walk_reply_body(outcome):
+    """Test-local copy of the reply body as it was built before reports
+    walked themselves once: the pipeline report made its sections
+    JSON-safe, the outcome tagged it, and the reply walked it again.
+    (``json_safe`` itself is pinned to the ``isinstance`` walk in
+    ``tests/test_serialize.py``.)"""
+    safe = json_safe
+    result = outcome.result
+    report = {"system": dict(result.system_info)}
+    if result.jobs:
+        report["jobs"] = {
+            key: job.to_dict() for key, job in result.jobs.items()
+        }
+    if result.rom is not None:
+        rom = result.rom
+        report["reduction"] = {
+            "method": rom.method,
+            "orders": safe(rom.orders),
+            "expansion_points": safe(rom.expansion_points),
+            "rom_order": int(rom.order),
+            "full_order": int(rom.full_order),
+            "build_time_s": safe(rom.build_time),
+            "store_hit": result.store_hit,
+            "reduce_time_s": result.reduce_time,
+        }
+        if rom.details.get("pi_plan") is not None:
+            report["reduction"]["pi_plan"] = safe(rom.details["pi_plan"])
+        if result.artifact is not None:
+            report["reduction"]["provenance"] = safe(
+                result.artifact.provenance
+            )
+    if result.sweep is not None:
+        report["sweep"] = safe(result.sweep)
+    if result.transient is not None:
+        report["transient"] = safe(result.transient)
+    report["command"] = outcome.verb
+    report["serving"] = {"wall_time_s": float(outcome.wall_time_s)}
+    if "reduction" in report:
+        report["reduction"]["served_from"] = outcome.served_from
+        report["reduction"]["artifact_key"] = outcome.artifact_key
+    return json.dumps(
+        safe(report), default=repr, allow_nan=False
+    ).encode("utf-8")
+
+
+class TestReplyBytes:
+    @pytest.mark.parametrize("verb", ["sweep", "simulate"])
+    def test_reply_matches_the_two_walk_encoding(self, tmp_path, verb):
+        service = ReproService(store=tmp_path, hot_capacity=4)
+        payload = {"spec": ladder_spec(), "reduce": REDUCE}
+        if verb == "sweep":
+            payload["sweep"] = SWEEP
+            request_type = SweepRequest
+        else:
+            payload["transient"] = {
+                "source": {"kind": "step", "amplitude": 0.05},
+                "t_end": 2.0, "dt": 0.1,
+            }
+            request_type = SimulateRequest
+        for tier in ("cold", "hot"):
+            outcome = service.handle(request_type.from_payload(payload))
+            assert outcome.served_from == tier
+            body = _reply_body(outcome.report())
+            assert body == _two_walk_reply_body(outcome)
+            assert json.loads(body)["command"] == verb
+
+    def test_pipeline_report_is_walked_already(self, tmp_path):
+        service = ReproService(store=tmp_path, hot_capacity=4)
+        outcome = service.handle(SweepRequest.from_payload({
+            "spec": ladder_spec(), "reduce": REDUCE, "sweep": SWEEP,
+        }))
+        report = outcome.report()
+        assert json_safe(report) == report
+        assert isinstance(report["sweep"]["hd2"], list)
+
 
 class TestConcurrentStoreAccess:
     def test_readers_never_see_torn_state_under_overwrite(self, tmp_path):

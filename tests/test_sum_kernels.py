@@ -7,6 +7,7 @@ sparse LUs, coefficient contractions, not wall time), and check its
 behaviour under cancellation and concurrent use.
 """
 
+import sys
 import threading
 
 import numpy as np
@@ -181,14 +182,14 @@ class TestWork:
         assert ev.stats == {
             "h1_solves": K, "h1_hits": 0,
             "h2_solves": K, "h2_hits": 0,
-            "h3_evals": K,
+            "h3_evals": K, "h3_hits": 0,
         }
-        # A repeat sweep solves no H1/H2 again; H3 is never memoized.
+        # A repeat sweep computes no kernel column again, H3 included.
         distortion_sweep(system, OMEGAS)
         assert ev.stats == {
             "h1_solves": K, "h1_hits": K,
             "h2_solves": K, "h2_hits": K,
-            "h3_evals": 2 * K,
+            "h3_evals": K, "h3_hits": K,
         }
 
     def test_rom_is_small(self):
@@ -281,4 +282,119 @@ class TestCancelAndThreads:
         stats = volterra_evaluator(shared).stats
         # Racing threads may duplicate a solve, but the first insert wins.
         assert stats["h1_solves"] == K and stats["h2_solves"] == K
-        assert stats["h3_evals"] == 20 * K
+        assert stats["h3_evals"] == K
+
+
+# ---------------------------------------------------------------------------
+# the H3(s, s, s) memo
+# ---------------------------------------------------------------------------
+
+
+class TestH3Memo:
+    @pytest.mark.parametrize(
+        "build", [ladder_rom, sparse_ladder, lifted_line, quadratic_cubic],
+        ids=["rom", "ladder-csr", "lifted-line-d1", "g2-g3-d1"],
+    )
+    @pytest.mark.parametrize("second", ["overlapping", "disjoint", "repeat"])
+    def test_hit_is_the_fresh_column(self, build, second):
+        system = build()
+        first = 1j * OMEGAS
+        other = {
+            # Shares three points, at other positions in the grid.
+            "overlapping": 1j * np.concatenate(
+                [[0.71], OMEGAS[4:], [0.83, 0.02]]
+            ),
+            "disjoint": 1j * np.linspace(0.6, 0.9, 4),
+            "repeat": first[::-1],
+        }[second]
+        ev = VolterraEvaluator(system)
+        ev.sum_kernels(first)
+        before = dict(ev.stats)
+        memo = ev.sum_kernels(other)
+        fresh = VolterraEvaluator(system).sum_kernels(other)
+        for got, want in zip(memo, fresh):
+            assert np.array_equal(got, want)
+        shared = int(np.isin(other, first).sum())
+        assert ev.stats["h3_hits"] - before["h3_hits"] == shared
+        assert ev.stats["h3_evals"] - before["h3_evals"] == other.size - shared
+
+    def test_repeat_grid_computes_nothing(self, monkeypatch):
+        system = ladder_rom()
+        ev = VolterraEvaluator(system)
+        ev.sum_kernels(1j * OMEGAS)
+        calls = []
+        monkeypatch.setattr(
+            evaluator_mod, "sparse_kron_apply",
+            lambda *args, **kwargs: calls.append(None),
+        )
+        monkeypatch.setattr(
+            ev.factory, "solve_columns",
+            lambda *args, **kwargs: calls.append(None),
+        )
+        ev.sum_kernels(1j * OMEGAS[::2])
+        assert calls == []
+
+    def test_clear_cache_drops_h3(self):
+        ev = VolterraEvaluator(ladder_rom())
+        ev.sum_kernels(1j * OMEGAS)
+        ev.clear_cache()
+        ev.sum_kernels(1j * OMEGAS)
+        assert ev.stats["h3_evals"] == 2 * K and ev.stats["h3_hits"] == 0
+
+    def test_lru_bound(self):
+        ev = VolterraEvaluator(ladder_rom(), max_entries=4)
+        shifts = 1j * OMEGAS
+        h3 = ev.sum_kernels(shifts)[2]
+        assert h3.shape[1] == K  # the answer is whole past the bound
+        assert len(ev._h3_cache) == 4
+        assert list(ev._h3_cache) == [(s, s, s) for s in shifts[-4:]]
+        ev.sum_kernels(shifts[-4:])
+        assert (ev.stats["h3_evals"], ev.stats["h3_hits"]) == (K, 4)
+        ev.sum_kernels(shifts[:1])  # evicted: computed again
+        assert (ev.stats["h3_evals"], ev.stats["h3_hits"]) == (K + 1, 4)
+        assert len(ev._h3_cache) == 4
+
+    def test_general_h3_does_not_share_the_memo(self):
+        ev = VolterraEvaluator(quadratic_cubic())
+        s = 0.3j
+        ev.sum_kernels([s])
+        ev.h3(s, s, s)
+        assert ev.stats["h3_evals"] == 2 and ev.stats["h3_hits"] == 0
+
+    def test_threads_sharing_one_evaluator(self):
+        shifts = 1j * OMEGAS
+        solo = VolterraEvaluator(ladder_rom()).sum_kernels(shifts)
+        shared = VolterraEvaluator(ladder_rom())
+        barrier = threading.Barrier(4)
+        results = [None] * 4
+        errors = []
+
+        def worker(index):
+            try:
+                barrier.wait(10)
+                for _ in range(5):
+                    results[index] = shared.sum_kernels(shifts)
+            except Exception as exc:  # surfaced by the assert below
+                errors.append(exc)
+
+        threads = [
+            threading.Thread(target=worker, args=(i,)) for i in range(4)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # interleave the memo's critical paths
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        for kernels in results:
+            for got, want in zip(kernels, solo):
+                assert np.array_equal(got, want)
+        # Racing threads may compute a column twice; one insert wins.
+        assert shared.stats["h3_evals"] == K
+        assert shared.stats["h3_evals"] + shared.stats["h3_hits"] >= K
+        assert len(shared._h3_cache) == K

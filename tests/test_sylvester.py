@@ -17,7 +17,8 @@ from repro.linalg import (
     triangular_sylvester_solve,
     triangular_sylvester_solve_transposed,
 )
-from repro.linalg import sylvester
+from repro.circuits import quadratic_rc_ladder_netlist
+from repro.linalg import LowRankKronSolver, sylvester
 from repro.linalg.sylvester import _SYLVESTER_BLOCK
 
 
@@ -278,10 +279,10 @@ class TestSweepsAcrossBlocks:
         special = int(np.argmin(np.abs(solver.schur.eigenvalues - eig[1])))
         assert special < n - 1  # a lazy check would solve slab n-1 first
         slabs = []
-        real = sylvester.triangular_sylvester_solve
+        real = sylvester._sylvester_sweep
         monkeypatch.setattr(
             sylvester,
-            "triangular_sylvester_solve",
+            "_sylvester_sweep",
             lambda *args: slabs.append(1) or real(*args),
         )
         with pytest.raises(NumericalError):
@@ -306,3 +307,52 @@ class TestSweepsAcrossBlocks:
             solver.solve_transpose(rng.standard_normal(n**k), k=k, shift=0.2)
         solve_pi_sylvester(g1, rng.standard_normal((n, n * n)), solver=solver)
         ResolventFactory(g1).solve(0.5j, rng.standard_normal(n))
+
+    def test_no_sweep_rewrites_the_diagonal_with_fill_diagonal(
+        self, monkeypatch
+    ):
+        # Every shifted work matrix takes its diagonal through one strided
+        # view; the results are pinned bit for bit by the oracle tests
+        # above, which still use np.fill_diagonal themselves.
+        def forbidden(*args, **kwargs):
+            raise AssertionError("np.fill_diagonal was called")
+
+        rng = np.random.default_rng(5)
+        n = 8
+        g1 = -1.5 * np.eye(n) + 0.3 * rng.standard_normal((n, n))
+        ladder = (
+            quadratic_rc_ladder_netlist(
+                30, r=10.0, g_leak=1.0, g_quad=0.5, quad_nodes=8
+            )
+            .compile(sparse=True)
+            .to_explicit()
+        )
+        factory = ResolventFactory.for_system(ladder)
+        left_solves = []
+        real_left = LowRankKronSolver._pi_left_solve
+        monkeypatch.setattr(
+            LowRankKronSolver, "_pi_left_solve",
+            lambda *args: left_solves.append(1) or real_left(*args),
+        )
+        monkeypatch.setattr(np, "fill_diagonal", forbidden)
+        for order in ("C", "F"):
+            t, w = _triangular_case(65, order)
+            triangular_sylvester_solve(t, 0.5, w)
+            triangular_sylvester_solve_transposed(t, 0.5, w)
+        solver = KronSumSolver(g1)
+        for k in (1, 2, 3):
+            solver.solve(rng.standard_normal(n**k), k=k, shift=0.2)
+        for k in (1, 2):
+            solver.solve_transpose(rng.standard_normal(n**k), k=k, shift=0.2)
+        SchurForm(g1).solve_shifted(0.3j, rng.standard_normal(n))
+        solve_pi_sylvester(g1, rng.standard_normal((n, n * n)), solver=solver)
+        dense = ResolventFactory(g1)
+        dense.solve(0.5j, rng.standard_normal(n))
+        dense.solve_many([0.1j, 0.2j], rng.standard_normal(n))
+        dense.solve_columns([0.1j, 0.2j], rng.standard_normal((n, 2)))
+        LowRankKronSolver(
+            ladder.g1,
+            lambda shift, rhs: -factory.solve(-shift, rhs),
+            lambda shift, rhs: -factory.solve_transpose(-shift, rhs),
+        ).solve_pi(ladder.g2, tol=1e-9)
+        assert left_solves  # the Π left solve ran under the patch too
