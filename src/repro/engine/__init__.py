@@ -34,7 +34,6 @@ Which layers emit plans
   (eq.-18 independent subsystems) and
   ``mor.AssociatedTransformMOR.build_basis`` (one plan per chain, so
   a checkpointed build commits between chains, outside any task).
-* ``pipeline.run_parametric`` — one distortion sweep per family member.
 
 A distortion sweep itself emits no plan: it evaluates its whole grid
 as one batch (``volterra.VolterraEvaluator.sum_kernels``) and polls

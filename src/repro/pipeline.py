@@ -19,11 +19,13 @@ instead of recomputing it.  This is the layer the CLI
 call into.
 
 Job objects (:class:`ReductionJob`, :class:`SweepJob`,
-:class:`TransientJob`) are plain declarative configs: each coerces from
-a dict (the JSON spec format), validates eagerly, and — for sources —
-maps spec tags onto :mod:`repro.simulation.sources` factories.
+:class:`TransientJob`, :class:`ParametricReductionJob`) are plain
+declarative configs: each coerces from a dict of its constructor's
+parameters (the JSON spec format), validates eagerly, and — for sources
+— maps spec tags onto :mod:`repro.simulation.sources` factories.
 """
 
+import inspect
 import time
 
 import numpy as np
@@ -34,7 +36,6 @@ from .analysis.distortion import distortion_sweep
 from .analysis.metrics import max_relative_error
 from .checkpoint import JobState, checkpoint_for
 from .circuits.netlist import Netlist
-from .engine import SolvePlan
 from .errors import TaskCancelled, ValidationError
 from .linalg.arnoldi import merge_bases
 from .mor.assoc import AssociatedTransformMOR
@@ -42,7 +43,8 @@ from .mor.base import ReducedOrderModel
 from .serialize import json_safe
 from .simulation import sources as _sources
 from .simulation.transient import simulate
-from .store import ModelStore, ReductionArtifact, fingerprint_system
+from .store import ModelStore, fingerprint_system
+from .store.modelstore import reduce_artifact
 from .systems.exponential import ExponentialODE
 from .systems.polynomial import PolynomialODE
 from .volterra.associated import AssociatedWorkspace
@@ -85,13 +87,57 @@ def _load_generators():
     return _GENERATORS
 
 
-class ReductionJob:
+class _Job:
+    """What the declarative job classes share: one :meth:`coerce`.
+
+    A job's fields are its constructor's parameters, read from the
+    signature once per class, so no field list can drift from
+    ``__init__``.  ``_section`` names the argument (and spec section)
+    the job comes from; ``_sequence``, when set, is ``(parameter,
+    label)``: a bare sequence binds to that one parameter.
+    """
+
+    _section = None
+    _sequence = None
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._fields = frozenset(inspect.signature(cls).parameters)
+
+    @classmethod
+    def coerce(cls, value):
+        """Accept a job, ``None``, a dict of its fields, or (where the
+        job names one) a bare sequence."""
+        if value is None or isinstance(value, cls):
+            return value
+        if isinstance(value, dict):
+            unknown = set(value) - cls._fields
+            if unknown:
+                raise ValidationError(
+                    f"unknown {cls.__name__} fields: {sorted(unknown)}"
+                )
+            return cls(**value)
+        shapes = f"a {cls.__name__} or a dict"
+        if cls._sequence is not None:
+            parameter, label = cls._sequence
+            if isinstance(value, (list, tuple, np.ndarray)):
+                return cls(**{parameter: value})
+            shapes = f"a {cls.__name__}, a dict or {label}"
+        raise ValidationError(
+            f"{cls._section} must be {shapes}; got {type(value).__name__}"
+        )
+
+
+class ReductionJob(_Job):
     """Declarative reducer configuration (associated-transform NMOR).
 
     Parameters mirror :class:`~repro.mor.AssociatedTransformMOR`; the
     job exists so pipelines and JSON specs can describe a reduction
     without constructing the reducer eagerly.
     """
+
+    _section = "reduce"
+    _sequence = ("orders", "an orders tuple")
 
     def __init__(self, orders=(6, 3, 0), expansion_points=(0.0,),
                  strategy="coupled", deduplicate=True, tol=1e-10):
@@ -104,28 +150,6 @@ class ReductionJob:
         self.deduplicate = bool(deduplicate)
         self.tol = float(tol)
         self.reducer()  # validate eagerly: a bad job fails at build time
-
-    @classmethod
-    def coerce(cls, value):
-        """Accept a job, a dict of its fields, or a bare orders tuple."""
-        if value is None or isinstance(value, cls):
-            return value
-        if isinstance(value, dict):
-            unknown = set(value) - {
-                "orders", "expansion_points", "strategy", "deduplicate",
-                "tol",
-            }
-            if unknown:
-                raise ValidationError(
-                    f"unknown ReductionJob fields: {sorted(unknown)}"
-                )
-            return cls(**value)
-        if isinstance(value, (list, tuple)):
-            return cls(orders=value)
-        raise ValidationError(
-            "reduce must be a ReductionJob, a dict, or an orders tuple; "
-            f"got {type(value).__name__}"
-        )
 
     def reducer(self):
         """The configured :class:`~repro.mor.AssociatedTransformMOR`."""
@@ -147,13 +171,16 @@ class ReductionJob:
         }
 
 
-class SweepJob:
+class SweepJob(_Job):
     """Declarative distortion sweep: an ω-grid plus a tone amplitude.
 
     ``compare_full`` additionally runs the sweep on the full model and
     records the worst relative HD2/HD3 deviation of the ROM — the
     frequency-domain accuracy check the paper's experiments use.
     """
+
+    _section = "sweep"
+    _sequence = ("omegas", "an omega array")
 
     def __init__(self, start=None, stop=None, points=25, omegas=None,
                  amplitude=1.0, compare_full=False):
@@ -173,27 +200,6 @@ class SweepJob:
         self.amplitude = float(amplitude)
         self.compare_full = bool(compare_full)
 
-    @classmethod
-    def coerce(cls, value):
-        if value is None or isinstance(value, cls):
-            return value
-        if isinstance(value, dict):
-            unknown = set(value) - {
-                "start", "stop", "points", "omegas", "amplitude",
-                "compare_full",
-            }
-            if unknown:
-                raise ValidationError(
-                    f"unknown SweepJob fields: {sorted(unknown)}"
-                )
-            return cls(**value)
-        if isinstance(value, (list, tuple, np.ndarray)):
-            return cls(omegas=value)
-        raise ValidationError(
-            "sweep must be a SweepJob, a dict, or an omega array; got "
-            f"{type(value).__name__}"
-        )
-
     @property
     def omegas(self):
         return self._omegas
@@ -206,7 +212,7 @@ class SweepJob:
         }
 
 
-class TransientJob:
+class TransientJob(_Job):
     """Declarative transient: a source, a horizon and a step size.
 
     ``source`` is either a callable ``u(t)`` or a JSON-able spec
@@ -215,6 +221,8 @@ class TransientJob:
     integrates the full model and records the peak-normalized relative
     error of the ROM trace.
     """
+
+    _section = "transient"
 
     def __init__(self, source, t_end, dt, compare_full=False):
         self._source_spec = None
@@ -247,22 +255,6 @@ class TransientJob:
             raise ValidationError("t_end and dt must be positive")
         self.compare_full = bool(compare_full)
 
-    @classmethod
-    def coerce(cls, value):
-        if value is None or isinstance(value, cls):
-            return value
-        if isinstance(value, dict):
-            unknown = set(value) - {"source", "t_end", "dt", "compare_full"}
-            if unknown:
-                raise ValidationError(
-                    f"unknown TransientJob fields: {sorted(unknown)}"
-                )
-            return cls(**value)
-        raise ValidationError(
-            "transient must be a TransientJob or a dict, got "
-            f"{type(value).__name__}"
-        )
-
     @property
     def source(self):
         return self._source
@@ -294,6 +286,19 @@ def system_from_spec(spec, sparse=None):
     Returns ``(system, info)`` — *info* records name/class/size and
     whether the system was lifted, for reports.
     """
+    built, sparse = _spec_target(spec, sparse)
+    return _build_system(built, sparse, lift=spec.get("lift", True))
+
+
+def _spec_target(spec, sparse):
+    """Resolve a spec to what it describes, plus the sparse flag.
+
+    Returns ``(built, sparse)``: *built* is the :class:`Netlist` of a
+    device-list spec (top-level or nested under ``"netlist"``) or
+    whatever a named generator returns (a Netlist or a compiled
+    system); *sparse* falls back to the spec's ``"compile"`` section
+    when the caller did not force it.
+    """
     if not isinstance(spec, dict):
         raise ValidationError(
             f"spec must be a dict, got {type(spec).__name__}"
@@ -303,30 +308,50 @@ def system_from_spec(spec, sparse=None):
         raise ValidationError("spec 'compile' must be a dict")
     if sparse is None:
         sparse = compile_opts.get("sparse")
+    if "generator" not in spec:
+        return Netlist.from_dict(spec.get("netlist", spec)), sparse
+    name = spec["generator"]
+    generator = _load_generators().get(name)
+    if generator is None:
+        raise ValidationError(
+            f"unknown generator {name!r}; expected one of "
+            f"{sorted(_load_generators())}"
+        )
+    return generator(**spec.get("args", {})), sparse
 
-    if "generator" in spec:
-        name = spec["generator"]
-        generator = _load_generators().get(name)
-        if generator is None:
-            raise ValidationError(
-                f"unknown generator {name!r}; expected one of "
-                f"{sorted(_load_generators())}"
-            )
-        built = generator(**spec.get("args", {}))
-    else:
-        netlist_spec = spec.get("netlist", spec)
-        built = Netlist.from_dict(netlist_spec)
 
-    if isinstance(built, Netlist):
-        system = built.compile(sparse=sparse)
-    else:
-        system = built
+def _build_system(target, sparse=None, lift=True):
+    """Compile *target* when it is a :class:`Netlist`, then lift it.
 
-    lifted = False
-    if isinstance(system, ExponentialODE) and spec.get("lift", True):
+    MOR and the Volterra kernels speak polynomial systems, so an
+    exponential-diode system is quadratic-linearized (exactly) unless
+    *lift* is false.  Anything else passes through as already built.
+    Returns ``(system, info)`` with the :func:`_system_info` summary.
+    """
+    system = (
+        target.compile(sparse=sparse) if isinstance(target, Netlist)
+        else target
+    )
+    lifted = lift and isinstance(system, ExponentialODE)
+    if lifted:
         system = system.quadratic_linearize()
-        lifted = True
     return system, _system_info(system, lifted)
+
+
+def _require_polynomial(system):
+    """Refuse a system the reducer and Volterra kernels cannot take.
+
+    Fails with a clear error instead of an AttributeError deep in the
+    query layers; every front door that runs jobs calls it.
+    """
+    if not isinstance(system, PolynomialODE):
+        raise ValidationError(
+            f"pipeline jobs need a polynomial system "
+            f"(QLDAE/CubicODE/PolynomialODE, or an ExponentialODE to "
+            f"lift); got {type(system).__name__}.  For LTI StateSpace "
+            "models use repro.mor.reduce_lti or balanced_truncation "
+            "directly."
+        )
 
 
 def _system_info(system, lifted):
@@ -493,17 +518,8 @@ def _reduce_step(system, reduce_job, store=None, checkpoint=None,
             system_fingerprint=system_fingerprint,
         )
     else:
-        if job_state is not None:
-            built = reducer.reduce(system, checkpoint=job_state)
-        else:
-            built = reducer.reduce(system)
-        if system_fingerprint is None:
-            system_fingerprint = fingerprint_system(system)
-        artifact = ReductionArtifact.from_reduction(
-            built,
-            system=system,
-            reducer=reducer,
-            system_fingerprint=system_fingerprint,
+        artifact = reduce_artifact(
+            system, reducer, system_fingerprint, checkpoint=job_state
         )
     reduce_time = time.perf_counter() - start
     checkpoint_info = None
@@ -737,33 +753,10 @@ def _run_pipeline(target, reduce_job, sweep_job, transient_job, store,
     if isinstance(target, dict):
         system, info = system_from_spec(target, sparse=sparse)
     else:
-        system = (
-            target.compile(sparse=sparse)
-            if isinstance(target, Netlist)
-            else target
-        )
-        # MOR and the Volterra kernels speak polynomial systems:
-        # exponential-diode systems are lifted unconditionally (exact
-        # quadratic-linearization), whatever jobs were requested.
-        lifted = isinstance(system, ExponentialODE)
-        if lifted:
-            system = system.quadratic_linearize()
-        info = _system_info(system, lifted)
-
-    jobs_requested = any(
-        job is not None for job in (reduce_job, sweep_job, transient_job)
-    )
-    if jobs_requested and not isinstance(system, PolynomialODE):
-        # Fail with a clear error instead of an AttributeError deep in
-        # the query layers: the pipeline's reducer and Volterra kernels
-        # speak polynomial systems only.
-        raise ValidationError(
-            f"run_pipeline jobs need a polynomial system "
-            f"(QLDAE/CubicODE/PolynomialODE, or an ExponentialODE to "
-            f"lift); got {type(system).__name__}.  For LTI StateSpace "
-            "models use repro.mor.reduce_lti or balanced_truncation "
-            "directly."
-        )
+        system, info = _build_system(target, sparse)
+    if any(job is not None
+           for job in (reduce_job, sweep_job, transient_job)):
+        _require_polynomial(system)
 
     reduction = None
     if reduce_job is not None:
@@ -800,7 +793,7 @@ _PROBE_POINTS = 3
 _WARM_POOL = 4
 
 
-class ParametricReductionJob:
+class ParametricReductionJob(_Job):
     """Declarative multi-corner configuration for :func:`run_parametric`.
 
     Parameters
@@ -827,6 +820,8 @@ class ParametricReductionJob:
         Distortion-deviation tolerance of the interpolation tier.
     """
 
+    _section = "mc"
+
     def __init__(self, grid_points=3, draws=0, seed=2012, warm=True,
                  interp=True, interp_tol=1e-4):
         if isinstance(grid_points, dict):
@@ -845,26 +840,6 @@ class ParametricReductionJob:
         self.interp_tol = float(interp_tol)
         if self.interp_tol <= 0:
             raise ValidationError("interp_tol must be positive")
-
-    @classmethod
-    def coerce(cls, value):
-        if value is None or isinstance(value, cls):
-            return value
-        if isinstance(value, dict):
-            unknown = set(value) - {
-                "grid_points", "draws", "seed", "warm", "interp",
-                "interp_tol",
-            }
-            if unknown:
-                raise ValidationError(
-                    f"unknown ParametricReductionJob fields: "
-                    f"{sorted(unknown)}"
-                )
-            return cls(**value)
-        raise ValidationError(
-            "mc must be a ParametricReductionJob or a dict, got "
-            f"{type(value).__name__}"
-        )
 
     def to_dict(self):
         return {
@@ -997,27 +972,13 @@ def _parametric_netlist(target, sparse):
     the generated netlist.
     """
     if isinstance(target, dict):
-        compile_opts = target.get("compile", {})
-        if not isinstance(compile_opts, dict):
-            raise ValidationError("spec 'compile' must be a dict")
-        if sparse is None:
-            sparse = compile_opts.get("sparse")
-        if "generator" in target:
-            name = target["generator"]
-            generator = _load_generators().get(name)
-            if generator is None:
-                raise ValidationError(
-                    f"unknown generator {name!r}; expected one of "
-                    f"{sorted(_load_generators())}"
-                )
-            built = generator(**target.get("args", {}))
-            if not isinstance(built, Netlist):
-                raise ValidationError(
-                    f"generator {name!r} builds a compiled system; "
-                    "parametric runs need a Netlist-producing generator"
-                )
-        else:
-            built = Netlist.from_dict(target.get("netlist", target))
+        built, sparse = _spec_target(target, sparse)
+        if not isinstance(built, Netlist):
+            raise ValidationError(
+                f"generator {target['generator']!r} builds a compiled "
+                "system; parametric runs need a Netlist-producing "
+                "generator"
+            )
         if target.get("parameters") and not built.parameters:
             built.with_params(target["parameters"])
         target = built
@@ -1070,8 +1031,7 @@ def run_parametric(target, reduce=None, sweep=None, mc=None, store=None,
        probe-check rejections, which are counted under
        ``interp_rejected`` plus the tier that actually ran).
 
-    Per-corner distortion sweeps then run as one engine plan, one task
-    per family member.
+    Each family member's ROM then gets its own distortion sweep.
 
     Parameters mirror :func:`run_pipeline` where shared; *mc* is a
     :class:`ParametricReductionJob` (or its dict form).  Returns a
@@ -1112,15 +1072,6 @@ def run_parametric(target, reduce=None, sweep=None, mc=None, store=None,
     base_digest = None
     t_start = time.perf_counter()
 
-    def _build(values):
-        system = materialize(netlist, values, check=False).compile(
-            sparse=sparse
-        )
-        lifted = isinstance(system, ExponentialODE)
-        if lifted:
-            system = system.quadratic_linearize()
-        return system, lifted
-
     def _try_interp(system, digest, pair):
         """Tier-2 candidate: merged-neighbor projection + probe check.
 
@@ -1128,13 +1079,10 @@ def run_parametric(target, reduce=None, sweep=None, mc=None, store=None,
         rejection (structure mismatch, missing anchors, or probe
         deviation past the margin).
         """
-        left = records.get(pair[0])
-        right = records.get(pair[1])
-        if left is None or right is None:
-            return None, None
-        if left["rom"] is None or right["rom"] is None:
-            return None, None
-        if left["digest"] != digest or right["digest"] != digest:
+        left, right = records.get(pair[0]), records.get(pair[1])
+        if left is None or right is None or not (
+            left["digest"] == right["digest"] == digest
+        ):
             return None, None
         basis = merge_bases([left["rom"].basis, right["rom"].basis])
         candidate = system.project(basis)
@@ -1170,9 +1118,11 @@ def run_parametric(target, reduce=None, sweep=None, mc=None, store=None,
         """Run one family member through the tier ladder."""
         nonlocal system_info, base_digest
         start = time.perf_counter()
-        system, lifted = _build(values)
+        system, info = _build_system(
+            materialize(netlist, values, check=False), sparse
+        )
         if system_info is None:
-            system_info = _system_info(system, lifted)
+            system_info = info
         digest = structural_digest(system)
         if base_digest is None:
             base_digest = digest
@@ -1180,7 +1130,6 @@ def run_parametric(target, reduce=None, sweep=None, mc=None, store=None,
         record = {
             "values": dict(values),
             "digest": digest,
-            "fingerprint": fingerprint,
             "rom": None,
             "tier": None,
             "reduce_time": None,
@@ -1243,19 +1192,17 @@ def run_parametric(target, reduce=None, sweep=None, mc=None, store=None,
             if state is not None:
                 workspace.warm_start(**state)
                 tier = "warm"
-        rom = reducer.reduce(system, workspace=workspace)
+        artifact = reduce_artifact(
+            system, reducer, fingerprint, workspace=workspace
+        )
         if digest == base_digest:
             warm_pool.add(values, workspace.warm_state())
         tiers[tier] += 1
         record.update(
-            rom=rom, tier=tier,
+            rom=artifact.rom, tier=tier,
             reduce_time=time.perf_counter() - start,
         )
         if store is not None:
-            artifact = ReductionArtifact.from_reduction(
-                rom, system=system, reducer=reducer,
-                system_fingerprint=fingerprint,
-            )
             store.store(key, artifact)
         seen[fingerprint] = record
         return record
@@ -1281,20 +1228,13 @@ def run_parametric(target, reduce=None, sweep=None, mc=None, store=None,
         draw_records.append(record)
     t_draws = time.perf_counter() - t_start - t_grid
 
-    # -- phase 3: per-member distortion sweeps through the engine -----------
+    # -- phase 3: per-member distortion sweeps ------------------------------
     omegas = sweep_job.omegas
-    amplitude = sweep_job.amplitude
     all_records = [records[flat] for flat in sorted(records)] + draw_records
-    plan = SolvePlan("parametric_sweeps")
-
-    def _sweep(record):
-        explicit = record["rom"].system.to_explicit()
-        _, hd2, hd3 = distortion_sweep(explicit, omegas, amplitude)
-        record["hd2"], record["hd3"] = hd2, hd3
-
     for record in all_records:
-        plan.add(_sweep, record)
-    plan.execute()
+        _, record["hd2"], record["hd3"] = distortion_sweep(
+            record["rom"].system.to_explicit(), omegas, sweep_job.amplitude
+        )
     t_sweeps = time.perf_counter() - t_start - t_grid - t_draws
 
     def _distribution(members):
@@ -1313,11 +1253,14 @@ def run_parametric(target, reduce=None, sweep=None, mc=None, store=None,
             "worst_hd3_p99": float(np.percentile(worst3, 99)),
         }
 
-    distributions = {"omegas": omegas, "corners": _distribution(all_records[:len(records)])}
+    distributions = {
+        "omegas": omegas,
+        "corners": _distribution(all_records[:len(records)]),
+    }
     if draw_records:
         distributions["draws"] = _distribution(draw_records)
 
-    def _public(record, keep_rom=False):
+    def _public(record):
         public = {
             "index": record["index"],
             "values": record["values"],

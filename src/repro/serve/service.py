@@ -24,7 +24,8 @@ long-lived-process machinery:
   retained), ``"disk"`` (content-addressed
   :class:`~repro.store.ModelStore` load), ``"cold"`` (computed this
   request, then admitted to both lower tiers).  Concurrent cold
-  requests for the same key single-flight behind a per-key lock.
+  requests for the same key single-flight behind a per-key lock, which
+  lives only while a request holds or waits on it.
 * **Cooperative deadlines** — *cancel* (a zero-argument callable) is
   polled by every per-request step (sweeps, and the start of a
   transient or of a reduction) and raises
@@ -36,6 +37,7 @@ Memory settings are process-wide and not part of any request: the
 service runs under whatever budget the process was given.
 """
 
+import contextlib
 import hashlib
 import json
 import threading
@@ -47,12 +49,12 @@ from ..pipeline import (
     PipelineResult,
     _job_result,
     _reduce_step,
+    _require_polynomial,
     run_parametric,
     system_from_spec,
 )
 from ..store import ModelStore, artifact_key
 from ..store.modelstore import fingerprint_system
-from ..systems.polynomial import PolynomialODE
 from .cache import HotROMCache
 from .contracts import ServeOutcome
 from .metrics import ServeMetrics
@@ -157,7 +159,7 @@ class ReproService:
         self.spec_misses = 0
         self._specs = OrderedDict()
         self._spec_lock = threading.Lock()
-        self._reduce_locks = {}
+        self._reduce_locks = {}  # key -> [lock, holders + waiters]
         self._locks_lock = threading.Lock()
 
     # -- spec residency ------------------------------------------------------
@@ -188,18 +190,29 @@ class ReproService:
                 self._specs.popitem(last=False)
         return loaded
 
-    @staticmethod
-    def _require_polynomial(system):
-        if not isinstance(system, PolynomialODE):
-            raise ValidationError(
-                f"serve jobs need a polynomial system "
-                f"(QLDAE/CubicODE/PolynomialODE, or an ExponentialODE "
-                f"to lift); got {type(system).__name__}.  For LTI "
-                "StateSpace models use repro.mor.reduce_lti or "
-                "balanced_truncation directly."
-            )
-
     # -- the three-tier reduce step ------------------------------------------
+
+    @contextlib.contextmanager
+    def _single_flight(self, key):
+        """Hold *key*'s reduce lock.
+
+        The lock-table entry counts the requests holding or waiting on
+        it and is dropped when the last one leaves, so the table stays
+        as small as the set of keys in flight.
+        """
+        with self._locks_lock:
+            flight = self._reduce_locks.get(key)
+            if flight is None:
+                flight = self._reduce_locks[key] = [threading.Lock(), 0]
+            flight[1] += 1
+        try:
+            with flight[0]:
+                yield
+        finally:
+            with self._locks_lock:
+                flight[1] -= 1
+                if not flight[1]:
+                    del self._reduce_locks[key]
 
     def _acquire(self, loaded, request, cancel):
         """Acquire the reduction *request* asks for on *loaded*.
@@ -224,9 +237,7 @@ class ReproService:
         start = time.perf_counter()
         entry = self.cache.get(key) if use_hot else None
         if entry is None:
-            with self._locks_lock:
-                lock = self._reduce_locks.setdefault(key, threading.Lock())
-            with lock:
+            with self._single_flight(key):
                 # A racing request may have admitted it while we queued.
                 entry = self.cache.get(key) if use_hot else None
                 if entry is None:
@@ -292,7 +303,7 @@ class ReproService:
         model), so repeat sweeps skip re-priming the Volterra kernels.
         """
         loaded = self._load(request.spec, request.sparse)
-        self._require_polynomial(loaded.system)
+        _require_polynomial(loaded.system)
         entry = reduction = tier = key = None
         if request.reduce_job is not None:
             entry, reduction, tier, key = self._acquire(

@@ -62,6 +62,7 @@ __all__ = [
     "artifact_key",
     "fingerprint_system",
     "parse_ttl",
+    "reduce_artifact",
     "reducer_fingerprint",
 ]
 
@@ -196,6 +197,30 @@ def artifact_key(system, reducer, system_fingerprint=None):
     digest.update(str(system_fingerprint).encode())
     digest.update(reducer_fingerprint(reducer).encode())
     return digest.hexdigest()
+
+
+def reduce_artifact(system, reducer, fingerprint, checkpoint=None,
+                    workspace=None):
+    """Run *reducer* on *system* and wrap the ROM with its provenance.
+
+    *fingerprint* is the system's :func:`fingerprint_system` value
+    (``None`` computes it).  *checkpoint* (a
+    :class:`~repro.checkpoint.JobState`) and *workspace* (a primed
+    :class:`~repro.volterra.associated.AssociatedWorkspace`) reach
+    ``reducer.reduce`` only when given: a reducer that takes neither
+    still runs, and one asked for a checkpoint it cannot take fails.
+    """
+    options = {}
+    if checkpoint is not None:
+        options["checkpoint"] = checkpoint
+    if workspace is not None:
+        options["workspace"] = workspace
+    rom = reducer.reduce(system, **options)
+    if fingerprint is None:
+        fingerprint = fingerprint_system(system)
+    return ReductionArtifact.from_reduction(
+        rom, system=system, reducer=reducer, system_fingerprint=fingerprint,
+    )
 
 
 class ModelStore:
@@ -449,15 +474,8 @@ class ModelStore:
             self.hits += 1
             return artifact, True
         self.misses += 1
-        if checkpoint is not None:
-            rom = reducer.reduce(system, checkpoint=checkpoint)
-        else:
-            rom = reducer.reduce(system)
-        artifact = ReductionArtifact.from_reduction(
-            rom,
-            system=system,
-            reducer=reducer,
-            system_fingerprint=system_fingerprint,
+        artifact = reduce_artifact(
+            system, reducer, system_fingerprint, checkpoint=checkpoint
         )
         self.store(key, artifact)
         return artifact, False

@@ -307,6 +307,42 @@ class TestRunParametric:
             assert _worst_rel_dev(after["hd2"], before["hd2"]) <= 1e-9
             assert _worst_rel_dev(after["hd3"], before["hd3"]) <= 1e-9
 
+    def test_rerun_through_store_keeps_tier_and_store_counts(
+        self, ladder, tmp_path
+    ):
+        # Pinned counts: the two anchors are reduced (cold, then warm),
+        # the middle corner and both draws interpolate.  The rerun
+        # serves the anchors from the store and interpolates again; the
+        # store counts one hit per anchor and one miss per member that
+        # did not come from it.
+        store = ModelStore(tmp_path)
+        kwargs = dict(
+            reduce=REDUCE, sweep=SWEEP, sparse=True,
+            mc={"grid_points": {"r_series": 3}, "draws": 2, "seed": 7},
+        )
+        first = run_parametric(ladder, store=store, **kwargs)
+        assert first.tiers == {
+            "dedup": 0, "warm": 1, "interp": 3, "cold": 1,
+            "interp_rejected": 0,
+        }
+        assert (first.store_stats["hits"], first.store_stats["misses"]) \
+            == (0, 5)
+        second = run_parametric(ladder, store=store, **kwargs)
+        assert second.tiers == {
+            "dedup": 2, "warm": 0, "interp": 3, "cold": 0,
+            "interp_rejected": 0,
+        }
+        assert (second.store_stats["hits"], second.store_stats["misses"]) \
+            == (2, 8)
+        assert second.store_stats["entries"] == 2
+        assert [c["tier"] for c in second.corners] == (
+            ["dedup", "interp", "dedup"]
+        )
+        for before, after in zip(first.corners, second.corners):
+            assert after["rom_order"] == before["rom_order"]
+            np.testing.assert_array_equal(after["hd2"], before["hd2"])
+            np.testing.assert_array_equal(after["hd3"], before["hd3"])
+
     def test_mc_draws_reproduce_bit_for_bit(self, ladder):
         kwargs = dict(
             reduce=REDUCE, sweep=SWEEP,

@@ -3,6 +3,7 @@ run_pipeline routing (store, sweep, transient), and ``python -m repro``
 on the shipped example spec.
 """
 
+import inspect
 import json
 import subprocess
 import sys
@@ -16,9 +17,11 @@ from repro.circuits import Netlist, quadratic_rc_ladder_netlist
 from repro.cli import main as cli_main
 from repro.errors import ValidationError
 from repro.pipeline import (
+    ParametricReductionJob,
     ReductionJob,
     SweepJob,
     TransientJob,
+    run_parametric,
     run_pipeline,
     system_from_spec,
 )
@@ -123,6 +126,60 @@ class TestJobs:
                  "dt": 0.1}
             )
 
+    #: One valid value for every constructor parameter of each job.
+    EVERY_FIELD = {
+        ReductionJob: {
+            "orders": [3, 2, 0], "expansion_points": [0.0],
+            "strategy": "decoupled", "deduplicate": False, "tol": 1e-9,
+        },
+        SweepJob: {
+            "start": 0.1, "stop": 0.5, "points": 3, "omegas": [0.2, 0.3],
+            "amplitude": 0.5, "compare_full": True,
+        },
+        TransientJob: {
+            "source": {"kind": "step", "amplitude": 0.1}, "t_end": 1.0,
+            "dt": 0.1, "compare_full": True,
+        },
+        ParametricReductionJob: {
+            "grid_points": 2, "draws": 1, "seed": 5, "warm": False,
+            "interp": False, "interp_tol": 1e-3,
+        },
+    }
+
+    @pytest.mark.parametrize("job_class", list(EVERY_FIELD),
+                             ids=lambda cls: cls.__name__)
+    def test_coerce_takes_exactly_the_constructor_fields(self, job_class):
+        fields = self.EVERY_FIELD[job_class]
+        assert set(fields) == (
+            set(inspect.signature(job_class).parameters)
+        )
+        job = job_class.coerce(dict(fields))
+        assert isinstance(job, job_class)
+        name = sorted(fields)[0]
+        misspelt = dict(fields)
+        misspelt[name + "x"] = misspelt.pop(name)
+        with pytest.raises(
+            ValidationError, match=f"unknown {job_class.__name__} fields"
+        ):
+            job_class.coerce(misspelt)
+
+    def test_coerce_follows_a_subclass_constructor(self):
+        class ScaledJob(ReductionJob):
+            def __init__(self, orders=(3, 2, 0), scale=1.0):
+                super().__init__(orders=orders)
+                self.scale = float(scale)
+
+        job = ScaledJob.coerce({"orders": [2, 1, 0], "scale": 2.0})
+        assert job.orders == (2, 1, 0) and job.scale == 2.0
+        with pytest.raises(ValidationError, match="unknown ScaledJob"):
+            ScaledJob.coerce({"tol": 1e-9})
+
+    def test_bad_shape_names_the_section(self):
+        with pytest.raises(ValidationError, match="reduce must be"):
+            ReductionJob.coerce("6,3,0")
+        with pytest.raises(ValidationError, match="transient must be"):
+            TransientJob.coerce([1.0, 0.1])
+
 
 class TestSystemFromSpec:
     def test_devices_spec(self):
@@ -155,6 +212,22 @@ class TestSystemFromSpec:
         with pytest.raises(ValidationError):
             system_from_spec({"generator": "warp_core"})
 
+    def test_unknown_generator_same_error_at_every_front_door(self):
+        spec = {"generator": "warp_core", "parameters": []}
+        messages = []
+        for call in (
+            lambda: system_from_spec(spec),
+            lambda: run_pipeline(spec, reduce=(3, 2, 0)),
+            lambda: run_parametric(
+                spec, sweep={"start": 0.1, "stop": 0.3, "points": 2}
+            ),
+        ):
+            with pytest.raises(ValidationError,
+                               match="unknown generator 'warp_core'") as err:
+                call()
+            messages.append(str(err.value))
+        assert messages[0] == messages[1] == messages[2]
+
 
 class TestRunPipeline:
     def test_store_round_trip_parity(self, tmp_path):
@@ -167,6 +240,21 @@ class TestRunPipeline:
         assert cold.store_hit is False and warm.store_hit is True
         assert np.abs(warm.sweep["hd2"] - cold.sweep["hd2"]).max() <= 1e-12
         assert np.abs(warm.sweep["hd3"] - cold.sweep["hd3"]).max() <= 1e-12
+
+    def test_store_and_storeless_runs_share_basis_hash(self, tmp_path):
+        net = quadratic_rc_ladder_netlist(16)
+        stored = run_pipeline(net, reduce=(4, 2, 0), store=tmp_path)
+        bare = run_pipeline(net, reduce=(4, 2, 0))
+        assert stored.store_hit is False and bare.store_hit is None
+        hashes = [
+            result.artifact.provenance["basis_hash"]
+            for result in (stored, bare)
+        ]
+        assert hashes[0] == hashes[1]
+        assert (
+            stored.artifact.provenance["system_fingerprint"]
+            == bare.artifact.provenance["system_fingerprint"]
+        )
 
     def test_lti_target_with_jobs_rejected_cleanly(self):
         from repro.systems import StateSpace

@@ -228,6 +228,77 @@ class TestServiceTiers:
             ReduceRequest.from_payload(payload)
         ).served_from == "hot"
 
+    def test_reduce_lock_table_drops_finished_keys(self):
+        service = ReproService(store=None, hot_capacity=8)
+        keys = set()
+        for n in range(8, 13):
+            outcome = service.handle(ReduceRequest.from_payload(
+                {"spec": ladder_spec(n), "reduce": REDUCE}
+            ))
+            assert outcome.served_from == "cold"
+            keys.add(outcome.artifact_key)
+        assert len(keys) == 5
+        assert service._reduce_locks == {}
+
+    def test_concurrent_cold_requests_reduce_once_per_key(
+        self, monkeypatch
+    ):
+        calls = []
+        real = AssociatedTransformMOR.reduce
+
+        def slow_reduce(self, system, **kwargs):
+            calls.append(system.n_states)
+            time.sleep(0.2)  # keep the other requests queued behind it
+            return real(self, system, **kwargs)
+
+        monkeypatch.setattr(AssociatedTransformMOR, "reduce", slow_reduce)
+        service = ReproService(store=None, hot_capacity=4)
+        sizes = [10, 12] * 4  # two keys, four requests each
+        barrier = threading.Barrier(len(sizes))
+        outcomes = []
+
+        def worker(n):
+            barrier.wait()
+            outcomes.append(service.handle(ReduceRequest.from_payload(
+                {"spec": ladder_spec(n), "reduce": REDUCE}
+            )))
+
+        threads = [threading.Thread(target=worker, args=(n,)) for n in sizes]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert sorted(calls) == [10, 12]
+        assert sorted(o.served_from for o in outcomes) == (
+            ["cold"] * 2 + ["hot"] * 6
+        )
+        assert service._reduce_locks == {}
+
+    def test_lti_system_refused_like_run_pipeline(self, monkeypatch):
+        from repro.systems import StateSpace
+
+        import repro.serve.service as service_mod
+
+        lti = StateSpace(-np.eye(3), np.ones(3))
+        monkeypatch.setattr(
+            service_mod, "system_from_spec",
+            lambda spec, sparse=None: (lti, {"n_states": 3}),
+        )
+        with pytest.raises(ValidationError) as served:
+            ReproService().handle(SweepRequest.from_payload(
+                {"spec": ladder_spec(), "sweep": SWEEP}
+            ))
+        with pytest.raises(ValidationError) as direct:
+            run_pipeline(lti, sweep=SWEEP)
+        assert "need a polynomial system" in str(served.value)
+        assert str(served.value) == str(direct.value)
+
     def test_sweep_bit_identical_to_run_pipeline(self, tmp_path):
         spec = ladder_spec()
         service = ReproService(store=tmp_path / "a", hot_capacity=4)
