@@ -1,6 +1,6 @@
 """Ablation — baseline landscape: proposed vs NORM vs Carleman vs BT.
 
-DESIGN.md abl4 (extension).  Positions the paper's method among the
+An extension beyond the paper.  Positions the paper's method among the
 classical alternatives on one weakly nonlinear workload:
 
 * **proposed** — associated-transform moment matching (this paper),

@@ -1,9 +1,9 @@
 """Ablation — single-point vs multipoint frequency expansion.
 
-DESIGN.md abl3, implementing the paper's §4 third bullet: "Non-DC or
-multipoint frequency expansion for moment matching is particularly
-straightforward with this associated transform approach" because every
-associated Hn is a single-``s`` function.
+Implements the paper's §4 third bullet: "Non-DC or multipoint frequency
+expansion for moment matching is particularly straightforward with this
+associated transform approach" because every associated Hn is a
+single-``s`` function.
 
 Workload: the Fig-5 varistor circuit under a fast surge.  The surge
 front excites mid-band dynamics, so DC-only bases plateau at ~20% error

@@ -1,8 +1,8 @@
 """Ablation — moment-order sweep (accuracy vs ROM size).
 
-DESIGN.md abl1.  Sweeps the (q1, q2, q3) moment orders of the proposed
-method on the Fig-3 transmission-line system and tabulates ROM order vs
-transient error, showing (i) error decreasing with richer subspaces and
+Sweeps the (q1, q2, q3) moment orders of the proposed method on the
+Fig-3 transmission-line system and tabulates ROM order vs transient
+error, showing (i) error decreasing with richer subspaces and
 (ii) the ROM order growing only *linearly* in the requested orders —
 the paper's central complexity claim.
 """

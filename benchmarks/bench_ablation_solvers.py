@@ -1,8 +1,8 @@
 """Ablation — Kronecker-sum solver strategies (paper §2.3).
 
-DESIGN.md abl2.  The paper's §2.3 argues that (i) the brute-force dense
-treatment of the lifted (n + n²) matrix costs O((n+n²)²) per operation
-while the Schur trick reduces every ``(2© G1 − sI)`` solve to triangular
+The paper's §2.3 argues that (i) the brute-force dense treatment of the
+lifted (n + n²) matrix costs O((n+n²)²) per operation while the Schur
+trick reduces every ``(2© G1 − sI)`` solve to triangular
 sweeps, and (ii) the eq.-(18) Sylvester decoupling splits the H2 Krylov
 generation into independent subsystems.  This bench times:
 

@@ -18,12 +18,12 @@ Quickstart
 >>> result.report()["sweep"]["hd2"]
 
 or, without importing anything:  ``python -m repro sweep spec.json``.
-See README.md for the full tour and DESIGN.md for the system inventory.
+See README.md for the full tour and the module layout.
 """
 
 __version__ = "1.0.0"
 
-from . import engine  # noqa: F401  (repro.engine.SolvePlan / worker_stats)
+from . import engine  # noqa: F401  (repro.engine.worker_stats)
 from .errors import (  # noqa: F401
     ConvergenceError,
     NumericalError,

@@ -1,7 +1,6 @@
 """Parameterized generators for the paper's benchmark circuits.
 
-These rebuild the four experimental testbenches of §3 (see DESIGN.md §4
-for the documented substitutions):
+These rebuild the four experimental testbenches of §3:
 
 * :func:`nonlinear_transmission_line` — the diode RC line of §3.1/§3.2.
   With a (Thevenin) voltage source and a diode at the input node, the

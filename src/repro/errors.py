@@ -44,40 +44,16 @@ class ConvergenceError(NumericalError):
         self.residual = residual
 
 
-class TaskError(ReproError):
-    """A :class:`~repro.engine.plan.SolveTask` failed during execution.
-
-    Carries the identity of the failing task (plan label, submission
-    index, caller tag) and the number of attempts made, so a failure
-    deep inside a thousand-task plan is diagnosable without a debugger.
-
-    The engine raises a dynamically created subclass that *also*
-    inherits the original exception type, so existing handlers catching
-    e.g. :class:`NumericalError` across a plan boundary keep working.
-    The original exception is always attached as ``__cause__``.
-    """
-
-    def __init__(self, message, plan_label=None, task_index=None,
-                 task_tag=None, attempts=1):
-        super().__init__(message)
-        #: Label of the plan the task belonged to (may be None).
-        self.plan_label = plan_label
-        #: Submission-order index of the task within its plan.
-        self.task_index = task_index
-        #: Caller-supplied task tag (free-form; may be None).
-        self.task_tag = task_tag
-        #: Number of execution attempts made (> 1 when retries ran).
-        self.attempts = attempts
-
-
 class TaskCancelled(ReproError):
-    """A solve plan was cancelled cooperatively before completion.
+    """A long computation was cancelled cooperatively before completion.
 
-    Raised when a plan's ``cancel`` callback reports True between tasks
-    (see :meth:`repro.engine.plan.SolvePlan.execute`) — the serving
-    layer uses it to stop a timed-out request at the next task boundary.
+    Raised when a ``cancel`` callback reports True at one of the polls
+    a computation makes between units of work (a distortion sweep
+    between kernel orders, a multi-shift sparse solve between
+    factorizations, a served request before its reduction or transient
+    starts) — the serving layer uses it to stop a timed-out request.
     Work already completed stays valid (memoized kernels keep their
-    deterministic results); only the remaining tasks are skipped, so
+    deterministic results); only the remaining work is skipped, so
     cancellation can never corrupt a shared cache.
     """
 
@@ -87,8 +63,7 @@ class FaultInjected(ReproError):
     fault_point` (``REPRO_FAULT=<site>:<n>:raise``).
 
     Only ever raised by the fault-injection harness; production code
-    paths never construct it.  Classified as transient by the engine's
-    retry policy, which lets tests exercise the retry machinery.
+    paths never construct it.
     """
 
     def __init__(self, message, site=None, hit=None):

@@ -33,7 +33,6 @@ import numpy as np
 
 from .. import memory
 from .._validation import check_nonnegative_int
-from ..engine import SolvePlan
 from ..errors import ValidationError
 from ..linalg.arnoldi import merge_bases
 from ..volterra.associated import (
@@ -135,11 +134,12 @@ class AssociatedTransformMOR:
 
         All Krylov chains — per transfer function, per expansion point,
         per retained input column, and (for the decoupled strategy) per
-        eq.-(18) subsystem — are independent.  They run one engine task
-        each, in one fixed order.
+        eq.-(18) subsystem — are independent.  They run as plain calls,
+        one after another, in one fixed order; a chain that fails raises
+        its solver's own exception.
 
         With *checkpoint* (a :class:`~repro.checkpoint.JobState`) every
-        chain is a checkpoint stage: once its task returns, its vectors
+        chain is a checkpoint stage: once it returns, its vectors
         and whatever part of the workspace's mutable solver state
         changed since the last commit are durably committed.  A killed
         build re-entered with the same checkpoint restores the solver
@@ -238,9 +238,7 @@ class AssociatedTransformMOR:
                 vectors.extend(np.asarray(vec) for vec in payload["chain"])
                 continue
             resuming = False
-            plan = SolvePlan(f"assoc-mor.build_basis[{stage_id}]")
-            plan.add(fn, tag=(label, s0))
-            chain = plan.execute()[0]
+            chain = fn()
             vectors.extend(chain)
             if checkpoint is None:
                 continue

@@ -1,21 +1,22 @@
 """Deterministic fault injection for crash-safety testing.
 
-The durable-write, checkpoint and engine layers are instrumented with
+The durable-write, store and checkpoint layers are instrumented with
 named :func:`fault_point` calls at every boundary where a crash has a
 distinct observable outcome (before/after an ``os.replace``, between an
-artifact and its metadata, before/after a checkpoint commit, around each
-engine task).  A fault *spec* arms one or more sites::
+artifact and its metadata, before/after a checkpoint commit).  A fault
+*spec* arms one or more sites::
 
     REPRO_FAULT="checkpoint.before_commit:2"        # SIGKILL on 2nd hit
     REPRO_FAULT="serialize.before_replace:1:raise"  # raise on 1st hit
-    REPRO_FAULT="store.before_meta:1,engine.task:3:raise"
+    REPRO_FAULT="store.before_meta:1,checkpoint.after_commit:3:raise"
 
-Each entry is ``<site>:<n>[:<kind>]`` where *n* is the 1-based hit count
-at which the site fires (every site keeps its own process-wide counter)
-and *kind* is ``kill`` (default — ``SIGKILL`` to the current process,
-simulating power loss: no atexit handlers, no flushes) or ``raise``
-(raise :class:`~repro.errors.FaultInjected`, for in-process tests and
-for exercising the engine's transient-retry path).
+Each entry is ``<site>:<n>[:<kind>]`` where *site* is one of the
+instrumented sites below (any other name is refused, so a typo cannot
+silently arm nothing), *n* is the 1-based hit count at which the site
+fires (every site keeps its own process-wide counter) and *kind* is
+``kill`` (default — ``SIGKILL`` to the current process, simulating
+power loss: no atexit handlers, no flushes) or ``raise`` (raise
+:class:`~repro.errors.FaultInjected`, for in-process tests).
 
 The spec is read from ``REPRO_FAULT`` on first use; in-process tests use
 :func:`configure`/:func:`reset` instead of the environment.  With no
@@ -33,7 +34,6 @@ Instrumented sites
 ``checkpoint.before_block``  chain computed, block file not yet written
 ``checkpoint.before_commit`` block+solver written, manifest not rewritten
 ``checkpoint.after_commit``  stage fully committed (manifest durable)
-``engine.task``              entry of every SolveTask execution attempt
 ========================== =================================================
 """
 
@@ -47,6 +47,18 @@ __all__ = ["FaultInjected", "configure", "fault_point", "hit_counts",
            "reset"]
 
 _KINDS = ("kill", "raise")
+
+#: Every site a :func:`fault_point` call declares (the table above).
+SITES = frozenset({
+    "serialize.before_replace",
+    "serialize.after_replace",
+    "durable.before_replace",
+    "durable.after_replace",
+    "store.before_meta",
+    "checkpoint.before_block",
+    "checkpoint.before_commit",
+    "checkpoint.after_commit",
+})
 
 _lock = threading.Lock()
 #: site -> (fire-at-hit, kind); None means "not yet parsed from env".
@@ -89,8 +101,11 @@ def _parse(text):
                 f"fault kind must be one of {_KINDS}, got {kind!r} "
                 f"in {part!r}"
             )
-        if not site:
-            raise ValidationError(f"fault spec entry {part!r} has no site")
+        if site not in SITES:
+            raise ValidationError(
+                f"unknown fault site {site!r} in {part!r}; instrumented "
+                f"sites are {sorted(SITES)}"
+            )
         specs[site] = (count, kind)
     return specs
 

@@ -56,7 +56,6 @@ import scipy.sparse as sp
 
 from .. import memory
 from .._validation import check_positive_int
-from ..engine import SolvePlan
 from ..errors import NumericalError, SystemStructureError, ValidationError
 from ..linalg.kronecker import kron_sum_power_matvec
 from ..linalg.operators import (
@@ -105,21 +104,14 @@ def _require_explicit(system):
         )
 
 
-def _copy_column_tile(out, vectors, lo, hi):
-    """Copy rows ``[lo, hi)`` of every chain vector into *out*."""
-    for col, vec in enumerate(vectors):
-        out[lo:hi, col] = vec[lo:hi]
-    return hi - lo
-
-
 def stack_columns(vectors, label):
     """Stack 1-D chain *vectors* columnwise into an arena-backed block.
 
     The blockwise equivalent of ``np.column_stack(vectors)``: the output
     lives in the tile arena (RAM, or a writable memmap once the result
     would crowd the memory budget) and rows are copied in
-    :func:`repro.memory.block_rows`-sized tiles, one engine task per
-    tile.  The result is bit-identical to the dense stack.
+    :func:`repro.memory.block_rows`-sized tiles.  The result is
+    bit-identical to the dense stack.
     """
     if not vectors:
         return np.empty((0, 0))
@@ -131,13 +123,10 @@ def stack_columns(vectors, label):
     step = planner.block_rows(
         n, row_bytes=max(len(vectors), 1) * dtype.itemsize
     )
-    if step >= n:
-        _copy_column_tile(out, vectors, 0, n)
-        return out
-    plan = SolvePlan(f"{label}.assemble")
     for lo in range(0, n, step):
-        plan.add(_copy_column_tile, out, vectors, lo, min(n, lo + step))
-    plan.execute()
+        hi = min(n, lo + step)
+        for col, vec in enumerate(vectors):
+            out[lo:hi, col] = vec[lo:hi]
     return out
 
 
@@ -661,9 +650,10 @@ class AssociatedRealization:
     transfer function.
 
     ``A`` is a structured operator (``matvec`` + ``solve_shifted``), ``B``
-    a dense ``(dim, cols)`` matrix, and ``C`` the projection onto the
-    first ``n`` lifted coordinates (the original state space), applied
-    through :meth:`project_top`.
+    a dense ``(dim, cols)`` matrix whose columns seed the chains
+    (:attr:`columns`), and ``C`` the projection onto the first ``n``
+    lifted coordinates (the original state space), applied through
+    :meth:`project_top`.
 
     Parameters
     ----------
@@ -691,6 +681,8 @@ class AssociatedRealization:
         self.n_top = int(n_top)
         self.input_arity = check_positive_int(input_arity, "input_arity")
         self.n_inputs = check_positive_int(n_inputs, "n_inputs")
+        #: Chain seeds, one per input column (views into ``b``).
+        self.columns = self.b.T
 
     @property
     def dim(self):
@@ -698,7 +690,7 @@ class AssociatedRealization:
 
     @property
     def n_cols(self):
-        return self.b.shape[1]
+        return len(self.columns)
 
     def project_top(self, x):
         """Output map ``c̃ = [I_n, 0, ...]``: keep the top block."""
@@ -708,27 +700,29 @@ class AssociatedRealization:
         """Evaluate ``H(s)`` — an ``(n_top, cols)`` complex matrix."""
         out = np.empty((self.n_top, self.n_cols), dtype=complex)
         for col in range(self.n_cols):
-            x = self.operator.solve_shifted(-s, self.b[:, col])
+            x = self.operator.solve_shifted(-s, self.columns[col])
             out[:, col] = -self.project_top(x)
         return out
 
     def _moment_chain(self, col, count, s0):
-        """One column's shift-invert chain (sequential by construction)."""
-        current = self.b[:, col]
+        """One column's shift-invert chain (sequential by construction).
+
+        Each projected top block is copied, so a chain keeps ``n_top``
+        entries per moment alive rather than every lifted solution.
+        """
+        current = self.columns[col]
         vectors = []
         for _ in range(count):
             current = self.operator.solve_shifted(-s0, current)
-            vectors.append(self.project_top(current))
+            vectors.append(self.project_top(current).copy())
         return vectors
 
     def chain_tasks(self, count, s0=0.0, deduplicate=True):
-        """Independent per-column chain callables for the engine.
+        """Independent per-column chain callables.
 
         Each retained input column's moment chain has no data
-        dependency on the others; callers (or
-        :meth:`moment_vectors`) schedule them through a
-        :class:`~repro.engine.SolvePlan`.  Each callable returns the
-        chain's projected vectors in moment order.
+        dependency on the others; each callable returns the chain's
+        projected vectors in moment order.
         """
         count = check_positive_int(count, "count")
         if deduplicate:
@@ -744,13 +738,10 @@ class AssociatedRealization:
         whose columns span the space matching *count* moments of ``H(s)``
         about ``s0`` (per retained input column).  With ``deduplicate``
         only one column per symmetric input multiset is chained.  The
-        per-column chains run as one engine plan (independent tasks).
+        per-column chains run one after another.
         """
-        plan = SolvePlan("associated.moment_vectors")
-        for fn in self.chain_tasks(count, s0=s0, deduplicate=deduplicate):
-            plan.add(fn)
-        chains = plan.execute()
-        return np.column_stack([v for chain in chains for v in chain])
+        chains = self.chain_tasks(count, s0=s0, deduplicate=deduplicate)
+        return np.column_stack([v for fn in chains for v in fn()])
 
     def impulse_response(self, times):
         """Diagonal kernel ``h(t) = hn(t, ..., t)`` via dense ``expm``.
@@ -961,10 +952,9 @@ class DecoupledH2Realization:
         Returns ``[(subsystem, callable), ...]`` where *subsystem* is 0
         for the linear ``(sI − G1)`` chains and 1 for the Kronecker-sum
         chains — the paper's two eq.-(18) decoupled LTI subsystems, whose
-        chains have no data dependencies and can be generated in
-        parallel.  Shared lazy factorizations (Π, the Kronecker-sum
-        solver) are forced *here*, before any task runs, so tasks never
-        contend on building them.
+        chains have no data dependencies.  Shared lazy factorizations
+        (Π, the Kronecker-sum solver) are forced *here*, before any
+        chain runs.
         """
         ws = self.workspace
         count = check_positive_int(count, "count")
@@ -987,20 +977,16 @@ class DecoupledH2Realization:
 
         Returns a list of two blocks; their union spans the same moment
         space as the coupled realization's chains.  The underlying
-        chains run as one engine plan (one task per subsystem per
-        retained input column), and each block is then assembled in row
-        tiles through :func:`stack_columns` — one engine task per tile,
-        into arena-backed storage — so assembly never materializes an
-        extra dense ``n``-row stack.
+        chains (one per subsystem per retained input column) run one
+        after another, and each block is then assembled in row tiles
+        through :func:`stack_columns` into arena-backed storage, so
+        assembly never materializes an extra dense ``n``-row stack.
         """
-        tasks = self.chain_tasks(count, s0=s0, deduplicate=deduplicate)
-        plan = SolvePlan("decoupled-h2.basis_blocks")
-        for subsystem, fn in tasks:
-            plan.add(fn, tag=subsystem)
-        chains = plan.execute()
         blocks = {0: [], 1: []}
-        for (subsystem, _), chain in zip(tasks, chains):
-            blocks[subsystem].extend(chain)
+        for subsystem, fn in self.chain_tasks(
+            count, s0=s0, deduplicate=deduplicate
+        ):
+            blocks[subsystem].extend(fn())
         return [
             stack_columns(blocks[0], "h2-dec-sub0"),
             stack_columns(blocks[1], "h2-dec-sub1"),
@@ -1250,22 +1236,22 @@ def _sym_pair_tensor(lead_vec, u, v, lead, weight):
     return FactoredTensor(core2[:, :, None], [fuv, fuv, lv])
 
 
-class FactoredH3Realization:
+class FactoredH3Realization(AssociatedRealization):
     """Sparse-path realization of ``A3(H3)`` on compressed vectors.
 
     The circuit-scale counterpart of wrapping
     :class:`AssociatedH3Operator` in an :class:`AssociatedRealization`:
-    same moment-chain / evaluation semantics, but the lifted state
+    the same moment chains and evaluation, but the lifted state
     travels as :class:`~repro.linalg.operators.LiftedH3Vector` Tucker
     factors and every solve goes through
     :class:`~repro.linalg.operators.FactoredH3Operator` on ``G1``'s
     sparse LU — a lifted dimension of ``n + 2nN + n³ ≈ 2·10¹⁰`` at
     ``n = 2048`` is never instantiated.  The ``B3`` input columns are
     assembled directly in factored form from their Kronecker structure
-    (``B ⊗ b̃2`` columns are rank-≤2 per block).
+    (``B ⊗ b̃2`` columns are rank-≤2 per block); there is no dense
+    ``b``, so :meth:`impulse_response` and :meth:`to_state_space` do not
+    apply.
     """
-
-    input_arity = 3
 
     def __init__(self, workspace):
         system = workspace.system
@@ -1278,16 +1264,9 @@ class FactoredH3Realization:
             workspace.solve_shifted,
         )
         self.n_top = workspace.n
+        self.input_arity = 3
         self.n_inputs = workspace.m
         self.columns = self._build_columns()
-
-    @property
-    def dim(self):
-        return self.operator.dim
-
-    @property
-    def n_cols(self):
-        return len(self.columns)
 
     def _build_columns(self):
         ws = self.workspace
@@ -1348,41 +1327,6 @@ class FactoredH3Realization:
     def project_top(self, vec):
         """Output map ``c̃ = [I_n, 0, ...]``: the dense top block."""
         return np.asarray(vec.a).reshape(-1)[: self.n_top]
-
-    def eval(self, s):
-        """Evaluate ``A3(H3)(s)`` — an ``(n, m³)`` complex matrix."""
-        out = np.empty((self.n_top, self.n_cols), dtype=complex)
-        for col in range(self.n_cols):
-            x = self.operator.solve_shifted(-s, self.columns[col])
-            out[:, col] = -self.project_top(x)
-        return out
-
-    def _moment_chain(self, col, count, s0):
-        """One column's shift-invert chain on compressed vectors."""
-        current = self.columns[col]
-        vectors = []
-        for _ in range(count):
-            current = self.operator.solve_shifted(-s0, current)
-            vectors.append(self.project_top(current).copy())
-        return vectors
-
-    def chain_tasks(self, count, s0=0.0, deduplicate=True):
-        """Independent per-column chain callables (engine contract)."""
-        count = check_positive_int(count, "count")
-        if deduplicate:
-            cols = _unique_symmetric_columns(self.n_inputs, 3)
-        else:
-            cols = list(range(self.n_cols))
-        return [partial(self._moment_chain, col, count, s0) for col in cols]
-
-    def moment_vectors(self, count, s0=0.0, deduplicate=True):
-        """Projected shift-invert chains (see
-        :meth:`AssociatedRealization.moment_vectors`)."""
-        plan = SolvePlan("associated.moment_vectors[factored-h3]")
-        for fn in self.chain_tasks(count, s0=s0, deduplicate=deduplicate):
-            plan.add(fn)
-        chains = plan.execute()
-        return np.column_stack([v for chain in chains for v in chain])
 
 
 def associated_h3(system, workspace=None):

@@ -1,12 +1,11 @@
-"""Solve-plan engine: plan semantics, cache races, sparse fast paths.
+"""Execution record, cache races, sparse fast paths.
 
-Plans run serially and in order on the calling thread; the primitive
-tests pin submission order, first-error propagation and that a stale
-environment naming the removed thread/process backends changes
-nothing.  The cache-race tests hammer the shared memo layers from many
-threads (as the serve daemon's handler threads do) and assert that
-exactly one factorization/evaluator survives and every caller gets
-correct values.
+Solves run serially on the calling thread; the primitive test pins
+that a stale environment naming the removed thread/process backends
+changes nothing.  The cache-race tests hammer the shared memo layers
+from many threads (as the serve daemon's handler threads do) and
+assert that exactly one factorization/evaluator survives and every
+caller gets correct values.
 """
 
 import json
@@ -25,7 +24,6 @@ from repro.analysis.distortion import (
     single_tone_distortion,
     two_tone_intermodulation,
 )
-from repro.engine import SolvePlan
 from repro.errors import NumericalError
 from repro.linalg.resolvent import ResolventFactory
 from repro.systems import PolynomialODE
@@ -58,31 +56,11 @@ def _ladder_sweep():
 
 
 # ---------------------------------------------------------------------------
-# engine primitives
+# serial execution
 # ---------------------------------------------------------------------------
 
 
 class TestPrimitives:
-    def test_plan_preserves_submission_order(self):
-        plan = SolvePlan("test")
-        for idx in range(20):
-            plan.add(lambda i=idx: i * i, tag=idx)
-        results = plan.execute()
-        assert results == [i * i for i in range(20)]
-        assert plan.tags == list(range(20))
-
-    def test_plan_raises_first_error_by_submission_order(self):
-        def boom(i):
-            if i % 2:
-                raise RuntimeError(f"task {i}")
-            return i
-
-        plan = SolvePlan("test")
-        for idx in range(6):
-            plan.add(boom, idx)
-        with pytest.raises(RuntimeError, match="task 1"):
-            plan.execute()
-
     def test_stale_backend_environment_runs_serial(self):
         # A fresh interpreter: inside this one the engine may already
         # have been imported before the environment was touched.

@@ -1,11 +1,12 @@
-"""Fault-injection harness + engine hardening + durable-write crash tests.
+"""Fault-injection harness + chain failures + durable-write crash tests.
 
 Three layers under test:
 
 * the :mod:`repro.testing.faults` harness itself (spec parsing, hit
-  counting, deterministic firing),
-* the engine's failure semantics (:class:`~repro.errors.TaskError`
-  identity wrapping, opt-in transient retry),
+  counting, deterministic firing, the closed set of instrumented
+  sites),
+* how a Krylov-chain failure surfaces from a reduction (the solver's
+  own exception, unchanged; a checkpointed build resumes after it),
 * the durability discipline (``durable_write`` / ``save_payload``
   survive a SIGKILL at every crash site; the store quarantines torn
   files without losing evidence).
@@ -16,6 +17,7 @@ SIGKILLs the *current* process, which is exactly the point.
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -23,17 +25,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro import engine
+from repro.checkpoint import JobState
 from repro.circuits import quadratic_rc_ladder_netlist
-from repro.engine import SolvePlan, TaskError, set_task_retries
-from repro.errors import (
-    FaultInjected,
-    NumericalError,
-    ReproError,
-    ValidationError,
-)
+from repro.errors import ConvergenceError, FaultInjected, ValidationError
+from repro.linalg.operators import FactoredH3Operator
 from repro.mor.assoc import AssociatedTransformMOR
-from repro.serialize import durable_write, load_payload, save_payload
+from repro.serialize import (
+    array_digest,
+    durable_write,
+    load_payload,
+    save_payload,
+)
 from repro.store import ModelStore
 from repro.testing import faults
 
@@ -42,13 +44,11 @@ REPO_SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 @pytest.fixture(autouse=True)
 def _clean_harness():
-    """Every test starts and ends with no armed faults and no retries."""
+    """Every test starts and ends with no armed faults."""
     faults.configure(None)
-    previous = set_task_retries(0)
     yield
     faults.configure(None)
     faults.reset()
-    set_task_retries(previous)
 
 
 def _subprocess(code, env_extra=None):
@@ -65,136 +65,83 @@ def _subprocess(code, env_extra=None):
 
 class TestHarness:
     def test_parse_and_hit_counting(self):
-        faults.configure("a.site:3:raise")
+        faults.configure("store.before_meta:3:raise")
         for _ in range(2):
-            faults.fault_point("a.site")
-        assert faults.hit_counts() == {"a.site": 2}
+            faults.fault_point("store.before_meta")
+        assert faults.hit_counts() == {"store.before_meta": 2}
         with pytest.raises(FaultInjected) as info:
-            faults.fault_point("a.site")
-        assert info.value.site == "a.site"
+            faults.fault_point("store.before_meta")
+        assert info.value.site == "store.before_meta"
         assert info.value.hit == 3
         # past the armed hit the site is inert again
-        faults.fault_point("a.site")
-        assert faults.hit_counts()["a.site"] == 4
+        faults.fault_point("store.before_meta")
+        assert faults.hit_counts()["store.before_meta"] == 4
 
     def test_unarmed_sites_are_free(self):
-        faults.configure("x:1:raise")
-        faults.fault_point("y")  # never raises, never counted
+        faults.configure("store.before_meta:1:raise")
+        # never raises, never counted
+        faults.fault_point("checkpoint.before_block")
         assert faults.hit_counts() == {}
 
     def test_multiple_sites(self):
-        faults.configure("one:1:raise,two:2:raise")
+        faults.configure(
+            "durable.before_replace:1:raise,durable.after_replace:2:raise"
+        )
         with pytest.raises(FaultInjected):
-            faults.fault_point("one")
-        faults.fault_point("two")
+            faults.fault_point("durable.before_replace")
+        faults.fault_point("durable.after_replace")
         with pytest.raises(FaultInjected):
-            faults.fault_point("two")
+            faults.fault_point("durable.after_replace")
 
     def test_default_kind_is_kill(self):
         # <site>:<n> with no kind simulates power loss (SIGKILL)
-        spec = faults.configure("site:1")
-        assert spec == {"site": (1, "kill")}
+        spec = faults.configure("checkpoint.after_commit:1")
+        assert spec == {"checkpoint.after_commit": (1, "kill")}
 
     def test_bad_specs_rejected(self):
-        for bad in ("site", "site:0", "site:x", "site:1:explode", ":1"):
+        site = "store.before_meta"
+        for bad in (site, f"{site}:0", f"{site}:x", f"{site}:1:explode",
+                    ":1"):
             with pytest.raises(ValidationError):
                 faults.configure(bad)
 
+    def test_unknown_site_rejected(self, monkeypatch):
+        # A removed site or a typo must not silently arm nothing.
+        for bad in ("chain.solve:3:raise", "store.before_mta:1",
+                    "store.before_meta:1,checkpoint.commit:2:raise"):
+            with pytest.raises(ValidationError, match="unknown fault site"):
+                faults.configure(bad)
+        monkeypatch.setenv("REPRO_FAULT", "chain.solve:3:raise")
+        faults.reset()
+        with pytest.raises(ValidationError, match="unknown fault site"):
+            faults.fault_point("store.before_meta")
+
+    def test_sites_match_instrumented_fault_points(self):
+        """The known-site set is exactly the ``fault_point("…")``
+        literals in the library, so neither can drift from the other."""
+        declared = set()
+        for path in Path(REPO_SRC, "repro").rglob("*.py"):
+            declared.update(re.findall(
+                r"""fault_point\(\s*["']([^"']+)["']\s*\)""",
+                path.read_text(encoding="utf-8"),
+            ))
+        assert declared == set(faults.SITES)
+
     def test_env_var_is_lazy(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FAULT", "env.site:1:raise")
+        monkeypatch.setenv("REPRO_FAULT", "serialize.before_replace:1:raise")
         faults.reset()
         with pytest.raises(FaultInjected):
-            faults.fault_point("env.site")
+            faults.fault_point("serialize.before_replace")
 
     def test_kill_kind_sigkills_subprocess(self):
         result = _subprocess(
             "from repro.testing import faults\n"
-            "faults.configure('die.here:1:kill')\n"
-            "faults.fault_point('die.here')\n"
+            "faults.configure('checkpoint.before_block:1:kill')\n"
+            "faults.fault_point('checkpoint.before_block')\n"
             "print('unreachable')\n"
         )
         assert result.returncode == -9
         assert "unreachable" not in result.stdout
-
-
-class TestTaskError:
-    def test_wrap_preserves_original_type(self):
-        plan = SolvePlan(label="unit")
-
-        def boom():
-            raise NumericalError("singular pencil")
-
-        plan.add(boom, tag=("H2", 0.0))
-        plan.add(lambda: 42)
-        with pytest.raises(TaskError, match="singular pencil") as info:
-            plan.execute()
-        err = info.value
-        assert isinstance(err, NumericalError)
-        assert err.plan_label == "unit"
-        assert err.task_index == 0
-        assert err.task_tag == ("H2", 0.0)
-        assert err.attempts == 1
-        assert isinstance(err.__cause__, NumericalError)
-
-    def test_taskerror_is_reproerror(self):
-        assert issubclass(TaskError, ReproError)
-
-    def test_injected_fault_surfaces_with_identity(self):
-        faults.configure("engine.task:2:raise")
-        plan = SolvePlan(label="faulty")
-        plan.add(lambda: 1, tag="a")
-        plan.add(lambda: 2, tag="b")
-        with pytest.raises(TaskError) as info:
-            plan.execute()
-        assert isinstance(info.value, FaultInjected)
-        assert info.value.task_tag == "b"
-
-    def test_retry_recovers_transient_failure(self):
-        faults.configure("engine.task:1:raise")
-        plan = SolvePlan(label="retried")
-        plan.add(lambda: "ok", tag="t")
-        assert plan.execute(retries=1) == ["ok"]
-        assert faults.hit_counts()["engine.task"] == 2
-
-    def test_retry_does_not_mask_deterministic_failures(self):
-        calls = []
-
-        def bad():
-            calls.append(1)
-            raise NumericalError("always")
-
-        plan = SolvePlan(label="det")
-        plan.add(bad)
-        with pytest.raises(TaskError):
-            plan.execute(retries=5)
-        assert len(calls) == 1
-
-    def test_retry_bound_is_respected(self):
-        faults.configure("engine.task:1:raise,")
-        calls = []
-
-        def flaky():
-            calls.append(1)
-            return "fine"
-
-        # fault fires on attempt 1; one retry suffices
-        plan = SolvePlan(label="bounded")
-        plan.add(flaky)
-        assert plan.execute(retries=3) == ["fine"]
-        assert len(calls) == 1
-
-    def test_global_retry_configuration(self):
-        assert set_task_retries(2) == 0
-        assert engine.task_retries() == 2
-        with pytest.raises(ValidationError):
-            set_task_retries(-1)
-        set_task_retries(None)  # back to env-lazy
-
-    def test_env_retries(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TASK_RETRIES", "3")
-        set_task_retries(None)
-        assert engine.task_retries() == 3
-        set_task_retries(0)
 
 
 class TestDurableWrites:
@@ -253,6 +200,36 @@ def _tiny_system():
         12, r=10.0, g_leak=1.0, g_quad=0.5, quad_nodes=3
     )
     return net.compile(sparse=True)
+
+
+class TestChainFailure:
+    def test_failure_surfaces_unchanged_and_resumes(self, tmp_path,
+                                                    monkeypatch):
+        """A chain's exception reaches the caller as the solver raised
+        it — class, message and attributes — and the chains committed
+        before it still resume to the cold basis."""
+        reducer = AssociatedTransformMOR(
+            orders=(3, 2, 1), strategy="decoupled"
+        )
+        cold = array_digest(reducer.reduce(_tiny_system()).basis)
+
+        def stalled(self, shift, rhs):
+            raise ConvergenceError("boom", iterations=3, residual=1.0)
+
+        ckdir = tmp_path / "ck"
+        with monkeypatch.context() as patch:
+            # The A3(H3) chain runs after H1 and both A2(H2) chains.
+            patch.setattr(FactoredH3Operator, "solve_shifted", stalled)
+            with pytest.raises(ConvergenceError) as info:
+                reducer.reduce(_tiny_system(), checkpoint=JobState(ckdir))
+        exc = info.value
+        assert type(exc) is ConvergenceError
+        assert str(exc) == "boom"
+        assert (exc.iterations, exc.residual) == (3, 1.0)
+
+        rom = reducer.reduce(_tiny_system(), checkpoint=JobState(ckdir))
+        assert rom.details["checkpoint"]["loaded"] >= 1
+        assert array_digest(rom.basis) == cold
 
 
 class TestStoreFaultTolerance:

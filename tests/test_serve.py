@@ -27,8 +27,7 @@ import pytest
 from repro.analysis.distortion import distortion_sweep
 from repro.analysis.reporting import format_stats_line
 from repro.circuits.examples import quadratic_rc_ladder_netlist
-from repro.engine import SolvePlan, TaskCancelled
-from repro.errors import ValidationError
+from repro.errors import TaskCancelled, ValidationError
 from repro.mor import AssociatedTransformMOR
 from repro.pipeline import ReductionJob, run_pipeline
 from repro.serve import (
@@ -442,22 +441,6 @@ class TestServiceTiers:
 # ---------------------------------------------------------------------------
 
 class TestCancellation:
-    def test_serial_executor_cancels_between_tasks(self):
-        ran = []
-        cancelled = {"flag": False}
-        plan = SolvePlan("cancellable")
-        for index in range(5):
-            plan.add(ran.append, index)
-        calls = {"count": 0}
-
-        def cancel():
-            calls["count"] += 1
-            return cancelled["flag"] or calls["count"] > 2
-
-        with pytest.raises(TaskCancelled):
-            plan.execute(cancel=cancel)
-        assert len(ran) < 5  # tail was shed
-
     def test_distortion_sweep_precancelled(self):
         system = quadratic_rc_ladder_netlist(n_nodes=8).compile().to_explicit()
         with pytest.raises(TaskCancelled):

@@ -98,15 +98,17 @@ class TestTileBoundaryParity:
 class TestPeakMemoryFollowsMaxBlock:
     @pytest.mark.slow
     def test_blocked_build_caps_allocations_at_n4096(self, monkeypatch):
-        """At n = 4096 the unstreamed build peaks near 122 MB of traced
-        allocations and a single dense n x n intermediate alone would
-        be 134 MB; the streamed build under a 512-row block sits near
-        87 MB — irreducible O(n * r) basis tiles, the shift-cached
-        sparse LUs, and the transient extended-Krylov workspace the
-        tightened chain/Π residual targets (1e-13 / 1e-12, for
-        warm-vs-cold parametric-corner parity) iterate through before
-        truncation.  Cap it at 100 MB — between the two regimes — and
-        forbid densifying any sparse operator to get there."""
+        """At n = 4096 the unstreamed build (``max_block=None``) peaks
+        near 67.8 MB of traced allocations and a single dense n x n
+        intermediate alone would be 134 MB; the streamed build under a
+        512-row block sits near 39.9 MB — irreducible O(n * r) basis
+        tiles, the shift-cached sparse LUs, and the transient
+        extended-Krylov workspace the tightened chain/Π residual
+        targets (1e-13 / 1e-12, for warm-vs-cold parametric-corner
+        parity) iterate through before truncation.  Cap it at 54 MB —
+        between the two regimes, so a build that stops streaming
+        fails — and forbid densifying any sparse operator to get
+        there."""
         def boom(self, *args, **kwargs):
             raise AssertionError(
                 f"sparse matrix {self.shape} was densified in the "
@@ -125,4 +127,4 @@ class TestPeakMemoryFollowsMaxBlock:
         finally:
             tracemalloc.stop()
         assert rom.basis.shape[0] == 4096
-        assert peak <= 100 * 1024 * 1024, f"traced peak {peak / 1e6:.1f} MB"
+        assert peak <= 54e6, f"traced peak {peak / 1e6:.1f} MB"
