@@ -16,12 +16,10 @@ Measures, on the sep-healthy sparse quadratic ladder at circuit scale:
   the checkpoint, with bit-identity of the resumed basis asserted
   against the cold run (SHA-256 of the basis bytes).
 * **memory-budget spill** — the same reduction under a deliberately
-  tiny ``repro.memory`` budget, so every basis block and the Π left
-  factor go to disk-backed memory maps and the solver streams in
-  budget-derived row blocks; the basis is asserted to match the cold
-  run to <= 1e-10 (blocking reorders summations, so exact bit-identity
-  only holds when the derived block covers all of n), and the traced
-  allocation peak of the spill run is recorded.
+  tiny ``repro.memory`` budget, so the basis blocks past it go to
+  disk-backed memory maps; the basis is asserted to match the cold run
+  to <= 1e-10, and the traced allocation peak of the spill run is
+  recorded.
 
 Usage::
 
@@ -172,9 +170,7 @@ def run_case(n_nodes, workdir, pairs=5):
     resumed_info = rom_resumed.details["checkpoint"]
     shutil.rmtree(ckdir)
 
-    # tiny budget: basis blocks + Pi left factor spill to memmaps, and
-    # the budget-derived row blocking restructures (but must not
-    # perturb beyond roundoff) the solver arithmetic
+    # tiny budget: basis blocks spill to memmaps
     with memory.limit("1M", spill_dir=Path(workdir) / "spill") as budget:
         t0 = time.perf_counter()
         rom_spill, spill_traced_peak = traced_peak(
@@ -185,7 +181,7 @@ def run_case(n_nodes, workdir, pairs=5):
             np.abs(np.asarray(rom_spill.basis) - basis_cold).max()
         )
         assert spill_dev <= 1e-10, (
-            f"spill/blocked basis deviates by {spill_dev:.3e}"
+            f"spilled basis deviates by {spill_dev:.3e}"
         )
         spill_stats = budget.stats()
 

@@ -1,28 +1,17 @@
 #!/usr/bin/env python
-"""Blockwise streaming at circuit scale: parity, peak RSS, and the
-enforced-limit demonstration.
+"""Bounded memory at circuit scale: peak RSS against the O(n·r) model.
 
-Three legs on the sep-healthy sparse quadratic ladder:
-
-* **parity** — the n = 2048 decoupled ``orders=(3, 2, 1)`` basis built
-  with a forced 500-row block vs unblocked: max deviation must be
-  <= 1e-10 (blocking only reorders summations), and ``max_block >= n``
-  must reproduce the unblocked basis bit-identically.
-* **scale** — the n = 1e5 reduction in a subprocess under a 256 MB
-  ``repro.memory`` budget (streaming block derived from it), recording
-  wall time, ``ru_maxrss``, and spill traffic, and checking the peak
-  against the resident-set model: interpreter + system base, the
-  shift-cached sparse LUs (O(n) each), and a couple of factored
-  ``n x r^2`` tiles — O(n * r^2) total, never O(n^2).  The peak must
-  stay within 1.5x of the model.
-* **enforced limit** — when a writable cgroup memory controller is
-  available, both builds run under a hard 2 GiB limit: the streamed
-  build must complete (its dirty tile pages are reclaimable file
-  cache) and the unstreamed build must be OOM-killed (its ~2.5 GB
-  working set is all anonymous).  This is the acceptance contrast:
-  the streamed core finishes under a budget the unstreamed core
-  cannot.  Skipped (and recorded as skipped) where cgroups are not
-  writable.
+The sep-healthy sparse quadratic ladder's n = 1e5 decoupled
+``orders=(3, 2, 1)`` reduction runs in a subprocess under a 256 MB
+``repro.memory`` budget (finished basis blocks past it spill), recording
+wall time, ``ru_maxrss`` and spill traffic, and checking the peak
+against the resident-set model: interpreter + system base, the sparse
+LUs the build factored (O(n) each; at most that many stay cached), and
+the O(n·r) arrays it holds — the shared extended-Krylov basis
+``U``/``AU``/``AᵀU`` and the eq.-(18) Π solve's right and left bases
+``U`` and ``V`` with their ``AU``/``AᵀU`` companions.  Nothing with
+n·r² (or n²) entries is formed.  The peak must stay within 1.5x of the
+model.
 
 Usage::
 
@@ -30,8 +19,7 @@ Usage::
 
 Each invocation **appends** one run entry to the keyed list in
 ``benchmarks/BENCH_sweep.json`` (see ``perf_log.py``).  Set
-``REPRO_BENCH_QUICK=1`` to shrink the cases for CI smoke (the cgroup
-leg is skipped in quick mode).
+``REPRO_BENCH_QUICK=1`` to shrink the case for CI smoke.
 """
 
 import json
@@ -42,80 +30,29 @@ import sys
 import time
 from pathlib import Path
 
-import numpy as np
-
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 
 from benchmarks.perf_log import append_run, peak_memory  # noqa: E402
-from repro.circuits.examples import quadratic_rc_ladder_netlist  # noqa: E402
-from repro.mor.assoc import AssociatedTransformMOR  # noqa: E402
 
 OUT_PATH = Path(__file__).resolve().parent / "BENCH_sweep.json"
 REPO_SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 DEFAULT_N = 100_000
-CGROUP_ROOT = Path("/sys/fs/cgroup/memory")
-CGROUP_NAME = "repro-bench-stream"
-ENFORCED_LIMIT_BYTES = 2 * 1024**3
 
-#: Resident-set model constants for the scale leg (see module
-#: docstring).  The chain solves of a (3, 2, 1) decoupled build visit
-#: ~64 distinct resolvent shifts, each cached as a sparse LU whose
-#: fill on the RC-ladder sparsity measures ~224 bytes/row; at most a
-#: couple of n x r^2 complex factored tiles are live at once.
-MODEL_LU_SHIFTS = 64
+#: Resident-set model constants (see module docstring).  A sparse LU
+#: of a shifted ladder G1 is charged ~224 bytes/row; each basis is
+#: held as three (n, dim) arrays (``U``, ``AU``, ``AᵀU``).
 MODEL_LU_BYTES_PER_ROW = 224
-MODEL_LIVE_TILES = 2
+MODEL_BASIS_ARRAYS = 3
 
 
 def _quick():
     return os.environ.get("REPRO_BENCH_QUICK", "0") == "1"
 
 
-def fresh_system(n_nodes):
-    net = quadratic_rc_ladder_netlist(
-        n_nodes, r=10.0, g_leak=1.0, g_quad=0.5, quad_nodes=8
-    )
-    return net.compile(sparse=True)
-
-
-def make_reducer():
-    return AssociatedTransformMOR(orders=(3, 2, 1), strategy="decoupled")
-
-
-def run_parity_case(n_nodes, forced_block):
-    unblocked = np.array(
-        make_reducer().reduce(fresh_system(n_nodes)).basis
-    )
-    t0 = time.perf_counter()
-    blocked = make_reducer().reduce(
-        fresh_system(n_nodes), max_block=forced_block
-    )
-    blocked_s = time.perf_counter() - t0
-    dev = float(np.abs(np.asarray(blocked.basis) - unblocked).max())
-    assert dev <= 1e-10, f"blocked basis deviates by {dev:.3e}"
-    whole = make_reducer().reduce(
-        fresh_system(n_nodes), max_block=n_nodes + 1
-    )
-    assert np.array_equal(np.asarray(whole.basis), unblocked), (
-        "max_block >= n must be bit-identical to the unblocked build"
-    )
-    return {
-        "n": n_nodes,
-        "forced_block": forced_block,
-        "blocked_s": blocked_s,
-        "max_abs_dev": dev,
-        "whole_block_bit_identical": True,
-    }
-
-
 _CHILD = r"""
-import json, os, resource, sys, tempfile, time
-cgroup = sys.argv[1]
-if cgroup:
-    with open(os.path.join(cgroup, "cgroup.procs"), "w") as fh:
-        fh.write(str(os.getpid()))
-mode, n, budget = sys.argv[2], int(sys.argv[3]), sys.argv[4]
+import json, resource, sys, tempfile, time
+n, budget = int(sys.argv[1]), sys.argv[2]
 from repro import memory
 from repro.circuits.examples import quadratic_rc_ladder_netlist
 from repro.mor.assoc import AssociatedTransformMOR
@@ -126,53 +63,49 @@ system = net.compile(sparse=True)
 mor = AssociatedTransformMOR(orders=(3, 2, 1), strategy="decoupled")
 rss_before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024
 t0 = time.perf_counter()
-if mode == "streamed":
-    with memory.limit(budget, spill_dir=tempfile.mkdtemp()) as b:
-        rom = mor.reduce(system)
-        stats = b.stats()
-else:
-    stats = None
-    rom = mor.reduce(system, max_block=n)
+with memory.limit(budget, spill_dir=tempfile.mkdtemp()) as b:
+    rom = mor.reduce(system)
+    stats = b.stats()
 elapsed = time.perf_counter() - t0
+peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024
 ws = system._associated_workspace
+shared = ws.lowrank_kron.basis_columns()
+lu_stats = ws.resolvent.sparse_lu_stats
 print(json.dumps({
-    "ok": True,
     "elapsed_s": elapsed,
     "rss_before_bytes": rss_before,
-    "ru_maxrss_bytes": resource.getrusage(
-        resource.RUSAGE_SELF
-    ).ru_maxrss * 1024,
+    "ru_maxrss_bytes": peak,
     "rom_order": rom.system.n_states,
     "pi_rank": ws.pi.rank,
+    "pi_left_rank": ws.pi.v.shape[1],
+    "shared_dim": shared.shape[1],
+    "shared_itemsize": shared.itemsize,
+    "lu_count": lu_stats["real"] + lu_stats["complex"],
     "stats": stats,
 }))
 """
 
 
-def _run_child(mode, n_nodes, budget, cgroup=""):
+def run_scale_case(n_nodes, budget):
     env = dict(os.environ)
     env["PYTHONPATH"] = REPO_SRC + (
         os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
     )
     result = subprocess.run(
-        [sys.executable, "-c", _CHILD, cgroup, mode, str(n_nodes), budget],
+        [sys.executable, "-c", _CHILD, str(n_nodes), budget],
         capture_output=True, text=True, env=env,
     )
-    payload = None
-    if result.returncode == 0:
-        payload = json.loads(result.stdout.strip().splitlines()[-1])
-    return result.returncode, payload, result.stderr
-
-
-def run_scale_case(n_nodes, budget):
-    code, payload, err = _run_child("streamed", n_nodes, budget)
-    if code != 0:
-        raise RuntimeError(f"streamed scale run failed ({code}):\n{err}")
-    r = payload["pi_rank"]
+    if result.returncode != 0:
+        raise RuntimeError(
+            f"scale run failed ({result.returncode}):\n{result.stderr}"
+        )
+    payload = json.loads(result.stdout.strip().splitlines()[-1])
+    r, k = payload["pi_rank"], payload["pi_left_rank"]
+    shared_bytes = payload["shared_dim"] * payload["shared_itemsize"]
     model_bytes = (
         payload["rss_before_bytes"]
-        + MODEL_LU_SHIFTS * MODEL_LU_BYTES_PER_ROW * n_nodes
-        + MODEL_LIVE_TILES * n_nodes * 16 * r * r
+        + payload["lu_count"] * MODEL_LU_BYTES_PER_ROW * n_nodes
+        + MODEL_BASIS_ARRAYS * n_nodes * (shared_bytes + 8 * (r + k))
     )
     ratio = payload["ru_maxrss_bytes"] / model_bytes
     # The model is asymptotic: at small (quick-mode) n the interpreter
@@ -181,7 +114,7 @@ def run_scale_case(n_nodes, budget):
     if n_nodes >= 50_000:
         assert ratio <= 1.5, (
             f"peak RSS {payload['ru_maxrss_bytes'] / 1e6:.0f} MB "
-            f"exceeds 1.5x the O(n*r^2) resident model "
+            f"exceeds 1.5x the O(n*r) resident model "
             f"({model_bytes / 1e6:.0f} MB)"
         )
     return {
@@ -190,63 +123,15 @@ def run_scale_case(n_nodes, budget):
         "elapsed_s": payload["elapsed_s"],
         "rom_order": payload["rom_order"],
         "pi_rank": r,
+        "pi_left_rank": k,
+        "shared_dim": payload["shared_dim"],
+        "lu_count": payload["lu_count"],
         "rss_before_mb": payload["rss_before_bytes"] / 1e6,
         "peak_rss_mb": payload["ru_maxrss_bytes"] / 1e6,
         "model_mb": model_bytes / 1e6,
         "peak_over_model": ratio,
         "spilled_blocks": payload["stats"]["spilled_blocks"],
         "spilled_mb": payload["stats"]["spilled_bytes"] / 1e6,
-    }
-
-
-def _cgroup_setup(limit_bytes):
-    """Create the bench cgroup; None when the controller is unusable."""
-    cg = CGROUP_ROOT / CGROUP_NAME
-    try:
-        cg.mkdir(exist_ok=True)
-        (cg / "memory.limit_in_bytes").write_text(str(limit_bytes))
-    except OSError:
-        return None
-    return cg
-
-
-def _cgroup_teardown(cg):
-    try:
-        os.rmdir(cg)
-    except OSError:
-        pass
-
-
-def run_enforced_limit_case(n_nodes, budget, limit_bytes):
-    cg = _cgroup_setup(limit_bytes)
-    if cg is None:
-        return {"skipped": "cgroup memory controller not writable"}
-    try:
-        code_s, payload, _ = _run_child(
-            "streamed", n_nodes, budget, cgroup=str(cg)
-        )
-        assert code_s == 0, (
-            f"streamed build died (rc {code_s}) under the "
-            f"{limit_bytes / 1e9:.1f} GB limit it exists to fit"
-        )
-        code_u, _, _ = _run_child(
-            "unstreamed", n_nodes, budget, cgroup=str(cg)
-        )
-        assert code_u == -9, (
-            f"unstreamed build survived (rc {code_u}) a limit chosen "
-            "below its working set — the contrast is gone, re-calibrate"
-        )
-    finally:
-        _cgroup_teardown(cg)
-    return {
-        "n": n_nodes,
-        "limit_bytes": limit_bytes,
-        "memory_budget": budget,
-        "streamed_rc": code_s,
-        "streamed_s": payload["elapsed_s"],
-        "streamed_peak_rss_mb": payload["ru_maxrss_bytes"] / 1e6,
-        "unstreamed_rc": code_u,
-        "unstreamed_oom_killed": True,
     }
 
 
@@ -265,38 +150,13 @@ def main():
         },
     }
 
-    parity_n, forced = (512, 100) if quick else (2048, 500)
-    print(f"blocked vs unblocked parity (n = {parity_n}, "
-          f"max_block = {forced}) ...")
-    results["parity"] = run_parity_case(parity_n, forced)
-    print("  max dev {max_abs_dev:.2e} (<= 1e-10), whole-block build "
-          "bit-identical, blocked build {blocked_s:.2f}s"
-          .format(**results["parity"]))
-
     budget = "64m" if quick else "256m"
-    print(f"streamed reduction at scale (n = {n}, budget {budget}) ...")
+    print(f"budgeted reduction at scale (n = {n}, budget {budget}) ...")
     results["scale"] = run_scale_case(n, budget)
     print("  {elapsed_s:.1f}s, ROM order {rom_order}, peak RSS "
           "{peak_rss_mb:.0f} MB = {peak_over_model:.2f}x of the "
-          "{model_mb:.0f} MB O(n*r^2) model, {spilled_blocks} spilled "
+          "{model_mb:.0f} MB O(n*r) model, {spilled_blocks} spilled "
           "blocks ({spilled_mb:.0f} MB)".format(**results["scale"]))
-
-    if quick:
-        results["enforced_limit"] = {"skipped": "quick mode"}
-        print("enforced-limit contrast skipped (quick mode)")
-    else:
-        print(f"enforced-limit contrast (cgroup, "
-              f"{ENFORCED_LIMIT_BYTES / 2**30:.0f} GiB) ...")
-        results["enforced_limit"] = run_enforced_limit_case(
-            n, budget, ENFORCED_LIMIT_BYTES
-        )
-        if "skipped" in results["enforced_limit"]:
-            print("  skipped: " + results["enforced_limit"]["skipped"])
-        else:
-            print("  streamed completed in {streamed_s:.1f}s at "
-                  "{streamed_peak_rss_mb:.0f} MB peak; unstreamed "
-                  "OOM-killed (rc {unstreamed_rc})"
-                  .format(**results["enforced_limit"]))
 
     results["peak_memory"] = peak_memory()
     count = append_run(OUT_PATH, results)

@@ -57,7 +57,9 @@ _log = logging.getLogger(__name__)
 #: Manifest schema version; a mismatch discards the checkpoint (stale
 #: state is merely a lost head start, never worth a migration bug).
 #: Version 2: one stage per chain (version 1 grouped up to four).
-CHECKPOINT_SCHEMA = 2
+#: Version 3: the Π snapshot holds the factors ``v``/``y``/``u``
+#: (version 2 held the ``(n, r²)`` product ``left``).
+CHECKPOINT_SCHEMA = 3
 
 
 def _stage_digest(stage_id):

@@ -24,7 +24,7 @@ command on an unchanged spec serves the reduction from disk.
 Fault tolerance: ``--checkpoint [DIR]`` snapshots the reduction at
 stage boundaries so a killed build resumes bit-identically (``--resume``
 asserts committed state exists), ``--memory-budget 512M`` spills
-basis/Π blocks past the budget to disk-backed memory maps, and
+basis blocks past the budget to disk-backed memory maps, and
 ``store verify`` re-checks every artifact's basis SHA-256 digest,
 quarantining corrupt entries (exit 1 when any are found).
 
@@ -190,15 +190,8 @@ def _add_reduce_arguments(parser):
     )
     parser.add_argument(
         "--memory-budget", metavar="BYTES",
-        help="cap resident basis/Pi memory (e.g. 512M); excess blocks "
-        "spill to disk-backed memory maps and the solver streams in "
-        "budget-derived row blocks",
-    )
-    parser.add_argument(
-        "--max-block", metavar="ROWS",
-        help="force the streaming row-block size of the solver core "
-        "(default: derived from the memory budget; >= n reproduces "
-        "the unblocked arithmetic exactly)",
+        help="cap resident basis memory (e.g. 512M); finished basis "
+        "blocks past it spill to disk-backed memory maps",
     )
 
 
@@ -511,14 +504,13 @@ def _run(args):
             return 1 if report["corrupt"] else 0
         return 0
 
-    # The memory settings are process-wide: this process serves one
-    # request, so they apply around it (the daemon takes them from its
+    # The memory budget is process-wide: this process serves one
+    # request, so it applies around it (the daemon takes it from its
     # environment instead).
     budget = getattr(args, "memory_budget", None)
-    max_block = getattr(args, "max_block", None)
-    with memory.scope(budget, max_block):
+    with memory.scope(budget):
         report, csv_table = _one_shot(args)
-        if budget is not None or max_block is not None:
+        if budget is not None:
             report["memory"] = memory.stats()
     _emit(args, report, csv_table=csv_table)
     return 0

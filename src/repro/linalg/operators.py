@@ -21,26 +21,12 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 
-from .. import memory
 from .._validation import as_square_matrix, as_sparse
 from ..errors import SystemStructureError, ValidationError
 from ._hotloops import scatter_add_rows
 from .kronecker import kron_sum_power, kron_sum_power_matvec
 from .schur import SchurForm
 from .sylvester import FactoredTensor, KronSumSolver, _g2_coo_parts
-
-
-def _coo_spans(nnz, rank, itemsize=16):
-    """``(lo, hi)`` nonzero spans sized so one span's ``(chunk, rank)``
-    contraction temporary respects the active ``max_block`` plan.
-
-    A single span when nothing bounds the block size — the streamed
-    contractions below then run the exact historical one-shot einsum,
-    bit-identical by construction.
-    """
-    step = memory.block_rows(nnz, row_bytes=max(int(rank), 1) * itemsize)
-    for lo in range(0, nnz, max(step, 1)):
-        yield lo, min(nnz, lo + step)
 
 __all__ = [
     "DenseOperator",
@@ -395,12 +381,10 @@ class FactoredH3Operator:
         if min(tensor.core.shape, default=0) == 0 or rows.size == 0:
             return out
         p, q = tensor.factors
-        for lo, hi in _coo_spans(rows.size, 1):
-            t_vals = np.einsum(
-                "ab,ea,eb->e", tensor.core, p[ii[lo:hi]], q[jj[lo:hi]],
-                optimize=True,
-            )
-            scatter_add_rows(out, rows[lo:hi], vals[lo:hi] * t_vals)
+        t_vals = np.einsum(
+            "ab,ea,eb->e", tensor.core, p[ii], q[jj], optimize=True
+        )
+        scatter_add_rows(out, rows, vals * t_vals)
         return out
 
     def _g3_vec(self, tensor):
@@ -410,12 +394,11 @@ class FactoredH3Operator:
         if min(tensor.core.shape, default=0) == 0 or rows.size == 0:
             return out
         p, q, s = tensor.factors
-        for lo, hi in _coo_spans(rows.size, 1):
-            t_vals = np.einsum(
-                "abc,ea,eb,ec->e", tensor.core, p[ii[lo:hi]], q[jj[lo:hi]],
-                s[kk[lo:hi]], optimize=True,
-            )
-            scatter_add_rows(out, rows[lo:hi], vals[lo:hi] * t_vals)
+        t_vals = np.einsum(
+            "abc,ea,eb,ec->e", tensor.core, p[ii], q[jj], s[kk],
+            optimize=True,
+        )
+        scatter_add_rows(out, rows, vals * t_vals)
         return out
 
     def solve_shifted(self, shift, vec):
@@ -460,19 +443,13 @@ class FactoredH3Operator:
             return FactoredTensor.zeros((self.n, self.n))
         p, q, s = x2.factors
         # t[e, a] = Σ_bc C[a,b,c] Q[j_e, b] S[k_e, c]  with (j, k) the
-        # decomposed pair index of G2's flat n² column — streamed over
-        # nonzero spans so the (nnz, rank) temporary never materializes
-        # whole under a tight max_block plan.
+        # decomposed pair index of G2's flat n² column.
         rank = x2.core.shape[0]
         right = np.zeros(
             (self.n, rank), dtype=np.result_type(x2.core, q, s)
         )
-        for lo, hi in _coo_spans(rows.size, rank):
-            t = np.einsum(
-                "abc,eb,ec->ea", x2.core, q[ii[lo:hi]], s[jj[lo:hi]],
-                optimize=True,
-            )
-            scatter_add_rows(right, rows[lo:hi], vals[lo:hi, None] * t)
+        t = np.einsum("abc,eb,ec->ea", x2.core, q[ii], s[jj], optimize=True)
+        scatter_add_rows(right, rows, vals[:, None] * t)
         core = np.eye(rank, dtype=right.dtype)
         return FactoredTensor(core, [p, right])
 
@@ -487,17 +464,12 @@ class FactoredH3Operator:
         if min(x2.core.shape, default=0) == 0 or rows.size == 0:
             return FactoredTensor.zeros((self.n, self.n))
         p, q, s = x2.factors
-        # t[e, c] = Σ_ab C[a,b,c] P[i_e, a] Q[j_e, b] — streamed over
-        # nonzero spans like the b-block coupling above.
+        # t[e, c] = Σ_ab C[a,b,c] P[i_e, a] Q[j_e, b].
         rank = x2.core.shape[2]
         left = np.zeros(
             (self.n, rank), dtype=np.result_type(x2.core, p, q)
         )
-        for lo, hi in _coo_spans(rows.size, rank):
-            t = np.einsum(
-                "abc,ea,eb->ec", x2.core, p[ii[lo:hi]], q[jj[lo:hi]],
-                optimize=True,
-            )
-            scatter_add_rows(left, rows[lo:hi], vals[lo:hi, None] * t)
+        t = np.einsum("abc,ea,eb->ec", x2.core, p[ii], q[jj], optimize=True)
+        scatter_add_rows(left, rows, vals[:, None] * t)
         core = np.eye(rank, dtype=left.dtype)
         return FactoredTensor(core, [left, s])

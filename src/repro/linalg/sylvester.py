@@ -36,7 +36,6 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 from scipy.linalg.lapack import ztrsyl
 
-from .. import memory
 from .._validation import as_matrix, as_square_matrix
 from ..errors import NumericalError, ValidationError
 from ._hotloops import scatter_add_rows
@@ -62,19 +61,6 @@ _SINGULAR_RTOL = 1e-13
 #: the cross-block coupling GEMMs dominate the per-column GEMVs, small
 #: enough that a block's RHS panel stays cache-resident.
 _SYLVESTER_BLOCK = 64
-
-
-def _row_spans(n, step):
-    """Yield ``(lo, hi)`` row spans of at most *step* rows covering *n*.
-
-    A single span ``(0, n)`` when ``step >= n`` — the streamed code
-    paths then execute exactly the historical unblocked operations on
-    full-array views, so results are bit-identical to the pre-streaming
-    implementation.
-    """
-    step = max(int(step), 1)
-    for lo in range(0, n, step):
-        yield lo, min(n, lo + step)
 
 
 def _check_diag_gap(values, scale):
@@ -490,7 +476,8 @@ def _g2_fiber_blocks(rows, ii, jj, vals, n):
 def _factored_pi_residual(g1, g2, pi):
     """``‖G1 Π + G2 − Π (G1 ⊕ G1)‖_F`` for a factored (real) Π.
 
-    With ``Π = L (U⊗U)ᵀ`` (``U`` orthonormal) the residual splits, via
+    With ``Π = L (U⊗U)ᵀ`` (``U`` orthonormal, ``L = V Y`` formed here
+    as an independent reference) the residual splits, via
     ``G1ᵀU = U Ht + Su`` with ``Su ⊥ U``, into mutually orthogonal
     pieces that are each evaluated *without* large-term cancellation
     (a naive ``‖·‖²`` expansion would floor the result at √eps·‖G2‖):
@@ -517,7 +504,7 @@ def _factored_pi_residual(g1, g2, pi):
     r = pi.rank
     if r == 0:
         return float(np.sqrt(g2_sq))
-    left = pi.left
+    left = pi.v @ pi.y
     l3 = left.reshape(n, r, r)
     # Ĝ2 = G2 (U ⊗ U) through the COO contraction.
     contrib = np.einsum("e,eb,ec->ebc", vals, u[ii], u[jj], optimize=True)
@@ -708,54 +695,46 @@ class FactoredTensor:
 
 
 class FactoredPi:
-    """Factored solution ``Π ≈ L · (U ⊗ U)ᵀ`` of the eq.-(18) Sylvester
-    equation.
+    """Factored solution ``Π ≈ V · Y · (U ⊗ U)ᵀ`` of the eq.-(18)
+    Sylvester equation.
 
     ``U`` is an orthonormal ``(n, r)`` basis of the *right* (lifted)
-    space and ``L`` a dense ``(n, r²)`` left factor — the ``U·Wᵀ``
-    factored form with ``W = U ⊗ U`` held implicitly in Kronecker form,
-    so the ``n × n²`` matrix (and anything ``n²``-sided) is never
-    materialized.  The left factor itself is built and consumed in row
-    blocks of at most ``max_block`` rows (see :mod:`repro.memory`): past
-    the byte budget it lives in the planner's tile arena as a writable
-    memmap from the moment it is produced, so even the ``(n, r²)`` slab
-    never has to be resident at once.  The solver builds ``L`` as
-    ``V Y`` on a small left basis ``V`` (see
-    :meth:`LowRankKronSolver.solve_pi`), and where that route runs — a
-    separated spectrum and a G2 touching few rows — ``L`` is
-    numerically low-rank (rank 14 of 324 at 1e-12 on the healthy
-    n = 8192 ladder); it is kept here as the ``(n, r²)`` slab that
-    :meth:`apply` and the checkpoint snapshot use.
+    space, ``V`` an orthonormal ``(n, k)`` basis of the *left* (state)
+    space and ``Y`` the ``(k, r²)`` core: the low-rank factored form of a
+    Sylvester solution (Simoncini, "Computational methods for linear
+    matrix equations", SIAM Review 58(3), 2016), with ``W = U ⊗ U`` held
+    implicitly in Kronecker form.  The ``n``-row factors have ``k + r``
+    columns between them; neither the ``n × n²`` matrix nor the
+    ``(n, r²)`` product ``V Y`` is materialized (see
+    :meth:`LowRankKronSolver.solve_pi`, which builds all three factors;
+    ``k = 15``, ``r = 18`` on the healthy ladder at n = 1024 and
+    n = 8192).
 
     Acts on dense vectors/matrices over the ``n²`` lifted space and on
     :class:`FactoredTensor` operands (the decoupled-H2 chain vectors).
     """
 
-    __slots__ = ("left", "u", "residual", "rhs_norm")
+    __slots__ = ("v", "y", "u", "residual", "rhs_norm")
 
-    def __init__(self, left, u, residual=None, rhs_norm=None):
-        # Keep the ndarray subclass: an arena-backed np.memmap from the
-        # streamed build must stay recognizably disk-backed.
-        self.left = left if isinstance(left, np.ndarray) else np.asarray(left)
+    def __init__(self, v, y, u, residual=None, rhs_norm=None):
+        self.v = np.asarray(v)
+        self.y = np.asarray(y)
         self.u = np.asarray(u)
-        r = self.u.shape[1]
-        if self.left.shape != (self.u.shape[0], r * r):
+        n, r = self.u.shape
+        k = self.v.shape[1]
+        if self.v.shape[0] != n or self.y.shape != (k, r * r):
             raise ValidationError(
-                f"left factor must be (n, r^2) = ({self.u.shape[0]}, "
-                f"{r * r}), got {self.left.shape}"
+                f"factors must be V (n, k), Y (k, r^2), U (n, r); got "
+                f"V {self.v.shape}, Y {self.y.shape}, U {self.u.shape}"
             )
-        # The left factor is only ever *read* after construction.  A
-        # streamed build hands in an arena-backed memmap (admit passes
-        # it through); a RAM-resident factor past the budget is spilled
-        # to a read-only memmap here (a no-op while unlimited).
-        self.left = memory.admit(self.left, "pi-left")
         self.residual = residual
         self.rhs_norm = rhs_norm
 
     def state_dict(self):
         """Payload-tree snapshot (checkpoint/resume round trip)."""
         return {
-            "left": np.asarray(self.left),
+            "v": self.v,
+            "y": self.y,
             "u": self.u,
             "residual": self.residual,
             "rhs_norm": self.rhs_norm,
@@ -765,7 +744,7 @@ class FactoredPi:
     def from_state(cls, state):
         """Rebuild from a :meth:`state_dict` payload tree."""
         return cls(
-            state["left"], state["u"],
+            state["v"], state["y"], state["u"],
             residual=state.get("residual"),
             rhs_norm=state.get("rhs_norm"),
         )
@@ -789,13 +768,13 @@ class FactoredPi:
         mat = rhs.reshape(self.n, self.n, -1)
         if self.rank == 0:
             out = np.zeros(
-                (self.n, mat.shape[2]), dtype=np.result_type(rhs, self.left)
+                (self.n, mat.shape[2]), dtype=np.result_type(rhs, self.y)
             )
             return out[:, 0] if squeeze else out
         t = np.tensordot(self.u.T, mat, axes=(1, 0))       # (r, n, m)
         t = np.tensordot(t, self.u, axes=(1, 0))           # (r, m, r)
         w = t.transpose(0, 2, 1).reshape(self.rank ** 2, -1)
-        out = self.left @ w
+        out = self.v @ (self.y @ w)
         return out[:, 0] if squeeze else out
 
     def apply_factored(self, tensor):
@@ -804,11 +783,11 @@ class FactoredPi:
             raise ValidationError("apply_factored expects a 2-mode tensor")
         if min(tensor.core.shape, default=0) == 0 or self.rank == 0:
             return np.zeros(self.n, dtype=np.result_type(
-                self.left, tensor.core))
+                self.y, tensor.core))
         p = self.u.T @ tensor.factors[0]
         q = self.u.T @ tensor.factors[1]
         w = p @ tensor.core @ q.T
-        return self.left @ w.reshape(-1)
+        return self.v @ (self.y @ w.reshape(-1))
 
     def __matmul__(self, other):
         if isinstance(other, FactoredTensor):
@@ -824,7 +803,7 @@ class FactoredPi:
         r = self.rank
         if r == 0:
             return np.zeros((self.n, self.n * self.n))
-        t = self.left.reshape(self.n, r, r)
+        t = (self.v @ self.y).reshape(self.n, r, r)
         t = mode_apply(t, self.u, 1)
         t = mode_apply(t, self.u, 2)
         return t.reshape(self.n, self.n * self.n)
@@ -897,29 +876,6 @@ class PiNotLowRank(NumericalError):
     solver's :attr:`~LowRankKronSolver.pi_plan`)."""
 
 
-def _blocked_product(a, b, conjugate=False):
-    """``aᴴ b`` (``aᵀ b`` when *conjugate* is false) in row blocks.
-
-    A single block (``max_block >= n``) is one GEMM — bit-identical to
-    the unblocked expression; otherwise the accumulation keeps only one
-    row block's operands live at a time (summation-order drift across
-    block boundaries is within the ≤ 1e-10 streaming parity contract).
-    """
-    n = a.shape[0]
-    width = a.shape[1] + (b.shape[1] if b.ndim > 1 else 1)
-    step = memory.block_rows(
-        n, row_bytes=width * max(a.itemsize, b.itemsize)
-    )
-    left = (lambda x: x.conj().T) if conjugate else (lambda x: x.T)
-    if step >= n:
-        return left(a) @ b
-    out = None
-    for lo, hi in _row_spans(n, step):
-        part = left(a[lo:hi]) @ b[lo:hi]
-        out = part if out is None else out + part
-    return out
-
-
 class _KrylovBasis:
     """Growing orthonormal basis of extended-Krylov directions of ``G1``.
 
@@ -974,8 +930,7 @@ class _KrylovBasis:
             return False
         for _ in range(2):  # CGS2 against the existing basis
             if self.dim:
-                coeff = _blocked_product(self.u, block, conjugate=True)
-                block = block - self.u @ coeff
+                block = block - self.u @ (self.u.conj().T @ block)
         q, r, _ = sla.qr(block, mode="economic", pivoting=True)
         diag = np.abs(np.diag(r))
         count = int(np.count_nonzero(diag > _BASIS_DROP_TOL * bscale))
@@ -1034,40 +989,15 @@ class _KrylovBasis:
     def gram_plain(self):
         """``RuᴴRu`` with ``Ru = G1 U − U H`` (formed explicitly — the
         ``AUᴴAU − HᴴH`` difference would floor the measurable residual
-        around √eps through cancellation).  Accumulated in row blocks,
-        so no second (n, r) residual slab is resident under tight
-        ``max_block`` settings."""
-        h = self.h()
-        step = memory.block_rows(
-            self.n, row_bytes=2 * max(self.dim, 1) * self.au.itemsize
-        )
-        if step >= self.n:
-            ru = self.au - self.u @ h
-            gr = ru.conj().T @ ru
-        else:
-            gr = None
-            for lo, hi in _row_spans(self.n, step):
-                ru = self.au[lo:hi] - self.u[lo:hi] @ h
-                part = ru.conj().T @ ru
-                gr = part if gr is None else gr + part
+        around √eps through cancellation)."""
+        ru = self.au - self.u @ self.h()
+        gr = ru.conj().T @ ru
         return 0.5 * (gr + gr.conj().T)
 
     def gram_transpose(self):
-        """``SuᴴSu`` with ``Su = (I − UUᴴ) G1ᵀ U`` (row-blocked like
-        :meth:`gram_plain`)."""
-        coeff = _blocked_product(self.u, self.atu, conjugate=True)
-        step = memory.block_rows(
-            self.n, row_bytes=2 * max(self.dim, 1) * self.atu.itemsize
-        )
-        if step >= self.n:
-            su = self.atu - self.u @ coeff
-            gs = su.conj().T @ su
-        else:
-            gs = None
-            for lo, hi in _row_spans(self.n, step):
-                su = self.atu[lo:hi] - self.u[lo:hi] @ coeff
-                part = su.conj().T @ su
-                gs = part if gs is None else gs + part
+        """``SuᴴSu`` with ``Su = (I − UUᴴ) G1ᵀ U``."""
+        su = self.atu - self.u @ (self.u.conj().T @ self.atu)
+        gs = su.conj().T @ su
         return 0.5 * (gs + gs.conj().T)
 
 
@@ -1489,11 +1419,12 @@ class LowRankKronSolver:
         :meth:`_pi_left_solve`), so a handful of cached sparse LUs serve
         every round.  ``V`` holds at most ``G2``'s row count plus
         *max_rank* columns.  Returns a :class:`FactoredPi`
-        ``Π ≈ Π̂ (U⊗U)ᵀ``; the stopping test
-        ``residual ≤ tol · ‖G2‖_F`` is the true
-        :func:`pi_sylvester_residual` value of the materialized
-        ``Π̂``, so the left projection only decides when ``V`` stops
-        growing, never whether Π converged.
+        ``Π ≈ V Y (U⊗U)ᵀ`` whose factors are all ``O(n·r)``; the
+        stopping test ``residual ≤ tol · ‖G2‖_F`` is the true
+        :func:`pi_sylvester_residual` value of that Π, measured through
+        Gram matrices without forming ``V Y`` (see
+        :meth:`_pi_right_solve`), so the left projection only decides
+        when ``V`` stops growing, never whether Π converged.
 
         *seed_basis* optionally warm-starts the right basis with extra
         real ``(n, r)`` columns — typically the ``.u`` factor of a
@@ -1557,10 +1488,12 @@ class LowRankKronSolver:
             g2_norm = float(np.linalg.norm(vals))
             if g2_norm == 0.0:
                 plan.update(reason="zero-g2", residual=0.0)
-                return FactoredPi(np.zeros((n, 0)), np.zeros((n, 0)), 0.0,
-                                  0.0)
+                return FactoredPi(np.zeros((n, 0)), np.zeros((0, 0)),
+                                  np.zeros((n, 0)), 0.0, 0.0)
             if max_rank is None:
-                # Bound the dense (n, r²) left factor near ~100 MB.
+                # Cap the right rank where n·r² reaches ~1.6e7 (at
+                # least 24): a Π that is not low-rank then stalls and is
+                # refused instead of climbing towards r = n.
                 max_rank = min(
                     self.max_dim, max(int(np.sqrt(1.6e7 / max(n, 1))), 24)
                 )
@@ -1574,7 +1507,7 @@ class LowRankKronSolver:
             # The left basis V starts from the unit vectors of G2's
             # nonzero rows, which span Ĝ2's columns exactly, and may add
             # as many rational directions as the right basis may hold.
-            g2_rows = np.unique(rows)
+            g2_rows, row_index = np.unique(rows, return_inverse=True)
             left_basis = _KrylovBasis(
                 self.g1, min(n, g2_rows.size + max_rank)
             )
@@ -1596,9 +1529,9 @@ class LowRankKronSolver:
                 self.stats["pi_iterations"] += 1
                 plan["rounds"] += 1
                 try:
-                    left, resid = self._pi_right_solve(
-                        basis, left_basis, rows, ii, jj, vals, seeds,
-                        _PI_LEFT_FRACTION * tol * g2_norm,
+                    y, resid = self._pi_right_solve(
+                        basis, left_basis, g2_rows, row_index, ii, jj,
+                        vals, seeds, _PI_LEFT_FRACTION * tol * g2_norm,
                     )
                     pending = None
                 except NumericalError as exc:
@@ -1606,17 +1539,17 @@ class LowRankKronSolver:
                     # Ritz value of VᵀG1V even when the full equation is
                     # fine; growing the basis moves the Ritz values.
                     pending = exc
-                    left = None
-                if left is not None and resid <= tol * g2_norm:
+                    y = None
+                if y is not None and resid <= tol * g2_norm:
                     plan.update(
                         rank=basis.dim, left_rank=left_basis.dim,
                         residual=resid / g2_norm,
                     )
                     return FactoredPi(
-                        left, basis.u.copy(), float(resid), g2_norm
+                        left_basis.u, y, basis.u, float(resid), g2_norm
                     )
                 if not self._extend(basis, 0.0, transpose=True):
-                    if (left is not None and floor is not None
+                    if (y is not None and floor is not None
                             and resid <= floor * g2_norm):
                         self.stats["soft_accepts"] += 1
                         plan.update(
@@ -1631,15 +1564,9 @@ class LowRankKronSolver:
                             plan["rounds"],
                         )
                         return FactoredPi(
-                            left, basis.u.copy(), float(resid), g2_norm
+                            left_basis.u, y, basis.u, float(resid), g2_norm
                         )
-                    if left is not None:
-                        memory.release(left)
                     break
-                if left is not None:
-                    # Superseded round: reclaim its arena tile eagerly
-                    # (a no-op when the left factor was RAM-resident).
-                    memory.release(left)
                 self._check_pi_spread(basis, plan, handover)
             plan["rank"] = basis.dim
             if pending is not None:
@@ -1706,90 +1633,58 @@ class LowRankKronSolver:
                 f"and Pi is not low-rank"
             )
 
-    def _pi_right_solve(self, basis, left_basis, rows, ii, jj, vals, seeds,
-                        left_target):
-        """One right-projected Π solve; returns ``(left, residual)``.
+    def _pi_right_solve(self, basis, left_basis, g2_rows, row_index, ii,
+                        jj, vals, seeds, left_target):
+        """One right-projected Π solve; returns ``(Y, residual)``.
 
-        Solves ``G1 Π̂ − Π̂ (H⊕H) = −Ĝ2`` for the ``(n, r²)`` left
-        factor ``Π̂ = V Y`` by a Galerkin projection of its left side on
-        the small real basis ``V`` (*left_basis*, see
-        :meth:`_pi_left_solve`), then materializes ``Π̂`` in row blocks
-        and measures its exact residual.
+        Solves ``G1 Π̂ − Π̂ (H⊕H) = −Ĝ2`` for ``Π̂ = V Y`` by a Galerkin
+        projection of its left side on the small real basis ``V``
+        (*left_basis*, see :meth:`_pi_left_solve`) and measures the
+        exact residual of ``V Y (U⊗U)ᵀ`` the way :meth:`_galerkin`
+        measures Kronecker-sum residuals, without forming ``V Y``.
+        ``Ĝ2 = G2 (U⊗U)`` is built on G2's rows *g2_rows* only
+        (*row_index* maps each nonzero to its row there); ``V``'s
+        unit-vector seeds put it exactly in span ``V``.  With
+        ``G1 V = V·VᵀG1V + Rv`` and ``G1ᵀU = U Hᵀ + Su`` the residual
+        splits into mutually orthogonal pieces:
+
+        * the projected defect ``VᵀG1V·Y + VᵀĜ2 − Y (H⊕H)``;
+        * the left defect ``Rv Y``, through ``RvᵀRv``
+          (:meth:`_KrylovBasis.gram_plain`);
+        * G2's projection defect, through its explicit fiber defects
+          (the ``‖G2‖² − ‖Ĝ2‖²`` difference would floor the measurable
+          residual at √eps·‖G2‖ through cancellation; with the fibers
+          seeded into ``U`` it is ~0);
+        * the out-of-span right defect ``V Y (Su⊗U + U⊗Su)ᵀ``, through
+          ``SuᵀSu``.
         """
         u = basis.u
         r = basis.dim
-        n = self.n
-        planner = memory.current_planner()
-        # Streamed tiling: the (n, r, r) tiles below live in the
-        # planner's tile arena (plain arrays under an unlimited budget)
-        # and are filled/consumed in row blocks of at most ``step``
-        # rows, so the resident footprint of this solve is
-        # O(step · r²) + O(n · r) regardless of n.  Row width covers the
-        # real (n, r²) rows a residual block holds at once: the left and
-        # Ĝ2 tiles and two temporaries.
-        step = planner.block_rows(n, row_bytes=2 * r * r * 16)
-        can_slice = sp.issparse(self.g1) or isinstance(self.g1, np.ndarray)
-        if not can_slice:
-            step = n
-        g2r = None
-        try:
-            # Ĝ2 = G2 (U ⊗ U) via the COO contraction: (n, r, r).
-            g2r = planner.tile((n, r, r), float, "pi-g2r")
-            nnz = int(vals.shape[0])
-            chunk = max(1, nnz if step >= n else min(nnz, step))
-            for lo in range(0, nnz, chunk):
-                hi = min(nnz, lo + chunk)
-                contrib = np.einsum(
-                    "e,eb,ec->ebc", vals[lo:hi], u[ii[lo:hi]], u[jj[lo:hi]],
-                    optimize=True,
-                )
-                scatter_add_rows(g2r, rows[lo:hi], contrib)
-            h = basis.h()
-            y = self._pi_left_solve(
-                left_basis, h, np.unique(rows), g2r, left_target
-            )
-            v = left_basis.u
-            left = planner.tile((n, r, r), y.dtype, "pi-left")
-            for lo, hi in _row_spans(n, step):
-                left[lo:hi] = (v[lo:hi] @ y).reshape(hi - lo, r, r)
-            # Exact residual: in-space defect + G2 projection defect +
-            # out-of-space defect through the Su Gram — all accumulated
-            # blockwise so no (n, r²) residual slab is ever resident.
-            lmat = left.reshape(n, r * r)
-            g2r_flat = g2r.reshape(n, r * r)
-            resid_sq = 0.0
-            for lo, hi in _row_spans(n, step):
-                if step >= n:
-                    rb = self.g1 @ lmat + g2r_flat
-                else:
-                    rb = self.g1[lo:hi] @ lmat + g2r_flat[lo:hi]
-                lb = left[lo:hi]
-                rb = rb - (np.matmul(h.T, lb) + lb @ h).reshape(
-                    hi - lo, r * r
-                )
-                resid_sq += float(np.real(np.vdot(rb, rb)))
-            planner.release(g2r)
-            g2r = None
-            # G2 projection defect, bounded through the explicit fiber
-            # defects (the ``‖G2‖² − ‖Ĝ2‖²`` difference would floor the
-            # measurable residual at √eps·‖G2‖ through cancellation;
-            # with the fibers seeded into U both defects are ~0).
-            for block in seeds:
-                db = block - u @ (u.T @ block)
-                resid_sq += float(np.vdot(db, db).real)
-            gs = basis.gram_transpose()
-            acc1 = 0.0 + 0.0j
-            acc2 = 0.0 + 0.0j
-            for lo, hi in _row_spans(n, step):
-                lb = left[lo:hi]
-                acc1 += np.vdot(lb, np.matmul(gs, lb))
-                acc2 += np.vdot(lb, lb @ gs.T)
-            resid_sq += max(float(np.real(acc1)), 0.0)
-            resid_sq += max(float(np.real(acc2)), 0.0)
-            return lmat, float(np.sqrt(max(resid_sq, 0.0)))
-        finally:
-            if g2r is not None:
-                planner.release(g2r)
+        contrib = np.einsum(
+            "e,eb,ec->ebc", vals, u[ii], u[jj], optimize=True
+        )
+        g2r = np.zeros((g2_rows.size, r, r))
+        scatter_add_rows(g2r, row_index, contrib)
+        h = basis.h()
+        y = self._pi_left_solve(left_basis, h, g2_rows, g2r, left_target)
+        k = left_basis.dim
+        y3 = y.reshape(k, r, r)
+        projected = (
+            left_basis.h() @ y
+            + left_basis.u[g2_rows].T @ g2r.reshape(g2_rows.size, r * r)
+            - (np.matmul(h.T, y3) + y3 @ h).reshape(k, r * r)
+        )
+        resid_sq = float(np.real(np.vdot(projected, projected)))
+        resid_sq += max(float(np.real(
+            np.vdot(y, left_basis.gram_plain() @ y)
+        )), 0.0)
+        for block in seeds:
+            db = block - u @ (u.T @ block)
+            resid_sq += float(np.vdot(db, db).real)
+        gs = basis.gram_transpose()
+        resid_sq += max(float(np.real(np.vdot(y3, np.matmul(gs, y3)))), 0.0)
+        resid_sq += max(float(np.real(np.vdot(y3, y3 @ gs.T))), 0.0)
+        return y, float(np.sqrt(max(resid_sq, 0.0)))
 
     def _pi_left_solve(self, left_basis, h, g2_rows, g2r, target):
         """Left Galerkin solve of ``G1 Π̂ − Π̂ (H⊕H) = −Ĝ2``; returns
@@ -1801,7 +1696,7 @@ class LowRankKronSolver:
         pair order, so each column ``e`` of the pair index is one
         triangular Sylvester solve ``S X − X (T + T[e,e] I) = C_e`` plus
         the couplings from columns ``< e``.  ``Ĝ2`` lives on G2's rows
-        (*g2_rows*), which ``V`` spans, so only those rows are read.
+        (*g2_rows*), which ``V`` spans; *g2r* holds those rows only.
 
         ``V`` grows while the left defect ``‖(G1V − V·VᵀG1V) Y‖_F``
         (through :meth:`_KrylovBasis.gram_plain`) exceeds *target*: each
@@ -1815,7 +1710,7 @@ class LowRankKronSolver:
         t, q = sla.schur(h.astype(complex), output="complex")
         lam = np.diag(t)
         g2q = np.einsum(
-            "pbc,bd,ce->pde", g2r[g2_rows], q, q, optimize=True
+            "pbc,bd,ce->pde", g2r, q, q, optimize=True
         ).reshape(g2_rows.size, r * r)
         shifted = t.copy()
         shifted_diag = _diagonal(shifted)

@@ -41,7 +41,6 @@ from ..volterra.associated import (
     associated_h2,
     associated_h2_decoupled,
     associated_h3,
-    stack_columns,
 )
 from .base import ReducedOrderModel
 
@@ -116,8 +115,7 @@ class AssociatedTransformMOR:
         self.deduplicate = bool(deduplicate)
         self.tol = float(tol)
 
-    def build_basis(self, system, workspace=None, checkpoint=None,
-                    max_block=None):
+    def build_basis(self, system, workspace=None, checkpoint=None):
         """Construct the projection basis ``V`` (without projecting).
 
         Returns ``(V, details)`` where *details* records per-block vector
@@ -147,17 +145,10 @@ class AssociatedTransformMOR:
         and computes only the rest — losing at most the chain that was
         running, and yielding a bit-identical basis.
 
-        *max_block* forces the row-block size every streamed n-row
-        intermediate (the Π build, blocked Gram updates, tile-wise
-        block assembly) is produced in — see
-        :class:`repro.memory.BlockPlanner`.  ``None`` inherits
-        ``REPRO_MAX_BLOCK`` or the budget-derived default;
-        ``max_block >= n`` executes the unblocked operations exactly.
+        Each finished block goes through the memory budget
+        (:func:`repro.memory.admit`): past it, the block spills to a
+        read-only memory map.
         """
-        with memory.tiling(max_block):
-            return self._build_basis(system, workspace, checkpoint)
-
-    def _build_basis(self, system, workspace, checkpoint):
         if workspace is not None:
             # A caller-supplied workspace (multi-point reuse, parametric
             # warm start) pins the explicit form: its factorizations —
@@ -260,7 +251,7 @@ class AssociatedTransformMOR:
         admitted = []
         details = {"blocks": []}
         for label, s0, vectors in blocks:
-            block = memory.admit(stack_columns(vectors, label), label)
+            block = memory.admit(np.column_stack(vectors), label)
             admitted.append(block)
             details["blocks"].append((label, s0, block.shape[1]))
 
@@ -278,8 +269,7 @@ class AssociatedTransformMOR:
             details["checkpoint"] = checkpoint.describe()
         return basis, details
 
-    def reduce(self, system, checkpoint=None, max_block=None,
-               workspace=None):
+    def reduce(self, system, checkpoint=None, workspace=None):
         """Reduce *system* and return a :class:`ReducedOrderModel`.
 
         The Krylov basis is generated from the explicit form (the
@@ -291,10 +281,10 @@ class AssociatedTransformMOR:
         transfer functions, so the matched moments are the same.
 
         *checkpoint* (a :class:`~repro.checkpoint.JobState`) makes the
-        basis build stage-committed and resumable; *max_block* streams
-        the build in fixed-size row blocks — see :meth:`build_basis`.
-        *workspace* (an :class:`~repro.volterra.associated.
-        AssociatedWorkspace` over this system's explicit form) lets a
+        basis build stage-committed and resumable — see
+        :meth:`build_basis`.  *workspace* (an
+        :class:`~repro.volterra.associated.AssociatedWorkspace` over
+        this system's explicit form) lets a
         caller pre-seed the lazy solvers — the parametric sweep's
         warm-start hook; the basis build then runs on the workspace's
         explicit system.
@@ -303,8 +293,7 @@ class AssociatedTransformMOR:
             else system.to_explicit()
         start = time.perf_counter()
         basis, details = self.build_basis(
-            explicit, workspace=workspace, checkpoint=checkpoint,
-            max_block=max_block,
+            explicit, workspace=workspace, checkpoint=checkpoint
         )
         build_time = time.perf_counter() - start
         target = system if system.mass is not None else explicit

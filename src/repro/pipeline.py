@@ -652,7 +652,7 @@ def _job_result(system, info, reduce_job=None, sweep_job=None,
 
 def run_pipeline(target, reduce=None, sweep=None, transient=None,
                  store=None, sparse=None, checkpoint=None, resume=False,
-                 memory_budget=None, max_block=None):
+                 memory_budget=None):
     """Run the declarative MNA → MOR → query pipeline on *target*.
 
     Parameters
@@ -689,18 +689,10 @@ def run_pipeline(target, reduce=None, sweep=None, transient=None,
         raises :class:`ValidationError` when the checkpoint is empty
         (a guard against typo'd checkpoint paths silently recomputing).
     memory_budget : int, str, or None, optional
-        Cap resident basis/Π memory for the duration of the run (e.g.
-        ``"512M"``; see :func:`repro.memory.parse_budget`); blocks past
-        the budget spill to disk-backed memory maps, and the solver
-        core derives its streaming block size from the budget.
+        Cap resident basis memory for the duration of the run (e.g.
+        ``"512M"``; see :func:`repro.memory.parse_budget`); finished
+        basis blocks past the budget spill to disk-backed memory maps.
         Overrides ``REPRO_MEMORY_BUDGET`` for this call.
-    max_block : int, str, or None, optional
-        Force the row-block size the solver core streams n-row
-        intermediates in (see :func:`repro.memory.parse_max_block`),
-        overriding ``REPRO_MAX_BLOCK`` and the budget-derived default
-        for this call.  ``max_block >= n`` reproduces the unblocked
-        arithmetic exactly; smaller blocks trade ≤ 1e-10 summation
-        reordering for O(n · max_block) peak memory.
 
     Returns a :class:`PipelineResult`; call ``.report()`` for the
     JSON-able summary the CLI prints.
@@ -709,12 +701,12 @@ def run_pipeline(target, reduce=None, sweep=None, transient=None,
     sweep_job = SweepJob.coerce(sweep)
     transient_job = TransientJob.coerce(transient)
 
-    with memory.scope(memory_budget, max_block):
+    with memory.scope(memory_budget):
         result = _run_pipeline(
             target, reduce_job, sweep_job, transient_job, store, sparse,
             checkpoint, resume,
         )
-        if memory_budget is not None or max_block is not None:
+        if memory_budget is not None:
             result.memory_info = memory.stats()
     return result
 

@@ -12,11 +12,10 @@ build these objects and hand them to the same
 guaranteed to run the identical code path (and produce bit-identical
 numbers) whichever front door it came through.
 
-A request carries only what is scoped to it.  The memory budget and
-the streaming block size are process-wide settings, so they are not
-request fields (a payload naming them is refused as unknown): a daemon
-reads ``REPRO_MEMORY_BUDGET``/``REPRO_MAX_BLOCK`` from its environment
-and the one-shot CLI applies ``--memory-budget``/``--max-block``
+A request carries only what is scoped to it.  The memory budget is a
+process-wide setting, so it is not a request field (a payload naming
+it is refused as unknown): a daemon reads ``REPRO_MEMORY_BUDGET`` from
+its environment and the one-shot CLI applies ``--memory-budget``
 around its single request.
 
 The response side is :class:`ServeOutcome`: the verb's

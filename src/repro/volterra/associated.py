@@ -54,7 +54,6 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 
-from .. import memory
 from .._validation import check_positive_int
 from ..errors import NumericalError, SystemStructureError, ValidationError
 from ..linalg.kronecker import kron_sum_power_matvec
@@ -89,7 +88,6 @@ __all__ = [
     "associated_h2",
     "associated_h2_decoupled",
     "associated_h3",
-    "stack_columns",
 ]
 
 #: The Π route decisions log with the solver's own messages.
@@ -102,32 +100,6 @@ def _require_explicit(system):
             "associated realizations require an explicit system; call "
             "to_explicit() first"
         )
-
-
-def stack_columns(vectors, label):
-    """Stack 1-D chain *vectors* columnwise into an arena-backed block.
-
-    The blockwise equivalent of ``np.column_stack(vectors)``: the output
-    lives in the tile arena (RAM, or a writable memmap once the result
-    would crowd the memory budget) and rows are copied in
-    :func:`repro.memory.block_rows`-sized tiles.  The result is
-    bit-identical to the dense stack.
-    """
-    if not vectors:
-        return np.empty((0, 0))
-    vectors = [np.asarray(vec).reshape(-1) for vec in vectors]
-    n = vectors[0].shape[0]
-    dtype = np.result_type(*vectors)
-    planner = memory.current_planner()
-    out = planner.tile((n, len(vectors)), dtype=dtype, label=label)
-    step = planner.block_rows(
-        n, row_bytes=max(len(vectors), 1) * dtype.itemsize
-    )
-    for lo in range(0, n, step):
-        hi = min(n, lo + step)
-        for col, vec in enumerate(vectors):
-            out[lo:hi, col] = vec[lo:hi]
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -506,8 +478,7 @@ class AssociatedWorkspace:
         """Payload-tree snapshot of the cached Π (and its
         :attr:`pi_plan`), or ``None`` when Π has not been built.  Π is
         computed once and never mutated, so the checkpoint layer writes
-        this (large ``n × r²``) snapshot once instead of once per
-        chain."""
+        this snapshot once instead of once per chain."""
         with self._lazy_lock:
             if self._pi is None:
                 return None
@@ -859,12 +830,10 @@ class DecoupledH2Realization:
     enables parallel subspace construction).
 
     Dense workspaces run the Kronecker-sum chains through the shared
-    Schur form; sparse workspaces hold a factored Π and run them through
-    the low-rank solver.  Every large-``n`` operation is then a sparse
-    ``G1`` solve, and the ``n``-row products those solves feed — basis
-    assembly included — stream in :func:`repro.memory.block_rows`-sized
-    row tiles, so peak resident memory follows the configured
-    ``max_block`` rather than ``n``.
+    Schur form; sparse workspaces hold a factored Π ``V Y (U⊗U)ᵀ`` and
+    run them through the low-rank solver.  Every large-``n`` operation
+    is then a sparse ``G1`` solve, and every ``n``-row array involved —
+    Π's factors, the chain vectors, the shared basis — is ``O(n·r)``.
     """
 
     def __init__(self, workspace):
@@ -902,19 +871,23 @@ class DecoupledH2Realization:
         core = np.array([[0.0, 0.5], [0.5, 0.0]])
         return FactoredTensor(core, [f, f])
 
+    def _kron_solve_seed(self, col):
+        """``(solve, seed)`` for column *col* of subsystem 2: the
+        low-rank solver on a factored seed when Π is factored, the
+        Schur-form solver on a dense one otherwise."""
+        ws = self.workspace
+        if self.factored:
+            return ws.lowrank_kron.solve, self._bbs_tensor(col)
+        return ws.kron_solver.solve, self.bbs[:, col].astype(complex)
+
     def eval(self, s):
         """Evaluate ``H2(s)`` by summing the two subsystem responses."""
         ws = self.workspace
         term1 = -ws.solve_shifted(-s, self.seed_linear.astype(complex))
         out = np.empty_like(term1)
         for col in range(self.n_cols):
-            if self.factored:
-                x = ws.lowrank_kron.solve(
-                    self._bbs_tensor(col), k=2, shift=-s
-                )
-            else:
-                x = ws.kron_solver.solve(self.bbs[:, col], k=2, shift=-s)
-            out[:, col] = -(self.pi @ x)
+            solve, seed = self._kron_solve_seed(col)
+            out[:, col] = -(self.pi @ solve(seed, k=2, shift=-s))
         return term1 + out
 
     def _linear_chain(self, col, count, s0):
@@ -925,24 +898,16 @@ class DecoupledH2Realization:
         vectors = []
         for _ in range(count):
             current = ws.solve_shifted(-s0, current)
-            vectors.append(current.copy())
+            vectors.append(current)
         return vectors
 
     def _kron_chain(self, col, count, s0):
         """Chain on subsystem 2: ``(sI − G1 ⊕ G1)^{-1}`` projected back
         through Π."""
-        ws = self.workspace
-        if self.factored:
-            current = self._bbs_tensor(col)
-            vectors = []
-            for _ in range(count):
-                current = ws.lowrank_kron.solve(current, k=2, shift=-s0)
-                vectors.append(self.pi @ current)
-            return vectors
-        current = self.bbs[:, col].astype(complex)
+        solve, current = self._kron_solve_seed(col)
         vectors = []
         for _ in range(count):
-            current = ws.kron_solver.solve(current, k=2, shift=-s0)
+            current = solve(current, k=2, shift=-s0)
             vectors.append(self.pi @ current)
         return vectors
 
@@ -978,19 +943,14 @@ class DecoupledH2Realization:
         Returns a list of two blocks; their union spans the same moment
         space as the coupled realization's chains.  The underlying
         chains (one per subsystem per retained input column) run one
-        after another, and each block is then assembled in row tiles
-        through :func:`stack_columns` into arena-backed storage, so
-        assembly never materializes an extra dense ``n``-row stack.
+        after another.
         """
         blocks = {0: [], 1: []}
         for subsystem, fn in self.chain_tasks(
             count, s0=s0, deduplicate=deduplicate
         ):
             blocks[subsystem].extend(fn())
-        return [
-            stack_columns(blocks[0], "h2-dec-sub0"),
-            stack_columns(blocks[1], "h2-dec-sub1"),
-        ]
+        return [np.column_stack(blocks[0]), np.column_stack(blocks[1])]
 
 
 def associated_h2_decoupled(system, workspace=None):

@@ -10,6 +10,7 @@ uses a *fresh* system object: the associated workspace is memoized on
 the system, so reuse would hide state leaks.
 """
 
+import json
 import os
 import shutil
 import subprocess
@@ -25,7 +26,7 @@ from repro.circuits import quadratic_rc_ladder_netlist
 from repro.errors import FaultInjected, ValidationError
 from repro.mor.assoc import AssociatedTransformMOR
 from repro.pipeline import run_pipeline
-from repro.serialize import array_digest
+from repro.serialize import array_digest, load_payload, save_payload
 from repro.store import ModelStore
 from repro.testing import faults
 
@@ -258,55 +259,30 @@ class TestMemoryBudget:
         assert memory.MemoryBudget(None).admit(arr) is arr
 
     def test_spilled_reduction_is_bit_identical(self, tmp_path, cold_digest):
-        """Tiny budget: every basis block and the Π left factor spill,
-        and the ROM basis is still byte-for-byte the unlimited one."""
-        with memory.limit(4096, spill_dir=tmp_path) as budget:
-            system = fresh_system()
-            rom = make_reducer().reduce(system)
+        """1-byte budget: every basis block spills, and the ROM basis is
+        still byte-for-byte the unlimited one."""
+        with memory.limit(1, spill_dir=tmp_path) as budget:
+            rom = make_reducer().reduce(fresh_system())
             assert array_digest(rom.basis) == cold_digest
-            ws = system._associated_workspace
-            # The streamed build keeps the Π left factor resident when
-            # it fits the budget and arena-backs it otherwise.
-            assert (
-                isinstance(ws.pi.left, np.memmap)
-                or ws.pi.left.nbytes <= budget.budget
-            )
-        assert budget.stats()["spilled_blocks"] >= 1
+        stats = budget.stats()
+        assert stats["admitted_blocks"] == 0
+        assert stats["spilled_blocks"] == len(rom.details["blocks"])
 
     def test_limit_exit_reclaims_spill_files(self, tmp_path):
         """Regression: a successful job under ``memory.limit`` must not
-        leave spilled ``.npy`` blocks (or arena tiles) behind — exit
-        runs the end-of-job cleanup even when nothing raised."""
-        with memory.limit(4096, spill_dir=tmp_path) as budget:
+        leave spilled ``.npy`` blocks behind — exit runs the end-of-job
+        cleanup even when nothing raised, also for a spilled array
+        still alive."""
+        with memory.limit(1, spill_dir=tmp_path) as budget:
+            held = budget.admit(np.ones(100), label="held")
             system = fresh_system()
             rom = make_reducer().reduce(system)
             assert rom.basis.shape[0] == system.n_states
-            assert budget.stats()["spilled_blocks"] >= 1
-            assert list(tmp_path.glob("*.npy"))  # spill live mid-job
+            assert budget.stats()["spilled_blocks"] >= 2
+            assert list(tmp_path.glob("held-*.npy"))  # spill live mid-job
         assert list(tmp_path.glob("*.npy")) == []
         assert tmp_path.exists()  # caller-owned dir is kept, emptied
-
-    def test_block_rows_derivation(self, monkeypatch):
-        monkeypatch.delenv("REPRO_MAX_BLOCK", raising=False)
-        n = 10_000
-        row = 8 * 16  # 16 float64 columns
-        budget = memory.MemoryBudget(1024 * 1024)
-        planner = memory.BlockPlanner(budget)
-        derived = planner.block_rows(n, row_bytes=row)
-        # budget / (_TILE_FRACTION * row_bytes), floored and clamped
-        assert derived == (1024 * 1024) // (4 * row)
-        assert memory.BlockPlanner(budget).block_rows(8, row_bytes=row) == 8
-        # explicit max_block wins over the derived size, floor exempt
-        assert memory.BlockPlanner(
-            budget, max_block=1
-        ).block_rows(n, row_bytes=row) == 1
-        # unlimited budget, no override: one block covering all rows
-        assert memory.BlockPlanner(
-            memory.MemoryBudget(None)
-        ).block_rows(n, row_bytes=row) == n
-        # a tiny budget can never derive a degenerate sliver
-        tiny = memory.BlockPlanner(memory.MemoryBudget(64))
-        assert tiny.block_rows(n, row_bytes=row) == 32
+        assert np.array_equal(np.asarray(held), np.ones(100))
 
     def test_env_budget(self, monkeypatch):
         monkeypatch.setenv("REPRO_MEMORY_BUDGET", "1k")
@@ -398,7 +374,36 @@ class TestPipelineWiring:
 
     def test_memory_budget_reported(self, tmp_path):
         result = run_pipeline(self._spec(), reduce=self._REDUCE,
-                              memory_budget="4k")
+                              memory_budget=1)
         report = result.report()
-        assert report["memory"]["budget_bytes"] == 4096
+        assert report["memory"]["budget_bytes"] == 1
         assert report["memory"]["spilled_blocks"] >= 1
+
+    def test_schema2_checkpoint_is_discarded(self, tmp_path, cold_digest):
+        """A schema-2 checkpoint, whose Π snapshot holds the ``(n, r²)``
+        ``left`` factor instead of ``V``/``Y``, is discarded when opened
+        rather than resumed into a ``KeyError``, and a reduce through
+        its directory still reaches the cold run's basis."""
+        ckdir = tmp_path / "ck"
+        faults.configure("checkpoint.after_commit:1:raise")
+        with pytest.raises(FaultInjected):
+            make_reducer().reduce(fresh_system(), checkpoint=JobState(ckdir))
+        faults.configure(None)
+        (pi_path,) = ckdir.glob("pi-*.npz")
+        payload = load_payload(pi_path)
+        pi = payload["pi"]
+        if "left" not in pi:
+            pi["left"] = pi.pop("v") @ pi.pop("y")
+        save_payload(pi_path, payload, compress=False)
+        manifest = json.loads(
+            (ckdir / "manifest.json").read_text(encoding="utf-8")
+        )
+        manifest["schema"] = 2
+        (ckdir / "manifest.json").write_text(
+            json.dumps(manifest), encoding="utf-8"
+        )
+        state = JobState(ckdir)
+        assert not state.resumed
+        assert list(ckdir.iterdir()) == []
+        rom = make_reducer().reduce(fresh_system(), checkpoint=state)
+        assert array_digest(rom.basis) == cold_digest

@@ -17,6 +17,7 @@ import logging
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from repro.checkpoint import JobState
 from repro.circuits import quadratic_rc_ladder_netlist
@@ -28,6 +29,7 @@ from repro.linalg.sylvester import (
     FactoredPi,
     LowRankKronSolver,
     PiNotLowRank,
+    pi_sylvester_residual,
     ritz_spread,
 )
 from repro.mor.assoc import AssociatedTransformMOR
@@ -147,9 +149,8 @@ class TestRoutes:
         bare = bare_solver(net)
         ref = bare.solve_pi(bare.system.g2, tol=1e-12, floor=1e-9)
         assert bare.pi_plan["spread"] is None
-        assert array_digest(np.asarray(pi.left)) == array_digest(
-            np.asarray(ref.left)
-        )
+        assert array_digest(pi.v) == array_digest(ref.v)
+        assert array_digest(pi.y) == array_digest(ref.y)
         assert array_digest(pi.u) == array_digest(ref.u)
         assert ws.lowrank_kron.stats == bare.stats
 
@@ -245,6 +246,21 @@ class TestLeftBasis:
         assert plan["left_rank"] < plan["rank"] ** 2
         assert plan["residual"] <= 1e-12
 
+    @pytest.mark.parametrize("n", [150, 1024])
+    def test_factored_pi_residual_matches_reference(self, n):
+        # Π is kept as V·Y·(U⊗U)ᵀ: the solve measures its residual
+        # without forming V·Y, the independent reference forms it, and
+        # no (n, r²) array is kept.
+        ws = workspace(healthy_net(n))
+        pi = ws.pi
+        plan = ws.pi_plan
+        g2_norm = spla.norm(ws.system.g2)
+        ref = pi_sylvester_residual(ws.system.g1, ws.system.g2, pi)
+        assert ref <= 1e-12 * g2_norm
+        assert abs(ref - pi.residual) <= 1e-14 * g2_norm
+        assert pi.v.shape == (n, plan["left_rank"])
+        assert pi.y.shape == (plan["left_rank"], plan["rank"] ** 2)
+
     def test_healthy_pi_factors_g1_a_few_times(self, healthy_1024):
         # One LU per pair sum and round made 584 here.
         _, lus = healthy_1024
@@ -270,7 +286,7 @@ class TestLeftBasis:
         for row, i, j in rng.integers(0, n, (5, 3)):
             g2[row, i * n + j] = rng.standard_normal()
         pi = solver.solve_pi(sp.csr_matrix(g2), tol=1e-9)
-        assert np.isrealobj(pi.left)
+        assert np.isrealobj(pi.v) and np.isrealobj(pi.y)
         assert factory.sparse_lu_stats["complex"] > 0
         assert pi.residual <= 1e-9 * pi.rhs_norm
         assert 0 < solver.pi_plan["left_rank"] <= n
