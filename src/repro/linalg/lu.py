@@ -1,8 +1,12 @@
 """Shared one-shot LU helpers (sparse-aware).
 
-:func:`sparse_lu` is the one home of the SuperLU wrapper (error mapping
-plus the near-singular pivot guard shared with
-:class:`~repro.linalg.resolvent.ResolventFactory`'s sparse branch);
+:func:`sparse_lu` is the one home of the sparse LU (error mapping plus
+the near-singular pivot guard shared with
+:class:`~repro.linalg.resolvent.ResolventFactory`'s sparse branch).  A
+banded pattern (see :data:`_BAND_STORAGE_RATIO`) is factored by LAPACK's
+band LU with partial pivoting (:class:`BandLU`; Golub & Van Loan,
+*Matrix Computations*, 4th ed., §4.3), any other by SuperLU, behind one
+``solve(rhs, trans)`` contract.
 :func:`factorized_solver` layers the sparse/dense dispatch on top for
 callers that just need a ``solve`` callable — the shift-invert Krylov
 chains (:mod:`repro.mor.krylov`, :mod:`repro.mor.norm`) and the
@@ -24,6 +28,8 @@ import scipy.sparse.linalg as spla
 from ..errors import NumericalError
 
 __all__ = [
+    "BandLU",
+    "band_storage",
     "csc_pattern_digest",
     "factorized_solver",
     "shifted_matrix",
@@ -43,12 +49,22 @@ _PIVOT_RTOL = 1e-13
 #: systems interleave.
 _SYMBOLIC_CACHE_CAP = 32
 
+#: A square pattern takes the band route when LAPACK's band storage of
+#: its natural-order bandwidths — ``(2·kl + ku + 1)·n`` slots, the band
+#: plus ``kl`` rows of pivoting fill — is at most this many times its
+#: stored entries.  A full band of any width reads at most 1.5
+#: (tridiagonal: 4n slots for 3n − 2 entries); a dense pattern reads 3
+#: and a 2-D m×m grid about (3m + 1)/5, so both stay on SuperLU.
+_BAND_STORAGE_RATIO = 2.0
+
 _SYMBOLIC_LOCK = threading.Lock()
-_SYMBOLIC_CACHE = OrderedDict()  # pattern digest -> perm_c ndarray
+#: pattern digest -> SuperLU ``perm_c`` ndarray, or ``(kl, ku)`` for a
+#: pattern on the band route.
+_SYMBOLIC_CACHE = OrderedDict()
 
 
-def _guard_pivots(lu):
-    pivots = np.abs(lu.U.diagonal())
+def _guard_pivots(pivots):
+    pivots = np.abs(pivots)
     if pivots.size and pivots.min() <= _PIVOT_RTOL * pivots.max():
         raise NumericalError(
             "matrix is numerically singular (sparse LU pivot ratio "
@@ -62,12 +78,91 @@ def _splu(csc, guard, **options):
     except RuntimeError as exc:
         raise NumericalError(f"sparse LU failed: {exc}") from exc
     if guard:
-        _guard_pivots(lu)
+        _guard_pivots(lu.U.diagonal())
     return lu
 
 
+def _offsets(csc):
+    """Column index and ``row − column`` offset of every stored entry."""
+    cols = np.repeat(np.arange(csc.shape[1]), np.diff(csc.indptr))
+    return cols, csc.indices - cols
+
+
+def _band_plan(csc):
+    """``(kl, ku)`` when *csc*'s pattern takes the band route, else None."""
+    n = csc.shape[0]
+    if n != csc.shape[1] or csc.nnz == 0:
+        return None
+    _, offset = _offsets(csc)
+    kl, ku = max(int(offset.max()), 0), max(-int(offset.min()), 0)
+    if (2 * kl + ku + 1) * n <= _BAND_STORAGE_RATIO * csc.nnz:
+        return kl, ku
+    return None
+
+
+def band_storage(mat, kl, ku):
+    """LAPACK ``gbtrf`` storage of sparse *mat* with bandwidths kl, ku.
+
+    Returns a Fortran-ordered float64 or complex128 ``(2·kl + ku + 1, n)``
+    array with ``A[i, j]`` at ``[kl + ku + i − j, j]`` (the diagonal is
+    row ``kl + ku``), or None when a stored entry lies outside the band.
+    """
+    csc = sp.csc_matrix(mat)
+    if not csc.has_canonical_format:
+        csc = csc.copy()
+        csc.sum_duplicates()
+    cols, offset = _offsets(csc)
+    if offset.size and (offset.max() > kl or -offset.min() > ku):
+        return None
+    dtype = np.result_type(csc.dtype, np.float64)
+    ab = np.zeros((2 * kl + ku + 1, csc.shape[1]), dtype=dtype, order="F")
+    ab[kl + ku + offset, cols] = csc.data
+    return ab
+
+
+class BandLU:
+    """LAPACK band LU (``gbtrf``) with SuperLU's ``solve`` contract.
+
+    Factors *ab* (:func:`band_storage` layout) in place with partial
+    pivoting.  An exactly zero pivot raises
+    :class:`~repro.errors.NumericalError` whatever *guard* says, as
+    SuperLU does; with *guard* a U pivot ratio at or below
+    ``_PIVOT_RTOL`` raises too.
+    """
+
+    __slots__ = ("kl", "ku", "_lu", "_piv", "_gbtrs")
+
+    def __init__(self, ab, kl, ku, guard=True):
+        gbtrf, self._gbtrs = sla.get_lapack_funcs(("gbtrf", "gbtrs"), (ab,))
+        self._lu, self._piv, info = gbtrf(ab, kl, ku, overwrite_ab=True)
+        if info > 0:
+            raise NumericalError(
+                f"band LU failed: matrix is exactly singular (U[{info - 1}, "
+                f"{info - 1}] = 0)"
+            )
+        self.kl, self.ku = kl, ku
+        if guard:
+            _guard_pivots(self._lu[kl + ku])
+
+    def solve(self, rhs, trans="N"):
+        """Solve ``A x = rhs`` (``trans`` ``'T'``: ``Aᵀ``, ``'H'``: ``Aᴴ``)
+        for a vector or a block of right-hand sides."""
+        code = {"N": 0, "T": 1, "H": 2}.get(trans)
+        if code is None:
+            raise ValueError(f"unsupported trans {trans!r}")
+        rhs = np.asarray(rhs).astype(
+            self._lu.dtype, order="F", casting="safe"
+        )
+        x, _ = self._gbtrs(
+            self._lu, self.kl, self.ku, rhs, self._piv, trans=code,
+            overwrite_b=True,
+        )
+        return x
+
+
 def sparse_lu(mat, guard=True):
-    """SuperLU factorization of a sparse square matrix.
+    """Sparse LU of a square matrix: :class:`BandLU` on a banded
+    pattern (see :data:`_BAND_STORAGE_RATIO`), SuperLU otherwise.
 
     With *guard* (the default) a vanishing U pivot raises
     :class:`~repro.errors.NumericalError` instead of letting the
@@ -75,7 +170,11 @@ def sparse_lu(mat, guard=True):
     ``guard=False``: its near-singular iteration matrices are recovered
     by backtracking/refresh, matching the dense LAPACK behavior.
     """
-    return _splu(sp.csc_matrix(mat), guard)
+    csc = sp.csc_matrix(mat)
+    band = _band_plan(csc)
+    if band is not None:
+        return BandLU(band_storage(csc, *band), *band, guard)
+    return _splu(csc, guard)
 
 
 def csc_pattern_digest(mat):
@@ -133,12 +232,14 @@ class _PermutedLU:
 def sparse_lu_shared(mat, pattern, guard=True):
     """Factor *mat* reusing the symbolic analysis cached for *pattern*.
 
-    SuperLU has no public symbolic/numeric split, but its expensive
-    structural work — the fill-reducing column ordering — depends only
-    on the sparsity pattern.  The first factorization of a pattern runs
-    the full analysis and caches ``perm_c``; later factorizations of
-    the *same* pattern (every corner of a parameter sweep, every shift
-    of one resolvent factory) pre-permute the columns and factor with
+    The analysis reads the pattern alone and runs once per pattern: the
+    band-route decision of :func:`sparse_lu` and, off the band route,
+    SuperLU's fill-reducing column ordering (SuperLU has no public
+    symbolic/numeric split, but the ordering is its expensive
+    structural work).  The cache keeps ``(kl, ku)`` or ``perm_c``; later
+    factorizations of the *same* pattern (every corner of a parameter
+    sweep, every shift of one resolvent factory) are a :class:`BandLU`
+    of those bandwidths, or pre-permute the columns and factor with
     ``permc_spec="NATURAL"``, i.e. a numeric-only refactorization under
     the shared ordering.  Row (partial) pivoting still runs per matrix,
     so the numerics are those of a fresh factorization.
@@ -150,18 +251,26 @@ def sparse_lu_shared(mat, pattern, guard=True):
     """
     csc = sp.csc_matrix(mat)
     with _SYMBOLIC_LOCK:
-        perm = _SYMBOLIC_CACHE.get(pattern)
-        if perm is not None:
+        plan = _SYMBOLIC_CACHE.get(pattern)
+        if plan is not None:
             _SYMBOLIC_CACHE.move_to_end(pattern)
-    if perm is None or perm.shape[0] != csc.shape[1]:
-        lu = _splu(csc, guard)
-        with _SYMBOLIC_LOCK:
-            _SYMBOLIC_CACHE[pattern] = np.asarray(lu.perm_c).copy()
-            while len(_SYMBOLIC_CACHE) > _SYMBOLIC_CACHE_CAP:
-                _SYMBOLIC_CACHE.popitem(last=False)
-        return lu, False
-    lu = _splu(csc[:, perm], guard, permc_spec="NATURAL")
-    return _PermutedLU(lu, perm), True
+    if isinstance(plan, tuple):
+        ab = band_storage(csc, *plan)
+        if ab is not None:
+            return BandLU(ab, *plan, guard), True
+    elif plan is not None and plan.shape[0] == csc.shape[1]:
+        lu = _splu(csc[:, plan], guard, permc_spec="NATURAL")
+        return _PermutedLU(lu, plan), True
+    lu = sparse_lu(csc, guard)
+    if isinstance(lu, BandLU):
+        plan = (lu.kl, lu.ku)
+    else:
+        plan = np.asarray(lu.perm_c).copy()
+    with _SYMBOLIC_LOCK:
+        _SYMBOLIC_CACHE[pattern] = plan
+        while len(_SYMBOLIC_CACHE) > _SYMBOLIC_CACHE_CAP:
+            _SYMBOLIC_CACHE.popitem(last=False)
+    return lu, False
 
 
 def symbolic_cache_stats():
@@ -192,9 +301,10 @@ def shifted_matrix(a, shift):
 def factorized_solver(mat):
     """Factor *mat* once and return a ``solve(rhs)`` callable.
 
-    Sparse matrices go through SuperLU with a pivot-ratio singularity
-    guard (raising :class:`~repro.errors.NumericalError`); dense ones
-    through LAPACK ``lu_factor`` with its native error behavior.
+    Sparse matrices go through :func:`sparse_lu` (band LU or SuperLU)
+    with a pivot-ratio singularity guard (raising
+    :class:`~repro.errors.NumericalError`); dense ones through LAPACK
+    ``lu_factor`` with its native error behavior.
     """
     if sp.issparse(mat):
         return sparse_lu(mat).solve

@@ -6,7 +6,9 @@ matrix.  This module is the reusable embodiment of that idea for the
 plain resolvent ``(s I − G1)^{-1}``:
 
 * :class:`ResolventFactory` factors ``G1`` **once** (complex Schur form
-  for dense input, sparse LU per shift for sparse input) and then serves
+  for dense input, a sparse LU per shift for sparse input: LAPACK's band
+  LU when the pattern is banded, SuperLU otherwise — the decision is
+  :func:`~repro.linalg.lu.sparse_lu`'s) and then serves
   ``(s I − G1)^{-1} RHS`` for *any* shift ``s`` at ``O(n²)`` per solve
   (dense path) instead of the ``O(n³)`` of a fresh ``np.linalg.solve``.
 * :meth:`ResolventFactory.solve_many` batches whole shift grids: the
@@ -36,7 +38,7 @@ import scipy.sparse as sp
 
 from .._validation import as_square_matrix
 from ..errors import NumericalError, TaskCancelled, ValidationError
-from .lu import csc_pattern_digest, sparse_lu_shared
+from .lu import BandLU, band_storage, csc_pattern_digest, sparse_lu_shared
 from .schur import SchurForm, _diagonal, _solve_upper
 
 __all__ = ["ResolventFactory", "matmul_columns"]
@@ -67,7 +69,7 @@ def matmul_columns(mat, block):
 
 
 class _RealSparseLU:
-    """Real SuperLU factorization serving complex right-hand sides.
+    """Real sparse LU (band or SuperLU) serving complex right-hand sides.
 
     Real shifts on real matrices (DC moments, real H1 chains) factor in
     real arithmetic — roughly half the flops and memory of the complex
@@ -102,7 +104,9 @@ class ResolventFactory:
         System matrix.  Dense input is Schur-factored once (``A = Q T Qᴴ``,
         so ``(s I − A)^{-1} = Q (s I − T)^{-1} Qᴴ`` and every shift costs
         one triangular substitution).  Sparse input keeps its CSC form and
-        caches one sparse LU per distinct shift (bounded LRU); **real**
+        caches one sparse LU per distinct shift (bounded LRU); on a banded
+        pattern each is a band LU of a copy of −A's band kept by the
+        factory, with the shift written onto its diagonal row; **real**
         sparse input additionally keeps the matrix real, so real shifts
         (DC moments, real H1 chains) factor in real arithmetic — about
         half the flops and memory — and only complex shifts pay the
@@ -144,6 +148,8 @@ class ResolventFactory:
             # serves every subsequent shift — and every *other* factory
             # over the same sparsity pattern (parametric corners).
             self._shift_pattern = {}
+            # (kl, ku, band storage of −A) once the band route is taken.
+            self._band = None
             self.sparse_lu_stats = {
                 "real": 0,
                 "complex": 0,
@@ -246,20 +252,32 @@ class ResolventFactory:
         # pattern (module-wide, so parametric corners with identical
         # CSR structure share it) and later shifts/corners pay a
         # numeric-only refactorization.
+        kind = "real" if self._real and key.imag == 0.0 else "complex"
+        shift = key.real if kind == "real" else key
         try:
-            if self._real and key.imag == 0.0:
-                kind = "real"
-                shifted = self._csc * (-1.0) + key.real * self._eye
+            if self._band is not None:
+                # Band route: no sparse arithmetic per shift, only a copy
+                # of −A's band with the shift added to its diagonal row.
+                kl, ku, neg = self._band
+                ab = neg.astype(np.result_type(neg, shift), order="F")
+                ab[kl + ku] += shift
+                lu, reused = BandLU(ab, kl, ku), True
             else:
-                kind = "complex"
-                csc, eye = self._csc_as_complex()
-                shifted = csc * (-1.0) + key * eye
-            pattern = self._shift_pattern.get(kind)
-            if pattern is None:
-                pattern = csc_pattern_digest(shifted)
-                with self._lock:
-                    self._shift_pattern.setdefault(kind, pattern)
-            lu, reused = sparse_lu_shared(shifted, pattern)
+                if kind == "real":
+                    shifted = self._csc * (-1.0) + shift * self._eye
+                else:
+                    csc, eye = self._csc_as_complex()
+                    shifted = csc * (-1.0) + shift * eye
+                pattern = self._shift_pattern.get(kind)
+                if pattern is None:
+                    pattern = csc_pattern_digest(shifted)
+                    with self._lock:
+                        self._shift_pattern.setdefault(kind, pattern)
+                lu, reused = sparse_lu_shared(shifted, pattern)
+                if isinstance(lu, BandLU):
+                    neg = band_storage(self._csc * (-1.0), lu.kl, lu.ku)
+                    if neg is not None:
+                        self._band = (lu.kl, lu.ku, neg)
             if kind == "real":
                 lu = _RealSparseLU(lu)
         except NumericalError as exc:

@@ -817,6 +817,13 @@ class FactoredPi:
 #: is considered already spanned and dropped.
 _BASIS_DROP_TOL = 1e-10
 
+#: Smallest kept pivot, relative to the block's largest column norm,
+#: below which two classical Gram–Schmidt passes no longer leave the new
+#: columns orthogonal to ``U`` (Giraud, Langou, Rozložník & van den
+#: Eshof, Numer. Math. 101(1), 2005); such a block gets two more passes
+#: and a QR.
+_REORTH_TOL = 1e-4
+
 #: Hard cap on Galerkin refinement rounds (each round extends the basis).
 _MAX_GALERKIN_ROUNDS = 80
 
@@ -883,15 +890,19 @@ class _KrylovBasis:
     matrix ``H = Uᴴ A U`` and the *explicit* residual factors
     ``Ru = A U − U H`` / ``Su = (I − UUᴴ) Aᵀ U`` (whose Gram matrices
     give exact residual norms without cancellation) are O(n·r²) updates.
+    A basis built with ``transpose=False`` keeps no ``Aᵀ U`` (and has no
+    :meth:`gram_transpose`).  Re-orthogonalizations (see
+    :data:`_REORTH_TOL`) are counted in *stats*.
     """
 
-    def __init__(self, g1, max_dim):
+    def __init__(self, g1, max_dim, stats, transpose=True):
         self.g1 = g1
         self.n = g1.shape[0]
         self.max_dim = int(max_dim)
+        self.stats = stats
         self.u = np.empty((self.n, 0))
         self.au = np.empty((self.n, 0))
-        self.atu = np.empty((self.n, 0))
+        self.atu = np.empty((self.n, 0)) if transpose else None
         self.last = 0  # first column of the newest block
         self._h = None
 
@@ -903,7 +914,8 @@ class _KrylovBasis:
         if not np.iscomplexobj(self.u):
             self.u = self.u.astype(complex)
             self.au = self.au.astype(complex)
-            self.atu = self.atu.astype(complex)
+            if self.atu is not None:
+                self.atu = self.atu.astype(complex)
             self._h = None
 
     def absorb(self, block):
@@ -942,10 +954,16 @@ class _KrylovBasis:
             self._promote_complex()
         elif np.iscomplexobj(self.u) and not np.iscomplexobj(new):
             new = new.astype(complex)
+        if self.dim and diag[count - 1] < _REORTH_TOL * bscale:
+            for _ in range(2):
+                new = new - self.u @ (self.u.conj().T @ new)
+            new = sla.qr(new, mode="economic")[0]
+            self.stats["reorthogonalizations"] += 1
         self.last = self.dim
         self.u = np.hstack([self.u, new])
         self.au = np.hstack([self.au, self.g1 @ new])
-        self.atu = np.hstack([self.atu, self.g1.T @ new])
+        if self.atu is not None:
+            self.atu = np.hstack([self.atu, self.g1.T @ new])
         self._h = None
         return True
 
@@ -1086,7 +1104,11 @@ class LowRankKronSolver:
         self.block_cap = int(block_cap)
         self.compress_tol = float(compress_tol)
         self._lock = threading.RLock()
-        self._basis = _KrylovBasis(g1, self.max_dim)
+        self.stats = {
+            "solves": 0, "pi_iterations": 0, "extensions": 0,
+            "soft_accepts": 0, "reorthogonalizations": 0,
+        }
+        self._basis = _KrylovBasis(g1, self.max_dim, self.stats)
         self._small = None
         self._small_dim = -1
         self._eig = None
@@ -1094,10 +1116,6 @@ class LowRankKronSolver:
         diag = g1.diagonal() if sp.issparse(g1) else np.diag(g1)
         self._fallback_sigma = -(1.0 + float(np.abs(diag).mean()))
         self._sigma_ok = {}
-        self.stats = {
-            "solves": 0, "pi_iterations": 0, "extensions": 0,
-            "soft_accepts": 0,
-        }
         #: Evidence record of the latest :meth:`solve_pi` call.
         self.pi_plan = None
 
@@ -1497,7 +1515,7 @@ class LowRankKronSolver:
                 max_rank = min(
                     self.max_dim, max(int(np.sqrt(1.6e7 / max(n, 1))), 24)
                 )
-            basis = _KrylovBasis(self.g1, max_rank)
+            basis = _KrylovBasis(self.g1, max_rank, self.stats)
             seeds = self._pi_seed_blocks(
                 rows, ii, jj, vals, max_seed, plan, handover
             )
@@ -1506,10 +1524,12 @@ class LowRankKronSolver:
             self._check_pi_spread(basis, plan, handover)
             # The left basis V starts from the unit vectors of G2's
             # nonzero rows, which span Ĝ2's columns exactly, and may add
-            # as many rational directions as the right basis may hold.
+            # as many rational directions as the right basis may hold;
+            # it never needs G1ᵀV.
             g2_rows, row_index = np.unique(rows, return_inverse=True)
             left_basis = _KrylovBasis(
-                self.g1, min(n, g2_rows.size + max_rank)
+                self.g1, min(n, g2_rows.size + max_rank), self.stats,
+                transpose=False,
             )
             unit = np.zeros((n, g2_rows.size))
             unit[g2_rows, np.arange(g2_rows.size)] = 1.0

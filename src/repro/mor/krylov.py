@@ -26,8 +26,9 @@ def krylov_basis(a, b, count, s0=0.0, tol=1e-10):
     Parameters
     ----------
     a : (n, n) array_like or sparse
-        Scipy sparse input is factored with a sparse LU (one ``splu`` of
-        ``A − s0 I`` per expansion point, never densified); dense input
+        Scipy sparse input is factored with a sparse LU (one
+        :func:`~repro.linalg.lu.sparse_lu` of ``A − s0 I`` per expansion
+        point, never densified); dense input
         takes the LAPACK path unchanged.
     b : (n,) or (n, m) array_like
         Block starting vectors.

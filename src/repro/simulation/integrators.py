@@ -173,7 +173,7 @@ def _mass_factor(system, mass):
 
     :func:`~repro.simulation.transient.simulate` then pays one
     factorization per run, not one per step.  Sparse masses get an
-    unguarded SuperLU, dense ones LAPACK ``getrf``: a nearly singular
+    unguarded sparse LU, dense ones LAPACK ``getrf``: a nearly singular
     mass still yields a usable (if poor) predictor, and an exactly
     singular one raises :class:`~repro.errors.NumericalError` on both
     branches.

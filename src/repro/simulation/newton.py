@@ -12,7 +12,8 @@ chord iterates land inside the same tolerance ball as exact Newton.
 Sparse fast path: a scipy-sparse iteration matrix (what sparse systems'
 ``jacobian`` produces through :func:`~repro.simulation.integrators.
 implicit_step`) is detected here and factored **once** with
-``scipy.sparse.linalg.splu`` — it is never densified, so a circuit-sized
+:func:`~repro.linalg.lu.sparse_lu` — LAPACK's band LU when its pattern
+is banded, SuperLU otherwise — and never densified, so a circuit-sized
 chord-Newton transient costs ``O(nnz)`` per factorization instead of
 ``O(n³)``.  Dense matrices are factored with LAPACK ``getrf`` and solved
 with ``getrs``, called directly: the same calls ``scipy.linalg.lu_factor``
@@ -20,7 +21,7 @@ and ``lu_solve`` make, so results are bit-identical, minus the per-call
 finiteness scan of every right-hand side — a non-finite residual gives a
 non-finite step instead, which ends in :class:`ConvergenceError` just the
 same.  An exactly zero pivot raises :class:`NumericalError` on both
-branches (SuperLU raises on its own).
+branches (the sparse LU raises on its own).
 
 A non-finite first residual is refused with :class:`ConvergenceError`
 (``iterations=0``) before any factorization: an infinite one would make
@@ -75,7 +76,7 @@ class _DenseFactorization:
 
 
 class _SparseFactorization:
-    """SuperLU factorization of a sparse iteration matrix (no densify).
+    """Sparse LU (band or SuperLU) of a sparse iteration matrix.
 
     Unguarded (``guard=False``): near-singular iteration matrices are
     recovered by Newton's backtracking/refresh machinery, matching the
@@ -119,7 +120,7 @@ class JacobianCache:
     * backtracking had to damp the step, or
     * the cached factorization turns out singular/non-finite.
 
-    Sparse iteration matrices are factored with ``splu`` and reused
+    Sparse iteration matrices are factored with the sparse LU and reused
     identically; :attr:`lu` then holds the sparse factorization object.
 
     Attributes

@@ -356,3 +356,60 @@ class TestSweepsAcrossBlocks:
             lambda shift, rhs: -factory.solve_transpose(-shift, rhs),
         ).solve_pi(ladder.g2, tol=1e-9)
         assert left_solves  # the Π left solve ran under the patch too
+
+
+# ---------------------------------------------------------------------------
+# orthogonality of the growing Krylov bases
+# ---------------------------------------------------------------------------
+
+
+class TestBasisOrthogonality:
+    """A block whose kept remainder is small is not orthogonal to ``U``
+    after two classical Gram–Schmidt passes; ``absorb`` gives it two
+    more and a QR.  All-quad ladders (a quadratic conductance on every
+    node) produce such blocks and, without them, stall the shared
+    Kronecker-sum basis at its cap with ‖UᴴU − I‖ near 1e-7."""
+
+    def test_nearly_dependent_block_is_reorthogonalized(self, rng):
+        n = 200
+        stats = {"reorthogonalizations": 0}
+        basis = sylvester._KrylovBasis(np.eye(n), 40, stats)
+        u0 = np.linalg.qr(rng.standard_normal((n, 20)))[0]
+        basis.absorb(u0)
+        near = u0 @ rng.standard_normal((20, 4))
+        assert basis.absorb(near + 1e-7 * rng.standard_normal((n, 4)))
+        assert stats["reorthogonalizations"] == 1
+        assert basis.absorb(rng.standard_normal((n, 3)))
+        assert stats["reorthogonalizations"] == 1  # separated: untouched
+        u = basis.u
+        assert np.linalg.norm(u.T @ u - np.eye(u.shape[1]), 2) <= 1e-13
+
+    def test_basis_without_transpose_side_matches(self, rng):
+        g1 = rng.standard_normal((30, 30))
+        stats = {"reorthogonalizations": 0}
+        both = sylvester._KrylovBasis(g1, 10, stats)
+        plain = sylvester._KrylovBasis(g1, 10, stats, transpose=False)
+        for block in (rng.standard_normal((30, 3)), rng.standard_normal(30)):
+            both.absorb(block)
+            plain.absorb(block)
+        assert plain.atu is None
+        assert np.array_equal(plain.u, both.u)
+        assert np.array_equal(plain.gram_plain(), both.gram_plain())
+
+    @pytest.mark.parametrize(
+        "n, strategy, order",
+        [(128, "coupled", 6), (256, "coupled", 6), (128, "decoupled", 8)],
+    )
+    def test_all_quad_ladder_reduces_on_an_orthonormal_basis(
+        self, n, strategy, order
+    ):
+        from repro.mor import AssociatedTransformMOR
+
+        system = quadratic_rc_ladder_netlist(n).compile(sparse=True)
+        rom = AssociatedTransformMOR(
+            orders=(3, 2, 1), strategy=strategy
+        ).reduce(system)
+        assert rom.order == order
+        u = system._associated_workspace.lowrank_kron.basis_columns()
+        gap = np.linalg.norm(u.conj().T @ u - np.eye(u.shape[1]), 2)
+        assert gap <= 1e-12
