@@ -23,10 +23,9 @@ command on an unchanged spec serves the reduction from disk.
 
 Fault tolerance: ``--checkpoint [DIR]`` snapshots the reduction at
 stage boundaries so a killed build resumes bit-identically (``--resume``
-asserts committed state exists), ``--memory-budget 512M`` spills
-basis blocks past the budget to disk-backed memory maps, and
-``store verify`` re-checks every artifact's basis SHA-256 digest,
-quarantining corrupt entries (exit 1 when any are found).
+asserts committed state exists), and ``store verify`` re-checks every
+artifact's basis SHA-256 digest, quarantining corrupt entries (exit 1
+when any are found).
 
 Exit codes: 0 on success, 2 on a usage/spec error, 1 on an internal
 numerical failure.
@@ -37,7 +36,6 @@ import json
 import sys
 from pathlib import Path
 
-from . import memory
 from .analysis.reporting import write_csv_report, write_json_report
 from .errors import ReproError, ValidationError
 from .serialize import json_safe
@@ -187,11 +185,6 @@ def _add_reduce_arguments(parser):
         "--resume", action="store_true",
         help="require committed checkpoint state to resume from "
         "(fails instead of silently recomputing)",
-    )
-    parser.add_argument(
-        "--memory-budget", metavar="BYTES",
-        help="cap resident basis memory (e.g. 512M); finished basis "
-        "blocks past it spill to disk-backed memory maps",
     )
 
 
@@ -504,14 +497,7 @@ def _run(args):
             return 1 if report["corrupt"] else 0
         return 0
 
-    # The memory budget is process-wide: this process serves one
-    # request, so it applies around it (the daemon takes it from its
-    # environment instead).
-    budget = getattr(args, "memory_budget", None)
-    with memory.scope(budget):
-        report, csv_table = _one_shot(args)
-        if budget is not None:
-            report["memory"] = memory.stats()
+    report, csv_table = _one_shot(args)
     _emit(args, report, csv_table=csv_table)
     return 0
 

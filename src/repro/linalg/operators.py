@@ -59,13 +59,12 @@ class DenseOperator:
     def matvec(self, x):
         return self.a @ np.asarray(x)
 
-    def _lu(self, shift, transpose):
-        key = (complex(shift), bool(transpose))
+    def _lu(self, shift):
+        key = complex(shift)
         with self._lock:
             lu = self._lu_cache.get(key)
         if lu is None:
-            mat = self.a.T if transpose else self.a
-            shifted = mat.astype(complex) + shift * np.eye(self.dim)
+            shifted = self.a.astype(complex) + shift * np.eye(self.dim)
             lu = sla.lu_factor(shifted)
             with self._lock:
                 lu = self._lu_cache.setdefault(key, lu)
@@ -73,11 +72,7 @@ class DenseOperator:
 
     def solve_shifted(self, shift, rhs):
         """Solve ``(A + shift I) x = rhs``."""
-        return sla.lu_solve(self._lu(shift, False), np.asarray(rhs, complex))
-
-    def solve_shifted_transpose(self, shift, rhs):
-        """Solve ``(Aᵀ + shift I) x = rhs``."""
-        return sla.lu_solve(self._lu(shift, True), np.asarray(rhs, complex))
+        return sla.lu_solve(self._lu(shift), np.asarray(rhs, complex))
 
     def dense(self):
         return self.a.copy()
@@ -107,9 +102,6 @@ class KronSumOperator:
     def solve_shifted(self, shift, rhs):
         """Solve ``((k© A) + shift I) x = rhs`` via the Schur sweeps."""
         return self.solver.solve(rhs, k=self.k, shift=shift)
-
-    def solve_shifted_transpose(self, shift, rhs):
-        return self.solver.solve_transpose(rhs, k=self.k, shift=shift)
 
     def dense(self):
         if self.dim > 4096:
@@ -170,15 +162,6 @@ class QuadraticLiftedOperator:
         r1, r2 = self.split(np.asarray(rhs, dtype=complex))
         x2 = self.kron_solver.solve(r2, k=2, shift=shift)
         x1 = self.schur.solve_shifted(shift, r1 - self.g2 @ x2)
-        return np.concatenate([x1, x2])
-
-    def solve_shifted_transpose(self, shift, rhs):
-        """Solve ``(Ã2ᵀ + shift I) x = rhs`` (forward block substitution)."""
-        r1, r2 = self.split(np.asarray(rhs, dtype=complex))
-        x1 = self.schur.solve_shifted_transpose(shift, r1)
-        x2 = self.kron_solver.solve_transpose(
-            r2 - self.g2.T @ x1, k=2, shift=shift
-        )
         return np.concatenate([x1, x2])
 
     def dense(self):

@@ -44,7 +44,6 @@ from .schur import SchurForm, _diagonal, _solve_upper
 
 __all__ = [
     "triangular_sylvester_solve",
-    "triangular_sylvester_solve_transposed",
     "KronSumSolver",
     "solve_pi_sylvester",
     "pi_sylvester_residual",
@@ -141,42 +140,6 @@ def _sylvester_sweep(t, diag, alpha, w):
     return y
 
 
-def triangular_sylvester_solve_transposed(t, alpha, w):
-    """Solve ``Tᵀ Y + Y T + alpha Y = W`` with upper-triangular ``T``.
-
-    The transposed counterpart of :func:`triangular_sylvester_solve`;
-    columns are swept left to right and each step is one lower-triangular
-    (transposed upper) solve.
-    """
-    t = np.asarray(t)
-    w = np.asarray(w, dtype=complex)
-    n, m = w.shape
-    diag = np.diag(t)
-    pair_sums = diag[:, None] + diag[None, :m] + alpha
-    _check_diag_gap(pair_sums, max(np.abs(diag).max(), 1.0))
-    y = np.empty((n, m), dtype=complex)
-    shifted = t.astype(complex, copy=True)
-    shifted_diag = _diagonal(shifted)
-    # Blocked left-to-right sweep, mirroring the forward solve: the
-    # coupling from all already-solved columns left of a block is one
-    # GEMM; intra-block couplings stay per-column, with the same fixed
-    # summation grouping (far GEMM first, then the in-block GEMV).
-    for lo in range(0, m, _SYLVESTER_BLOCK):
-        hi = min(m, lo + _SYLVESTER_BLOCK)
-        rhs_block = np.ascontiguousarray(w[:, lo:hi], dtype=complex)
-        if lo > 0:
-            # Couplings from Y T: columns [lo, hi) receive
-            # Y[:, k] * T[k, j] for every solved k < lo.
-            rhs_block -= y[:, :lo] @ t[:lo, lo:hi]
-        for j in range(lo, hi):
-            rhs = rhs_block[:, j - lo]
-            if j > lo:
-                rhs = rhs - y[:, lo:j] @ t[lo:j, j]
-            shifted_diag[:] = diag + (t[j, j] + alpha)
-            y[:, j] = _solve_upper(shifted, rhs, trans=1)
-    return y
-
-
 class KronSumSolver:
     """Shifted solves with repeated Kronecker sums of a fixed matrix.
 
@@ -185,11 +148,11 @@ class KronSumSolver:
 
     * ``(A + shift I) x = rhs``                      (``k = 1``),
     * ``((A ⊕ A) + shift I) x = rhs``                (``k = 2``),
-    * ``((A ⊕ A ⊕ A) + shift I) x = rhs``            (``k = 3``),
+    * ``((A ⊕ A ⊕ A) + shift I) x = rhs``            (``k = 3``).
 
-    plus the transposed variants for ``k ∈ {1, 2}``.  This is exactly the
-    paper's Schur trick: ``k© A = (Q k©)(k© T)(Q k©)ᴴ`` so each solve is a
-    sequence of triangular substitutions.
+    This is exactly the paper's Schur trick:
+    ``k© A = (Q k©)(k© T)(Q k©)ᴴ`` so each solve is a sequence of
+    triangular substitutions.
 
     Results are complex; use :meth:`solve_real` when the right-hand side
     and operator are real and a real answer is expected.
@@ -203,27 +166,6 @@ class KronSumSolver:
                 "precomputed Schur form has mismatching dimension"
             )
         self.schur = schur if schur is not None else SchurForm(a)
-
-    # -- internal transforms ------------------------------------------------
-
-    def _to_schur_basis(self, x_mat, conjugate_right):
-        q = self.schur.q
-        qh = q.conj().T
-        if conjugate_right:
-            # Y = Qᴴ X conj(Q)
-            return qh @ x_mat @ q.conj()
-        # Y = Qᵀ X Q
-        return q.T @ x_mat @ q
-
-    def _from_schur_basis(self, y_mat, conjugate_right):
-        q = self.schur.q
-        if conjugate_right:
-            # X = Q Y Qᵀ
-            return q @ y_mat @ q.T
-        # X = conj(Q) Y Qᴴ
-        return q.conj() @ y_mat @ q.conj().T
-
-    # -- public API ---------------------------------------------------------
 
     def solve(self, rhs, k=2, shift=0.0):
         """Solve ``((k© A) + shift I) x = rhs`` for ``k`` in {1, 2, 3}.
@@ -240,32 +182,14 @@ class KronSumSolver:
         if k == 1:
             return self.schur.solve_shifted(shift, rhs)
         if k == 2:
-            v_mat = rhs.reshape(n, n)
-            w = self._to_schur_basis(v_mat, conjugate_right=True)
+            # Into the Schur basis as Y = Qᴴ X conj(Q), back as Q Y Qᵀ.
+            q = self.schur.q
+            w = q.conj().T @ rhs.reshape(n, n) @ q.conj()
             y = triangular_sylvester_solve(self.schur.t, shift, w)
-            return self._from_schur_basis(y, conjugate_right=True).reshape(-1)
+            return (q @ y @ q.T).reshape(-1)
         if k == 3:
             return self._solve_three_way(rhs, shift)
         raise ValidationError(f"k must be 1, 2 or 3, got {k}")
-
-    def solve_transpose(self, rhs, k=2, shift=0.0):
-        """Solve ``((k© Aᵀ) + shift I) x = rhs`` for ``k`` in {1, 2}."""
-        n = self.n
-        rhs = np.asarray(rhs, dtype=complex).reshape(-1)
-        if rhs.size != n**k:
-            raise ValidationError(
-                f"rhs has length {rhs.size}, expected n**k = {n**k}"
-            )
-        if k == 1:
-            return self.schur.solve_shifted_transpose(shift, rhs)
-        if k == 2:
-            v_mat = rhs.reshape(n, n)
-            w = self._to_schur_basis(v_mat, conjugate_right=False)
-            y = triangular_sylvester_solve_transposed(self.schur.t, shift, w)
-            return self._from_schur_basis(
-                y, conjugate_right=False
-            ).reshape(-1)
-        raise ValidationError(f"k must be 1 or 2 for transpose, got {k}")
 
     def solve_real(self, rhs, k=2, shift=0.0, rtol=1e-8):
         """Like :meth:`solve` but assert and return a real result."""
@@ -886,16 +810,17 @@ class PiNotLowRank(NumericalError):
 class _KrylovBasis:
     """Growing orthonormal basis of extended-Krylov directions of ``G1``.
 
-    Tracks ``U``, ``A U`` and ``Aᵀ U`` incrementally so the projected
-    matrix ``H = Uᴴ A U`` and the *explicit* residual factors
-    ``Ru = A U − U H`` / ``Su = (I − UUᴴ) Aᵀ U`` (whose Gram matrices
-    give exact residual norms without cancellation) are O(n·r²) updates.
-    A basis built with ``transpose=False`` keeps no ``Aᵀ U`` (and has no
-    :meth:`gram_transpose`).  Re-orthogonalizations (see
-    :data:`_REORTH_TOL`) are counted in *stats*.
+    Tracks ``U`` and ``A U`` incrementally so the projected matrix
+    ``H = Uᴴ A U`` and the *explicit* residual factor ``Ru = A U − U H``
+    (whose Gram matrix gives exact residual norms without cancellation)
+    are O(n·r²) updates.  A basis built with ``transpose=True`` (the Π
+    solve's right basis) also tracks ``Aᵀ U`` for the transposed factor
+    ``Su = (I − UUᴴ) Aᵀ U`` of :meth:`gram_transpose`.
+    Re-orthogonalizations (see :data:`_REORTH_TOL`) are counted in
+    *stats*.
     """
 
-    def __init__(self, g1, max_dim, stats, transpose=True):
+    def __init__(self, g1, max_dim, stats, transpose=False):
         self.g1 = g1
         self.n = g1.shape[0]
         self.max_dim = int(max_dim)
@@ -970,8 +895,9 @@ class _KrylovBasis:
     def state_dict(self):
         """Snapshot of the growth state (checkpoint/resume round trip).
 
-        ``u``/``au``/``atu``/``last`` determine every future
-        absorb/extend decision.  The projected-matrix cache ``_h`` is
+        ``u``/``au``/``last`` determine every future absorb/extend
+        decision.  Only the shared basis is snapshotted, and it keeps no
+        ``Aᵀ U``.  The projected-matrix cache ``_h`` is
         mathematically derived but still snapshotted when present: a
         BLAS product is only reproducible down to the last ulp within
         one execution context, so a resumed run recomputing ``H`` from
@@ -982,17 +908,18 @@ class _KrylovBasis:
         return {
             "u": self.u.copy(),
             "au": self.au.copy(),
-            "atu": self.atu.copy(),
             "last": int(self.last),
             "max_dim": int(self.max_dim),
             "h": None if self._h is None else self._h.copy(),
         }
 
     def load_state(self, state):
-        """Restore a :meth:`state_dict` snapshot (same ``g1``)."""
+        """Restore a :meth:`state_dict` snapshot (same ``g1``).
+
+        An ``atu`` entry, which older snapshots carry, is ignored.
+        """
         self.u = np.ascontiguousarray(np.asarray(state["u"]))
         self.au = np.ascontiguousarray(np.asarray(state["au"]))
-        self.atu = np.ascontiguousarray(np.asarray(state["atu"]))
         self.last = int(state["last"])
         self.max_dim = int(state.get("max_dim", self.max_dim))
         h = state.get("h")
@@ -1138,7 +1065,7 @@ class LowRankKronSolver:
         Unlike :meth:`load_state` — which restores a same-``g1``
         snapshot verbatim — seeding runs the columns through
         :meth:`_KrylovBasis.absorb`, which re-orthonormalizes them and
-        recomputes ``G1 U`` / ``G1ᵀ U`` against *this* solver's ``g1``.
+        recomputes ``G1 U`` against *this* solver's ``g1``.
         Every later solve still converges on the exact-residual test,
         so seeding changes iteration counts, never the answers beyond
         the configured tolerance.  Returns True when the basis grew.
@@ -1172,7 +1099,7 @@ class LowRankKronSolver:
     def state_dict(self):
         """Payload-tree snapshot of everything a resumed run needs to
         replay bit-identically: the shared extended-Krylov basis
-        (``U``/``AU``/``AᵀU``/``last``) and the fallback-shift cache
+        (``U``/``AU``/``last``) and the fallback-shift cache
         ``_sigma_ok`` (which changes *numerics*, not just speed — a
         resumed run must retreat to the same fallback shifts).  The
         dense small-problem caches rebuild deterministically.
@@ -1515,7 +1442,9 @@ class LowRankKronSolver:
                 max_rank = min(
                     self.max_dim, max(int(np.sqrt(1.6e7 / max(n, 1))), 24)
                 )
-            basis = _KrylovBasis(self.g1, max_rank, self.stats)
+            basis = _KrylovBasis(
+                self.g1, max_rank, self.stats, transpose=True
+            )
             seeds = self._pi_seed_blocks(
                 rows, ii, jj, vals, max_seed, plan, handover
             )
@@ -1528,8 +1457,7 @@ class LowRankKronSolver:
             # it never needs G1ᵀV.
             g2_rows, row_index = np.unique(rows, return_inverse=True)
             left_basis = _KrylovBasis(
-                self.g1, min(n, g2_rows.size + max_rank), self.stats,
-                transpose=False,
+                self.g1, min(n, g2_rows.size + max_rank), self.stats
             )
             unit = np.zeros((n, g2_rows.size))
             unit[g2_rows, np.arange(g2_rows.size)] = 1.0

@@ -31,7 +31,6 @@ import time
 
 import numpy as np
 
-from .. import memory
 from .._validation import check_nonnegative_int
 from ..errors import ValidationError
 from ..linalg.arnoldi import merge_bases
@@ -144,10 +143,6 @@ class AssociatedTransformMOR:
         state of the last commit, loads the committed chains from disk
         and computes only the rest — losing at most the chain that was
         running, and yielding a bit-identical basis.
-
-        Each finished block goes through the memory budget
-        (:func:`repro.memory.admit`): past it, the block spills to a
-        read-only memory map.
         """
         if workspace is not None:
             # A caller-supplied workspace (multi-point reuse, parametric
@@ -248,20 +243,20 @@ class AssociatedTransformMOR:
             )
             saved = version
 
-        admitted = []
+        stacked = []
         details = {"blocks": []}
         for label, s0, vectors in blocks:
-            block = memory.admit(np.column_stack(vectors), label)
-            admitted.append(block)
+            block = np.column_stack(vectors)
+            stacked.append(block)
             details["blocks"].append((label, s0, block.shape[1]))
 
-        if not admitted:
+        if not stacked:
             raise ValidationError(
                 "no basis blocks were generated; the requested transfer "
                 "functions are all identically zero for this system"
             )
-        basis = merge_bases(admitted, tol=self.tol)
-        details["raw_vectors"] = int(sum(b.shape[1] for b in admitted))
+        basis = merge_bases(stacked, tol=self.tol)
+        details["raw_vectors"] = int(sum(b.shape[1] for b in stacked))
         details["deflated_to"] = int(basis.shape[1])
         if dec2 is not None and workspace.pi_plan is not None:
             details["pi_plan"] = dict(workspace.pi_plan)

@@ -30,7 +30,6 @@ import time
 
 import numpy as np
 
-from . import memory
 from ._validation import check_positive_int
 from .analysis.distortion import distortion_sweep
 from .analysis.metrics import max_relative_error
@@ -390,8 +389,7 @@ class PipelineResult:
 
     def __init__(self, system, system_info, artifact=None, rom=None,
                  store_hit=None, reduce_time=None, sweep=None,
-                 transient=None, jobs=None, checkpoint_info=None,
-                 memory_info=None):
+                 transient=None, jobs=None, checkpoint_info=None):
         self.system = system
         self.system_info = dict(system_info)
         self.artifact = artifact
@@ -402,7 +400,6 @@ class PipelineResult:
         self.transient = transient
         self.jobs = dict(jobs or {})
         self.checkpoint_info = checkpoint_info
-        self.memory_info = memory_info
 
     def report(self):
         """JSON-safe report of the whole pipeline run.
@@ -434,8 +431,6 @@ class PipelineResult:
                 report["reduction"]["provenance"] = self.artifact.provenance
             if self.checkpoint_info is not None:
                 report["reduction"]["checkpoint"] = self.checkpoint_info
-        if self.memory_info is not None:
-            report["memory"] = self.memory_info
         if self.sweep is not None:
             report["sweep"] = self.sweep
         if self.transient is not None:
@@ -651,8 +646,7 @@ def _job_result(system, info, reduce_job=None, sweep_job=None,
 
 
 def run_pipeline(target, reduce=None, sweep=None, transient=None,
-                 store=None, sparse=None, checkpoint=None, resume=False,
-                 memory_budget=None):
+                 store=None, sparse=None, checkpoint=None, resume=False):
     """Run the declarative MNA → MOR → query pipeline on *target*.
 
     Parameters
@@ -688,11 +682,6 @@ def run_pipeline(target, reduce=None, sweep=None, transient=None,
         Assert that committed checkpoint state exists to resume from;
         raises :class:`ValidationError` when the checkpoint is empty
         (a guard against typo'd checkpoint paths silently recomputing).
-    memory_budget : int, str, or None, optional
-        Cap resident basis memory for the duration of the run (e.g.
-        ``"512M"``; see :func:`repro.memory.parse_budget`); finished
-        basis blocks past the budget spill to disk-backed memory maps.
-        Overrides ``REPRO_MEMORY_BUDGET`` for this call.
 
     Returns a :class:`PipelineResult`; call ``.report()`` for the
     JSON-able summary the CLI prints.
@@ -700,15 +689,28 @@ def run_pipeline(target, reduce=None, sweep=None, transient=None,
     reduce_job = ReductionJob.coerce(reduce)
     sweep_job = SweepJob.coerce(sweep)
     transient_job = TransientJob.coerce(transient)
+    if isinstance(target, dict):
+        system, info = system_from_spec(target, sparse=sparse)
+    else:
+        system, info = _build_system(target, sparse)
+    if any(job is not None
+           for job in (reduce_job, sweep_job, transient_job)):
+        _require_polynomial(system)
 
-    with memory.scope(memory_budget):
-        result = _run_pipeline(
-            target, reduce_job, sweep_job, transient_job, store, sparse,
-            checkpoint, resume,
+    reduction = None
+    if reduce_job is not None:
+        reduction = _reduce_step(
+            system, reduce_job, store=store, checkpoint=checkpoint,
+            resume=resume,
         )
-        if memory_budget is not None:
-            result.memory_info = memory.stats()
-    return result
+    elif checkpoint or resume:
+        raise ValidationError(
+            "checkpoint/resume only apply to the reduce step; pass "
+            "reduce=... as well"
+        )
+    return _job_result(
+        system, info, reduce_job, sweep_job, transient_job, reduction
+    )
 
 
 def _resolve_checkpoint(checkpoint, resume, store, system, reducer):
@@ -738,32 +740,6 @@ def _resolve_checkpoint(checkpoint, resume, store, system, reducer):
             "checkpoint stages"
         )
     return state
-
-
-def _run_pipeline(target, reduce_job, sweep_job, transient_job, store,
-                  sparse, checkpoint, resume):
-    if isinstance(target, dict):
-        system, info = system_from_spec(target, sparse=sparse)
-    else:
-        system, info = _build_system(target, sparse)
-    if any(job is not None
-           for job in (reduce_job, sweep_job, transient_job)):
-        _require_polynomial(system)
-
-    reduction = None
-    if reduce_job is not None:
-        reduction = _reduce_step(
-            system, reduce_job, store=store, checkpoint=checkpoint,
-            resume=resume,
-        )
-    elif checkpoint or resume:
-        raise ValidationError(
-            "checkpoint/resume only apply to the reduce step; pass "
-            "reduce=... as well"
-        )
-    return _job_result(
-        system, info, reduce_job, sweep_job, transient_job, reduction
-    )
 
 
 # ---------------------------------------------------------------------------

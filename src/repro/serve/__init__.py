@@ -7,8 +7,7 @@ expensive state *stays resident*.  This package is that residency:
 * :mod:`~repro.serve.contracts` — typed request/response contracts,
   validated at the boundary and shared by the one-shot CLI and the
   daemon, so both fronts run the identical code path.  Requests carry
-  jobs only; memory settings are process-wide (CLI flags or the
-  environment), never request fields;
+  jobs only;
 * :mod:`~repro.serve.service` — :class:`ReproService`, the serving
   core: per-spec compilation + fingerprint caching, one handler for
   ``reduce``/``sweep``/``simulate`` over the three reduce tiers

@@ -12,11 +12,8 @@ build these objects and hand them to the same
 guaranteed to run the identical code path (and produce bit-identical
 numbers) whichever front door it came through.
 
-A request carries only what is scoped to it.  The memory budget is a
-process-wide setting, so it is not a request field (a payload naming
-it is refused as unknown): a daemon reads ``REPRO_MEMORY_BUDGET`` from
-its environment and the one-shot CLI applies ``--memory-budget``
-around its single request.
+A request carries its jobs and nothing else: a payload naming any
+other field is refused as unknown.
 
 The response side is :class:`ServeOutcome`: the verb's
 :class:`~repro.pipeline.PipelineResult` plus the serving metadata

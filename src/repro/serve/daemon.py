@@ -17,9 +17,7 @@ Request bodies are the contract payloads of
 :mod:`repro.serve.contracts`; response bodies are
 ``ServeOutcome.report()`` — byte-for-byte the pipeline report the
 one-shot CLI prints (plus the additive serving metadata), because both
-run the same service.  The memory budget is process-wide: the daemon
-runs every request under the budget its environment gives it
-(``REPRO_MEMORY_BUDGET``).
+run the same service.
 
 Concurrency model: the event loop only parses HTTP and routes; verb
 work runs on a small thread pool (the numerical kernels release the

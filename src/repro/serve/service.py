@@ -32,9 +32,6 @@ long-lived-process machinery:
   :class:`~repro.errors.TaskCancelled`; a reduction, once started, is
   shared work and runs to completion, so a timed-out request can never
   poison state other requests see.
-
-Memory settings are process-wide and not part of any request: the
-service runs under whatever budget the process was given.
 """
 
 import contextlib

@@ -18,6 +18,7 @@ from .modelstore import (
     ModelStore,
     artifact_key,
     fingerprint_system,
+    parse_budget,
     parse_ttl,
     reducer_fingerprint,
 )
@@ -30,6 +31,7 @@ __all__ = [
     "ModelStore",
     "artifact_key",
     "fingerprint_system",
+    "parse_budget",
     "parse_ttl",
     "reducer_fingerprint",
 ]

@@ -44,7 +44,6 @@ except ImportError:  # non-POSIX: entry locking degrades to best-effort
 import numpy as np
 
 from ..errors import ValidationError
-from ..memory import parse_budget
 from ..serialize import durable_write, json_safe, update_digest
 from ..systems.exponential import ExponentialODE
 from ..systems.lti import StateSpace
@@ -61,6 +60,7 @@ __all__ = [
     "ModelStore",
     "artifact_key",
     "fingerprint_system",
+    "parse_budget",
     "parse_ttl",
     "reduce_artifact",
     "reducer_fingerprint",
@@ -96,7 +96,41 @@ def _entry_lock(entry_dir):
         handle.close()
 
 
+_SIZE_SUFFIXES = {"k": 1024, "m": 1024 ** 2, "g": 1024 ** 3, "t": 1024 ** 4}
 _TTL_SUFFIXES = {"s": 1.0, "m": 60.0, "h": 3600.0, "d": 86400.0}
+
+
+def parse_budget(value):
+    """Parse a size budget to bytes, or ``None`` for unlimited.
+
+    Accepts ``None``/``""``/``"none"``/``"unlimited"``/``0`` (all
+    unlimited), a plain byte count, or a count with a K/M/G/T binary
+    suffix (case-insensitive): ``"512M"``, ``"2G"``, ``"1024k"``.
+    """
+    if value is None:
+        return None
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        value = int(value)
+        if value < 0:
+            raise ValidationError(f"size budget must be >= 0, got {value}")
+        return value or None
+    text = str(value).strip().lower()
+    if text in ("", "none", "unlimited", "0"):
+        return None
+    scale = 1
+    if text[-1] in _SIZE_SUFFIXES:
+        scale = _SIZE_SUFFIXES[text[-1]]
+        text = text[:-1]
+    try:
+        count = float(text)
+    except ValueError as exc:
+        raise ValidationError(
+            f"size budget must look like '512M', '2G' or a byte "
+            f"count, got {value!r}"
+        ) from exc
+    if count < 0:
+        raise ValidationError(f"size budget must be >= 0, got {value!r}")
+    return int(count * scale) or None
 
 
 def parse_ttl(value):
@@ -576,9 +610,8 @@ class ModelStore:
         stamps reads record in ``meta.json``: entries idle longer than
         *ttl* (see :func:`parse_ttl`) are dropped unconditionally, then
         further entries go oldest-first until the store's on-disk size
-        is at most *max_bytes* (see
-        :func:`repro.memory.parse_budget`).  Entries without any
-        recorded access sort oldest.  Each eviction holds the entry
+        is at most *max_bytes* (see :func:`parse_budget`).  Entries
+        without any recorded access sort oldest.  Each eviction holds the entry
         flock (concurrent readers see a clean miss) and an eviction is
         atomic per entry — GC never leaves a half-deleted artifact
         behind.  Returns a JSON-safe report.

@@ -528,11 +528,12 @@ class AssociatedWorkspace:
         restore — warm starting takes converged extended-Krylov
         directions from a nearby parametric corner and absorbs them as
         initial directions here: the basis re-orthonormalizes the
-        columns and recomputes ``G1 U`` / ``G1ᵀ U`` against *this*
-        system's matrices, and every solve still converges on the exact
-        residual test.  A good seed collapses the extension rounds of
-        the Π build and the Kronecker-sum chains; a bad seed costs a
-        few extra orthogonalizations and nothing else.
+        columns and recomputes ``G1 U`` (and, in the Π solve's right
+        basis, ``G1ᵀ U``) against *this* system's matrices, and every
+        solve still converges on the exact residual test.  A good seed
+        collapses the extension rounds of the Π build and the
+        Kronecker-sum chains; a bad seed costs a few extra
+        orthogonalizations and nothing else.
 
         *lowrank_u* seeds the shared :attr:`lowrank_kron` basis;
         *pi_u* seeds the private right basis of the Π solve (typically
@@ -770,12 +771,6 @@ class _G1Operator:
 
     def solve_shifted(self, shift, rhs):
         return self.workspace.solve_shifted(shift, rhs)
-
-    def solve_shifted_transpose(self, shift, rhs):
-        # Routed through the workspace: shared Schur form when dense, a
-        # transposed backsolve on the factory's sparse LU when sparse —
-        # no densification either way.
-        return self.workspace.solve_shifted_transpose(shift, rhs)
 
     def dense(self):
         return self.g1.toarray() if sp.issparse(self.g1) else self.g1.copy()

@@ -1,5 +1,5 @@
 """Checkpoint/resume: bit-identical ROMs across crashes, plus the
-memory-budget spill path and the pipeline/CLI wiring.
+pipeline/CLI wiring.
 
 The load-bearing property is **bit identity**: a reduction that crashes
 at any instrumented site and resumes from its checkpoint must produce
@@ -20,7 +20,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro import memory
 from repro.checkpoint import JobState, checkpoint_for
 from repro.circuits import quadratic_rc_ladder_netlist
 from repro.errors import FaultInjected, ValidationError
@@ -36,11 +35,9 @@ REPO_SRC = str(Path(__file__).resolve().parent.parent / "src")
 @pytest.fixture(autouse=True)
 def _clean_state():
     faults.configure(None)
-    memory.configure(None)
     yield
     faults.configure(None)
     faults.reset()
-    memory.configure(None)
 
 
 def fresh_system(n=24):
@@ -203,6 +200,31 @@ class TestBitIdenticalResume:
             "H1@0.0", "H2-sub0@0.0", "H2-sub1@0.0", "H3@0.0",
         ]
 
+    def test_solver_snapshot_without_transpose_side(self, tmp_path,
+                                                    cold_digest):
+        """The shared basis keeps no ``G1ᵀU``, so its snapshot holds no
+        ``atu``; a snapshot that still carries one (as older checkpoints
+        do) is resumed from all the same, to the cold run's basis."""
+        ckdir = tmp_path / "ck"
+        faults.configure("checkpoint.after_commit:3:raise")
+        with pytest.raises(FaultInjected):
+            make_reducer().reduce(fresh_system(), checkpoint=JobState(ckdir))
+        faults.configure(None)
+        solver_paths = list(ckdir.glob("solver-*.npz"))
+        assert solver_paths
+        g1 = fresh_system().to_explicit().g1
+        for path in solver_paths:
+            payload = load_payload(path)
+            lowrank = payload["lowrank"]
+            assert "atu" not in lowrank
+            lowrank["atu"] = g1.T @ lowrank["u"]
+            save_payload(path, payload, compress=False)
+        rom = make_reducer().reduce(fresh_system(),
+                                    checkpoint=JobState(ckdir))
+        info = rom.details["checkpoint"]
+        assert (info["loaded"], info["computed"]) == (3, 1)
+        assert array_digest(rom.basis) == cold_digest
+
     def test_checkpointed_build_itself_is_bit_identical(self, tmp_path,
                                                         cold_digest):
         """Checkpointing must not perturb the numbers even without a crash."""
@@ -210,85 +232,6 @@ class TestBitIdenticalResume:
             fresh_system(), checkpoint=JobState(tmp_path / "ck")
         )
         assert array_digest(rom.basis) == cold_digest
-
-
-class TestMemoryBudget:
-    def test_parse_budget(self):
-        assert memory.parse_budget(None) is None
-        assert memory.parse_budget("") is None
-        assert memory.parse_budget("none") is None
-        assert memory.parse_budget("unlimited") is None
-        assert memory.parse_budget(0) is None
-        assert memory.parse_budget(123) == 123
-        assert memory.parse_budget("512m") == 512 * 1024**2
-        assert memory.parse_budget("2G") == 2 * 1024**3
-        assert memory.parse_budget("1.5K") == 1536
-        for bad in ("12Q", "abc", -1, "-2M"):
-            with pytest.raises(ValidationError):
-                memory.parse_budget(bad)
-
-    def test_admit_spills_past_budget(self, tmp_path):
-        budget = memory.MemoryBudget(1024, spill_dir=tmp_path)
-        small = np.arange(8.0)
-        assert budget.admit(small) is small  # resident
-        big = np.random.default_rng(0).standard_normal((64, 64))
-        view = budget.admit(big, label="basis")
-        assert isinstance(view, np.memmap)
-        assert not view.flags.writeable
-        assert np.array_equal(np.asarray(view), big)
-        stats = budget.stats()
-        assert stats["spilled_blocks"] == 1
-        assert stats["spilled_bytes"] == big.nbytes
-
-    def test_spill_file_unlinked_on_collection(self, tmp_path):
-        budget = memory.MemoryBudget(1, spill_dir=tmp_path)
-        view = budget.admit(np.ones(100))
-        spilled = list(tmp_path.glob("*.npy"))
-        assert len(spilled) == 1
-        del view
-        assert not spilled[0].exists()
-
-    def test_memmap_passes_through(self, tmp_path):
-        np.save(tmp_path / "x.npy", np.ones(100))
-        view = np.load(tmp_path / "x.npy", mmap_mode="r")
-        budget = memory.MemoryBudget(1, spill_dir=tmp_path)
-        assert budget.admit(view) is view  # never re-spilled
-
-    def test_unlimited_is_identity(self):
-        arr = np.ones(3)
-        assert memory.MemoryBudget(None).admit(arr) is arr
-
-    def test_spilled_reduction_is_bit_identical(self, tmp_path, cold_digest):
-        """1-byte budget: every basis block spills, and the ROM basis is
-        still byte-for-byte the unlimited one."""
-        with memory.limit(1, spill_dir=tmp_path) as budget:
-            rom = make_reducer().reduce(fresh_system())
-            assert array_digest(rom.basis) == cold_digest
-        stats = budget.stats()
-        assert stats["admitted_blocks"] == 0
-        assert stats["spilled_blocks"] == len(rom.details["blocks"])
-
-    def test_limit_exit_reclaims_spill_files(self, tmp_path):
-        """Regression: a successful job under ``memory.limit`` must not
-        leave spilled ``.npy`` blocks behind — exit runs the end-of-job
-        cleanup even when nothing raised, also for a spilled array
-        still alive."""
-        with memory.limit(1, spill_dir=tmp_path) as budget:
-            held = budget.admit(np.ones(100), label="held")
-            system = fresh_system()
-            rom = make_reducer().reduce(system)
-            assert rom.basis.shape[0] == system.n_states
-            assert budget.stats()["spilled_blocks"] >= 2
-            assert list(tmp_path.glob("held-*.npy"))  # spill live mid-job
-        assert list(tmp_path.glob("*.npy")) == []
-        assert tmp_path.exists()  # caller-owned dir is kept, emptied
-        assert np.array_equal(np.asarray(held), np.ones(100))
-
-    def test_env_budget(self, monkeypatch):
-        monkeypatch.setenv("REPRO_MEMORY_BUDGET", "1k")
-        memory.configure(None)
-        memory._set_budget(None)  # force a re-read from the environment
-        assert memory.current_budget().budget == 1024
 
 
 class TestPipelineWiring:
@@ -371,13 +314,6 @@ class TestPipelineWiring:
         info = result.report()["reduction"]["checkpoint"]
         assert not info["resumed"] and info["loaded"] == 0
         assert array_digest(result.rom.basis) == cold_digest
-
-    def test_memory_budget_reported(self, tmp_path):
-        result = run_pipeline(self._spec(), reduce=self._REDUCE,
-                              memory_budget=1)
-        report = result.report()
-        assert report["memory"]["budget_bytes"] == 1
-        assert report["memory"]["spilled_blocks"] >= 1
 
     def test_schema2_checkpoint_is_discarded(self, tmp_path, cold_digest):
         """A schema-2 checkpoint, whose Π snapshot holds the ``(n, r²)``

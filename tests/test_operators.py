@@ -37,8 +37,6 @@ class TestDenseOperator:
         assert np.allclose(op.matvec(x), a @ x)
         sol = op.solve_shifted(0.5, x)
         assert np.allclose((a + 0.5 * np.eye(4)) @ sol, x)
-        sol_t = op.solve_shifted_transpose(0.5, x)
-        assert np.allclose((a.T + 0.5 * np.eye(4)) @ sol_t, x)
 
     def test_lu_cache_reused(self, rng):
         a = -np.eye(3)
@@ -90,14 +88,6 @@ class TestQuadraticLiftedOperator:
         x = op.solve_shifted(0.6, rhs)
         assert np.allclose(
             (op.dense() + 0.6 * np.eye(op.dim)) @ x, rhs, atol=1e-9
-        )
-
-    def test_solve_shifted_transpose(self, g1, g2, rng):
-        op = QuadraticLiftedOperator(g1, g2)
-        rhs = rng.standard_normal(op.dim)
-        x = op.solve_shifted_transpose(0.2, rhs)
-        assert np.allclose(
-            (op.dense().T + 0.2 * np.eye(op.dim)) @ x, rhs, atol=1e-9
         )
 
     def test_shape_validation(self, g1):

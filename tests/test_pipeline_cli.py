@@ -12,7 +12,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro import memory
 from repro.circuits import Netlist, quadratic_rc_ladder_netlist
 from repro.cli import main as cli_main
 from repro.errors import ValidationError
@@ -395,16 +394,6 @@ class TestCli:
         ) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["reduction"]["orders"] == [4, 2, 0]
-
-    def test_memory_flags_scope_every_verb(self, capsys):
-        # mc used to drop the flag; every one-shot verb applies it
-        # around its single request, then restores the process setting.
-        assert self._run(
-            "mc", str(PARAMS_SPEC), "--memory-budget", "4k",
-        ) == 0
-        report = json.loads(capsys.readouterr().out)
-        assert report["memory"]["budget_bytes"] == 4096
-        assert memory.current_budget().budget is None
 
     def test_report_is_strict_json(self, capsys, tmp_path):
         """Non-finite floats must never reach stdout as bare

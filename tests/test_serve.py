@@ -82,7 +82,7 @@ class TestContracts:
         ("memory_budget", "64k"), ("max_block", 7),
     ])
     def test_memory_settings_are_not_request_fields(self, field, value):
-        # Process-wide settings: one request must not swap them.
+        # A request carries its jobs only; memory settings are refused.
         with pytest.raises(ValidationError, match="unknown sweep fields"):
             SweepRequest.from_payload({
                 "spec": ladder_spec(), "reduce": REDUCE, "sweep": SWEEP,
@@ -572,7 +572,7 @@ class TestDaemon:
             with pytest.raises(urllib.error.HTTPError) as err:
                 _get(url, "/v1/reduce")  # GET on a POST verb
             assert err.value.code == 405
-            # Process-wide memory settings are not request fields.
+            # Memory settings are not request fields.
             for field, value in (("memory_budget", "64k"),
                                  ("max_block", 7)):
                 with pytest.raises(urllib.error.HTTPError) as err:

@@ -12,11 +12,13 @@ import scipy.sparse as sp
 from repro.analysis.distortion import distortion_sweep
 from repro.checkpoint import JobState
 from repro.circuits.examples import quadratic_rc_ladder_netlist
+from repro.errors import ValidationError
 from repro.mor import AssociatedTransformMOR, NORMReducer
 from repro.store import (
     ModelStore,
     ReductionArtifact,
     fingerprint_system,
+    parse_budget,
     parse_ttl,
     reducer_fingerprint,
 )
@@ -67,8 +69,6 @@ class TestFingerprints:
         assert fingerprint_system(qldae) != fingerprint_system(ss)
 
     def test_unsupported_type_raises(self):
-        from repro.errors import ValidationError
-
         with pytest.raises(ValidationError):
             fingerprint_system(object())
 
@@ -253,6 +253,20 @@ class TestMaintenance:
             parse_ttl("sideways")
         with pytest.raises(Exception):
             parse_ttl(-1)
+
+    def test_parse_budget(self):
+        assert parse_budget(None) is None
+        assert parse_budget("") is None
+        assert parse_budget("none") is None
+        assert parse_budget("unlimited") is None
+        assert parse_budget(0) is None
+        assert parse_budget(123) == 123
+        assert parse_budget("512m") == 512 * 1024**2
+        assert parse_budget("2G") == 2 * 1024**3
+        assert parse_budget("1.5K") == 1536
+        for bad in ("12Q", "abc", -1, "-2M"):
+            with pytest.raises(ValidationError):
+                parse_budget(bad)
 
     def test_ls_reports_every_entry_with_sizes(self, tmp_path):
         store = self._fill(tmp_path / "store")

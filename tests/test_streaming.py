@@ -28,7 +28,7 @@ def make_reducer():
 
 class TestPeakMemory:
     def test_plain_build_caps_allocations_at_n4096(self, monkeypatch):
-        """At n = 4096 the plain build peaks near 11.1 MB of traced
+        """At n = 4096 the plain build peaks near 10.2 MB of traced
         allocations: the O(n * r) basis blocks, the shared
         extended-Krylov basis, Π's ``U`` and ``V`` factors and the
         shift-cached sparse LUs.  A single dense n x n intermediate

@@ -15,7 +15,6 @@ from repro.linalg import (
     pi_sylvester_residual,
     solve_pi_sylvester,
     triangular_sylvester_solve,
-    triangular_sylvester_solve_transposed,
 )
 from repro.circuits import quadratic_rc_ladder_netlist
 from repro.linalg import LowRankKronSolver, sylvester
@@ -45,13 +44,6 @@ class TestTriangularKernels:
         y = triangular_sylvester_solve(t, alpha, w)
         assert np.allclose(t @ y + y @ t.T + alpha * y, w)
 
-    def test_transposed_kernel(self, rng):
-        t = np.triu(rng.standard_normal((5, 5)) + 2j * np.eye(5))
-        w = rng.standard_normal((5, 5)).astype(complex)
-        alpha = 0.4
-        y = triangular_sylvester_solve_transposed(t, alpha, w)
-        assert np.allclose(t.T @ y + y @ t + alpha * y, w)
-
     def test_singular_pairing_raises(self, rng):
         t = np.diag([1.0 + 0j, -1.0 + 0j])
         # lambda_0 + lambda_1 + 0 = 0 -> singular
@@ -66,14 +58,6 @@ class TestKronSumSolver:
         rhs = rng.standard_normal(6**k)
         x = solver.solve(rhs, k=k, shift=0.8)
         dense = dense_kron_sum(g1, k) + 0.8 * np.eye(6**k)
-        assert np.allclose(dense @ x, rhs, atol=1e-9)
-
-    @pytest.mark.parametrize("k", [1, 2])
-    def test_transpose_solve(self, g1, rng, k):
-        solver = KronSumSolver(g1)
-        rhs = rng.standard_normal(6**k)
-        x = solver.solve_transpose(rhs, k=k, shift=0.3)
-        dense = dense_kron_sum(g1, k).T + 0.3 * np.eye(6**k)
         assert np.allclose(dense @ x, rhs, atol=1e-9)
 
     def test_complex_shift(self, g1, rng):
@@ -170,27 +154,6 @@ def _oracle_forward(t, alpha, w):
     return y
 
 
-def _oracle_transposed(t, alpha, w):
-    n, m = w.shape
-    diag = np.diag(t)
-    y = np.empty((n, m), dtype=complex)
-    shifted = t.astype(complex, copy=True)
-    for lo in range(0, m, _SYLVESTER_BLOCK):
-        hi = min(m, lo + _SYLVESTER_BLOCK)
-        rhs_block = np.ascontiguousarray(w[:, lo:hi], dtype=complex)
-        if lo > 0:
-            rhs_block -= y[:, :lo] @ t[:lo, lo:hi]
-        for j in range(lo, hi):
-            rhs = rhs_block[:, j - lo]
-            if j > lo:
-                rhs = rhs - y[:, lo:j] @ t[lo:j, j]
-            np.fill_diagonal(shifted, diag + (t[j, j] + alpha))
-            y[:, j] = sla.solve_triangular(
-                shifted, rhs, lower=False, trans="T"
-            )
-    return y
-
-
 def _oracle_pi(schur, g2):
     n = schur.n
     t, q = schur.t, schur.q
@@ -236,15 +199,6 @@ class TestSweepsAcrossBlocks:
         y = triangular_sylvester_solve(t, self.ALPHA, w)
         assert np.array_equal(y, _oracle_forward(t, self.ALPHA, w))
         residual = t @ y + y @ t.T + self.ALPHA * y - w
-        assert np.abs(residual).max() < 1e-12 * np.abs(w).max() * n
-
-    @pytest.mark.parametrize("order", ["C", "F"])
-    @pytest.mark.parametrize("n", [63, 64, 65, 130])
-    def test_transposed_sweep(self, n, order):
-        t, w = _triangular_case(n, order)
-        y = triangular_sylvester_solve_transposed(t, self.ALPHA, w)
-        assert np.array_equal(y, _oracle_transposed(t, self.ALPHA, w))
-        residual = t.T @ y + y @ t + self.ALPHA * y - w
         assert np.abs(residual).max() < 1e-12 * np.abs(w).max() * n
 
     def test_dense_pi_matches_oracle(self):
@@ -296,15 +250,13 @@ class TestSweepsAcrossBlocks:
         monkeypatch.setattr(sla, "solve_triangular", forbidden)
         t, w = _triangular_case(65, "F")
         triangular_sylvester_solve(t, 0.5, w)
-        triangular_sylvester_solve_transposed(t, 0.5, w)
         rng = np.random.default_rng(3)
         n = 8
         g1 = -1.5 * np.eye(n) + 0.3 * rng.standard_normal((n, n))
         solver = KronSumSolver(g1)
         for k in (1, 2, 3):
             solver.solve(rng.standard_normal(n**k), k=k, shift=0.2)
-        for k in (1, 2):
-            solver.solve_transpose(rng.standard_normal(n**k), k=k, shift=0.2)
+        SchurForm(g1).solve_shifted_transpose(0.2, rng.standard_normal(n))
         solve_pi_sylvester(g1, rng.standard_normal((n, n * n)), solver=solver)
         ResolventFactory(g1).solve(0.5j, rng.standard_normal(n))
 
@@ -338,13 +290,11 @@ class TestSweepsAcrossBlocks:
         for order in ("C", "F"):
             t, w = _triangular_case(65, order)
             triangular_sylvester_solve(t, 0.5, w)
-            triangular_sylvester_solve_transposed(t, 0.5, w)
         solver = KronSumSolver(g1)
         for k in (1, 2, 3):
             solver.solve(rng.standard_normal(n**k), k=k, shift=0.2)
-        for k in (1, 2):
-            solver.solve_transpose(rng.standard_normal(n**k), k=k, shift=0.2)
         SchurForm(g1).solve_shifted(0.3j, rng.standard_normal(n))
+        SchurForm(g1).solve_shifted_transpose(0.3j, rng.standard_normal(n))
         solve_pi_sylvester(g1, rng.standard_normal((n, n * n)), solver=solver)
         dense = ResolventFactory(g1)
         dense.solve(0.5j, rng.standard_normal(n))
@@ -387,8 +337,8 @@ class TestBasisOrthogonality:
     def test_basis_without_transpose_side_matches(self, rng):
         g1 = rng.standard_normal((30, 30))
         stats = {"reorthogonalizations": 0}
-        both = sylvester._KrylovBasis(g1, 10, stats)
-        plain = sylvester._KrylovBasis(g1, 10, stats, transpose=False)
+        both = sylvester._KrylovBasis(g1, 10, stats, transpose=True)
+        plain = sylvester._KrylovBasis(g1, 10, stats)
         for block in (rng.standard_normal((30, 3)), rng.standard_normal(30)):
             both.absorb(block)
             plain.absorb(block)
