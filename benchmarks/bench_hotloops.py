@@ -11,8 +11,8 @@ Before/after microbenchmark for the vectorized scatter that replaced
   ``scatter_add_rows``.
 * **Tucker chain step** — the factored-chain coupling scatter of
   ``FactoredH3Operator._xb_g2_coupling``: COO rows scattering an
-  ``(nnz, r)`` complex contribution panel (einsum + scatter timed
-  together, exactly as the chain step pays for them).
+  ``(nnz, r)`` complex contribution panel (the panel is built once;
+  only its scatter is timed).
 
 Both cases run at a circuit-sized state count but with the quadratic
 term densified to mesh-circuit density (``COUPLINGS_PER_ROW`` entries
@@ -143,10 +143,11 @@ def run_tucker_chain_case(n_nodes=None):
     q = rng.standard_normal((n, r)) + 1j * rng.standard_normal((n, r))
     s = rng.standard_normal((n, r)) + 1j * rng.standard_normal((n, r))
 
-    # Mirrors FactoredH3Operator._xb_g2_coupling: contract the Tucker
-    # core against the gathered factors, then scatter the per-element
-    # panel into the accumulated right factor.  The einsum is identical
-    # before and after the optimization, so only the scatter is timed.
+    # The panel FactoredH3Operator._xb_g2_coupling scatters into its
+    # accumulated right factor: the Tucker core contracted against the
+    # gathered factors (there, one GEMM over the core's last mode and a
+    # gather, FactoredH3Operator._fiber_contract; here once, by einsum).
+    # Only the scatter is timed.
     t = np.einsum("abc,eb,ec->ea", core, q[jj], s[kk], optimize=True)
     panel = vals[:, None] * t
 

@@ -7,11 +7,9 @@ time and ``ru_maxrss``, and checking the peak against the resident-set
 model: interpreter + system base, the sparse LUs the build factored
 (O(n) each; at most that many stay cached), and the O(n·r) arrays it
 holds — the shared extended-Krylov basis ``U``/``AU``, the eq.-(18) Π
-solve's right basis ``U``/``AU``/``AᵀU`` and its left basis
-``V``/``AV``.  Only Π's right basis keeps ``AᵀU``, but the model
-charges three arrays to every basis, so it over-counts the other two
-by one array each.  Nothing with n·r² (or n²) entries is formed.  The
-peak must stay within 1.5x of the model.
+solve's real right basis ``U``/``AU``/``AᵀU`` and its real left basis
+``V``/``AV``.  Nothing with n·r² (or n²) entries is formed.  The peak
+must stay within 1.5x of the model.
 
 Usage::
 
@@ -40,11 +38,14 @@ REPO_SRC = str(Path(__file__).resolve().parent.parent / "src")
 DEFAULT_N = 100_000
 
 #: Resident-set model constants (see module docstring).  A sparse LU
-#: of a shifted ladder G1 is charged ~224 bytes/row; each basis is
-#: charged three (n, dim) arrays, although only Π's right basis keeps
-#: a third one (``AᵀU``) next to ``U`` and ``AU``.
+#: of a shifted ladder G1 is charged ~224 bytes/row.  Each basis is
+#: charged the (n, dim) arrays it keeps: ``U`` and ``AU`` for the
+#: shared basis and Π's left basis, and ``AᵀU`` as well for Π's right
+#: basis (both Π bases are real, 8 bytes per entry).
 MODEL_LU_BYTES_PER_ROW = 224
-MODEL_BASIS_ARRAYS = 3
+MODEL_SHARED_ARRAYS = 2
+MODEL_PI_RIGHT_ARRAYS = 3
+MODEL_PI_LEFT_ARRAYS = 2
 
 
 def _quick():
@@ -102,7 +103,11 @@ def run_scale_case(n_nodes):
     model_bytes = (
         payload["rss_before_bytes"]
         + payload["lu_count"] * MODEL_LU_BYTES_PER_ROW * n_nodes
-        + MODEL_BASIS_ARRAYS * n_nodes * (shared_bytes + 8 * (r + k))
+        + n_nodes * (
+            MODEL_SHARED_ARRAYS * shared_bytes
+            + MODEL_PI_RIGHT_ARRAYS * 8 * r
+            + MODEL_PI_LEFT_ARRAYS * 8 * k
+        )
     )
     ratio = payload["ru_maxrss_bytes"] / model_bytes
     # The model is asymptotic: at small (quick-mode) n the interpreter

@@ -26,8 +26,6 @@ from .operators import (
     KronSumOperator,
     LiftedH3Vector,
     QuadraticLiftedOperator,
-    solve_left_kron_sum,
-    solve_right_kron_sum,
 )
 from .resolvent import ResolventFactory
 from .schur import SchurForm
@@ -69,8 +67,6 @@ __all__ = [
     "KronSumOperator",
     "LiftedH3Vector",
     "QuadraticLiftedOperator",
-    "solve_left_kron_sum",
-    "solve_right_kron_sum",
     "ResolventFactory",
     "SchurForm",
     "FactoredPi",

@@ -25,7 +25,6 @@ from .._validation import as_square_matrix, as_sparse
 from ..errors import SystemStructureError, ValidationError
 from ._hotloops import scatter_add_rows
 from .kronecker import kron_sum_power, kron_sum_power_matvec
-from .schur import SchurForm
 from .sylvester import FactoredTensor, KronSumSolver, _g2_coo_parts
 
 __all__ = [
@@ -34,8 +33,6 @@ __all__ = [
     "QuadraticLiftedOperator",
     "LiftedH3Vector",
     "FactoredH3Operator",
-    "solve_left_kron_sum",
-    "solve_right_kron_sum",
 ]
 
 
@@ -177,64 +174,13 @@ class QuadraticLiftedOperator:
         return np.vstack([top, bottom])
 
 
-def solve_left_kron_sum(schur_a, b_op, v, shift=0.0):
-    """Solve ``((A ⊕ B) + shift I) x = v`` with small ``A``, operator ``B``.
-
-    ``A`` is ``n_A × n_A`` (given by its :class:`SchurForm` *schur_a*),
-    ``B`` is any operator exposing ``solve_shifted``; ``v`` is ``vec(V)``
-    with ``V`` of shape ``(n_A, dim_B)`` row-major.
-
-    With ``A = Q T Qᴴ`` the equation ``A X + X Bᵀ + shift X = V`` becomes
-    ``T Y + Y Bᵀ + shift Y = Qᴴ V``; rows are swept bottom-up and each row
-    costs one shifted ``B``-solve.
-    """
-    if not isinstance(schur_a, SchurForm):
-        schur_a = SchurForm(schur_a)
-    na = schur_a.n
-    nb = b_op.dim
-    v_mat = np.asarray(v, dtype=complex).reshape(na, nb)
-    t = schur_a.t
-    q = schur_a.q
-    w = q.conj().T @ v_mat
-    y = np.empty((na, nb), dtype=complex)
-    for i in range(na - 1, -1, -1):
-        rhs = w[i, :]
-        if i + 1 < na:
-            rhs = rhs - t[i, i + 1 :] @ y[i + 1 :, :]
-        y[i, :] = b_op.solve_shifted(shift + t[i, i], rhs)
-    x_mat = q @ y
-    return x_mat.reshape(-1)
-
-
-def solve_right_kron_sum(b_op, schur_a, v, shift=0.0):
-    """Solve ``((B ⊕ A) + shift I) x = v`` with operator ``B``, small ``A``.
-
-    ``v`` is ``vec(V)`` with ``V`` of shape ``(dim_B, n_A)`` row-major.
-    The equation ``B X + X Aᵀ + shift X = V`` is transformed on the right
-    with ``conj(Q)`` so the coupling matrix becomes ``Tᵀ``; columns are
-    swept right-to-left with one shifted ``B``-solve each.
-    """
-    if not isinstance(schur_a, SchurForm):
-        schur_a = SchurForm(schur_a)
-    na = schur_a.n
-    nb = b_op.dim
-    v_mat = np.asarray(v, dtype=complex).reshape(nb, na)
-    t = schur_a.t
-    q = schur_a.q
-    w = v_mat @ q.conj()
-    x = np.empty((nb, na), dtype=complex)
-    for j in range(na - 1, -1, -1):
-        rhs = w[:, j]
-        if j + 1 < na:
-            rhs = rhs - x[:, j + 1 :] @ t[j, j + 1 :]
-        x[:, j] = b_op.solve_shifted(shift + t[j, j], rhs)
-    x_mat = x @ q.T
-    return x_mat.reshape(-1)
-
-
 # ---------------------------------------------------------------------------
-# matrix-free lifted H3 operator (sparse circuit scale)
+# the lifted H3 operator (factored lifted vectors)
 # ---------------------------------------------------------------------------
+
+#: Element cap (complex entries) of each intermediate of
+#: :meth:`FactoredH3Operator._fiber_contract`'s chunks.
+_CONTRACT_BLOCK = 1 << 20
 
 
 class LiftedH3Vector:
@@ -249,21 +195,25 @@ class LiftedH3Vector:
     * ``a``  — the top (original state) block, dense ``(n,)``,
     * ``b1``/``b2`` — the ``x_b`` block split by ``Ã2``'s column blocks
       into an ``(n, n)`` 2-mode and an ``(n, n, n)`` 3-mode tensor,
-    * ``c1``/``c2`` — the same split of ``x_c`` by ``Ã2``'s row blocks,
     * ``d``  — the cubic ``(n, n, n)`` block.
+
+    ``x_c`` is not stored: on every vector the H3 chains see it mirrors
+    ``x_b`` (``X_c1 = X_b1ᵀ`` and ``X_c2[j, k, i] = X_b2[i, j, k]``).
+    The ``B3`` columns do — their c-columns are their b-columns
+    transposed, through the same three input permutations, with
+    ``b̃2`` symmetric in its pair — and ``(G1 ⊕ Ã2, Ã2 ⊕ G1)`` map
+    transposes to transposes.
 
     Blocks that are absent from the realization (no quadratic / no cubic
     term) are ``None``.
     """
 
-    __slots__ = ("a", "b1", "b2", "c1", "c2", "d")
+    __slots__ = ("a", "b1", "b2", "d")
 
-    def __init__(self, a, b1=None, b2=None, c1=None, c2=None, d=None):
+    def __init__(self, a, b1=None, b2=None, d=None):
         self.a = np.asarray(a)
         self.b1 = b1
         self.b2 = b2
-        self.c1 = c1
-        self.c2 = c2
         self.d = d
 
     @property
@@ -271,48 +221,64 @@ class LiftedH3Vector:
         return self.a.shape[0]
 
     def to_vector(self):
-        """Densify to the block layout of ``AssociatedH3Operator``
-        (small systems / tests only)."""
+        """Densify to the ``[x_a | x_b | x_c | x_d]`` block layout, the
+        c-block derived from the b-block (small systems / tests only)."""
         n = self.n
         parts = [np.asarray(self.a, dtype=complex)]
         if self.b1 is not None:
             x1 = self.b1.to_vector().reshape(n, n)
             x2 = self.b2.to_vector().reshape(n, n * n)
             parts.append(np.hstack([x1, x2]).reshape(-1))
-        if self.c1 is not None:
-            x1 = self.c1.to_vector().reshape(n, n)
-            x2 = self.c2.to_vector().reshape(n * n, n)
-            parts.append(np.vstack([x1, x2]).reshape(-1))
+            parts.append(np.vstack([x1.T, x2.T]).reshape(-1))
         if self.d is not None:
             parts.append(self.d.to_vector())
         return np.concatenate(parts)
 
 
+def _sorted_by_last(parts):
+    """COO index arrays ``(rows, *modes, vals)`` reordered by their last
+    mode index, plus ``(uniq, inv)`` of that index — the layout
+    :meth:`FactoredH3Operator._fiber_contract` chunks along."""
+    order = np.argsort(parts[-2], kind="stable")
+    parts = tuple(p[order] for p in parts)
+    uniq, inv = np.unique(parts[-2], return_inverse=True)
+    return parts, (uniq, inv)
+
+
 class FactoredH3Operator:
-    """Matrix-free shifted solves with the ``A3(H3)`` state matrix.
+    """Shifted solves with the ``A3(H3)`` state matrix on factored
+    lifted vectors — the one H3 algorithm for dense and sparse systems.
 
-    The sparse-path counterpart of ``AssociatedH3Operator`` (see
-    :mod:`repro.volterra.associated`): same block back-substitution,
-    same ``solve_shifted`` contract, but every inner Kronecker-sum solve
-    routes through a :class:`~repro.linalg.sylvester.LowRankKronSolver`
-    on ``G1``'s sparse LU, and the lifted blocks travel as
-    :class:`LiftedH3Vector` Tucker factors.  The block reduction:
+    The lifted blocks travel as :class:`LiftedH3Vector` Tucker factors
+    and ``(A3 + sI) x = r`` is solved by block back-substitution; only
+    the Kronecker-sum solver behind it depends on the system.  A sparse
+    system passes the shared
+    :class:`~repro.linalg.sylvester.LowRankKronSolver` on ``G1``'s
+    sparse LU; a dense one the exact
+    :class:`~repro.linalg.sylvester.KronSumSolver` on ``G1``'s Schur
+    form, whose solutions stay on the Schur basis, so consecutive chain
+    steps and the couplings below never transform ``n³`` tensors in and
+    out.  The block reduction:
 
-    * ``x_d`` and the ``x_b``/``x_c`` tails are ``(3© G1 + sI)`` solves
-      with low-multilinear-rank right-hand sides,
-    * the ``x_b``/``x_c`` heads are ``(2© G1 + sI)`` solves whose
-      right-hand sides pick up the sparse ``G2`` contracted against the
-      tail's Tucker factors (``O(nnz·r²)``, never ``n²``-sided),
-    * the top row is one sparse shifted ``G1`` solve after contracting
-      ``G2``/``G3`` with the factored blocks.
+    * ``x_d`` and the ``x_b`` tail are ``(3© G1 + sI)`` solves whose
+      right-hand sides are symmetric in modes 1 and 2,
+    * the ``x_b`` head is a ``(2© G1 + sI)`` solve whose right-hand side
+      picks up the sparse ``G2`` contracted against the tail's Tucker
+      factors (never ``n²``-sided),
+    * ``x_c`` mirrors ``x_b`` (see :class:`LiftedH3Vector`), so it is
+      never solved,
+    * the top row is one shifted ``G1`` solve after contracting
+      ``G2``/``G3`` with the factored blocks; the c-block's share of the
+      ``G2`` coupling is ``G2 vec(X_b1ᵀ)``.
 
     Parameters
     ----------
     g1 : (n, n) sparse/dense matrix
     g2 : (n, n²) sparse or None
     g3 : (n, n³) sparse or None
-    kron_solver : LowRankKronSolver
-        Shared low-rank Kronecker-sum solver (typically the workspace's).
+    kron_solver : LowRankKronSolver or KronSumSolver
+        Kronecker-sum solver taking :class:`FactoredTensor` right-hand
+        sides (typically the workspace's).
     solve_shifted : callable ``(shift, rhs) -> (G1 + shift·I)^{-1} rhs``
     """
 
@@ -328,21 +294,23 @@ class FactoredH3Operator:
         self.kron = kron_solver
         self._solve_g1 = solve_shifted
         n = self.n
-        self._g2_parts = (
-            _g2_coo_parts(g2, n) if self.has_quad else None
-        )
-        self._g3_parts = None
+        self._g2_parts = self._g2_keys = None
+        if self.has_quad:
+            self._g2_parts, self._g2_keys = _sorted_by_last(
+                _g2_coo_parts(g2, n)
+            )
+        self._g3_parts = self._g3_keys = None
         if self.has_cubic:
             csr = sp.csr_matrix(g3)
             csr.sum_duplicates()
             coo = csr.tocoo()
-            self._g3_parts = (
+            self._g3_parts, self._g3_keys = _sorted_by_last((
                 coo.row,
                 coo.col // (n * n),
                 (coo.col // n) % n,
                 coo.col % n,
                 coo.data,
-            )
+            ))
         self.n2 = n + n * n
         dim = n
         if self.has_quad:
@@ -356,6 +324,35 @@ class FactoredH3Operator:
         return self.shape[0]
 
     # -- sparse contractions --------------------------------------------------
+
+    @staticmethod
+    def _fiber_contract(core, f1, f2, idx1, keys):
+        """``t[e, a] = Σ_bc core[a, b, c] f1[idx1[e], b] f2[k_e, c]``.
+
+        The entries ``e`` come sorted by their last-mode index ``k_e``,
+        whose distinct values and inverse are *keys*.  Per chunk of
+        entries, one GEMM contracts the core's last mode against the
+        distinct rows of *f2* the chunk names, and a gather hands each
+        entry its slice for a batched contraction of the middle mode.
+        Chunks keep both intermediates within :data:`_CONTRACT_BLOCK`
+        elements.  The core is read mode-reversed, which copies nothing
+        for the dense sweep's Fortran-ordered ``n³`` cores (a low-rank
+        core is ``r³``).
+        """
+        uniq, inv = keys
+        ra, rb, rc = core.shape
+        mat = core.T.reshape(rc, rb * ra)
+        t = np.empty(
+            (inv.size, ra), dtype=np.result_type(core, f1, f2)
+        )
+        step = max(1, _CONTRACT_BLOCK // max(ra * rb, 1))
+        for lo in range(0, inv.size, step):
+            hi = min(lo + step, inv.size)
+            first = inv[lo]
+            z = (f2[uniq[first : inv[hi - 1] + 1]] @ mat).reshape(-1, rb, ra)
+            z = z[inv[lo:hi] - first]
+            t[lo:hi] = (f1[idx1[lo:hi], None, :] @ z)[:, 0, :]
+        return t
 
     def _g2_vec(self, tensor):
         """``G2 @ vec(X)`` for a 2-mode Tucker ``X`` — dense ``(n,)``."""
@@ -377,10 +374,8 @@ class FactoredH3Operator:
         if min(tensor.core.shape, default=0) == 0 or rows.size == 0:
             return out
         p, q, s = tensor.factors
-        t_vals = np.einsum(
-            "abc,ea,eb,ec->e", tensor.core, p[ii], q[jj], s[kk],
-            optimize=True,
-        )
+        t = self._fiber_contract(tensor.core, q, s, jj, self._g3_keys)
+        t_vals = np.einsum("ea,ea->e", t, p[ii])
         scatter_add_rows(out, rows, vals * t_vals)
         return out
 
@@ -390,29 +385,23 @@ class FactoredH3Operator:
         if not isinstance(vec, LiftedH3Vector):
             raise ValidationError(
                 "the factored H3 operator solves LiftedH3Vector "
-                "right-hand sides; use AssociatedH3Operator for dense "
-                "lifted vectors"
+                "right-hand sides"
             )
         kron = self.kron
-        out_b1 = out_b2 = out_c1 = out_c2 = out_d = None
+        out_b1 = out_b2 = out_d = None
         coupling = np.zeros(self.n, dtype=complex)
         if self.has_quad:
             out_b2 = kron.solve(vec.b2, k=3, shift=shift)
             rb1 = vec.b1.add(self._xb_g2_coupling(out_b2).scaled(-1.0))
             out_b1 = kron.solve(rb1, k=2, shift=shift)
-            out_c2 = kron.solve(vec.c2, k=3, shift=shift)
-            rc1 = vec.c1.add(self._xc_g2_coupling(out_c2).scaled(-1.0))
-            out_c1 = kron.solve(rc1, k=2, shift=shift)
-            coupling += self._g2_vec(out_b1)
-            coupling += self._g2_vec(out_c1)
+            mirror = FactoredTensor(out_b1.core.T, out_b1.factors[::-1])
+            coupling += self._g2_vec(out_b1) + self._g2_vec(mirror)
         if self.has_cubic:
             out_d = kron.solve(vec.d, k=3, shift=shift)
             coupling += self._g3_vec(out_d)
         x_a = self._solve_g1(shift, np.asarray(vec.a, dtype=complex)
                              - coupling)
-        return LiftedH3Vector(
-            x_a, b1=out_b1, b2=out_b2, c1=out_c1, c2=out_c2, d=out_d
-        )
+        return LiftedH3Vector(x_a, b1=out_b1, b2=out_b2, d=out_d)
 
     def _xb_g2_coupling(self, x2):
         """``X2 G2ᵀ``: the quadratic coupling feeding the b-block head.
@@ -427,32 +416,8 @@ class FactoredH3Operator:
         p, q, s = x2.factors
         # t[e, a] = Σ_bc C[a,b,c] Q[j_e, b] S[k_e, c]  with (j, k) the
         # decomposed pair index of G2's flat n² column.
-        rank = x2.core.shape[0]
-        right = np.zeros(
-            (self.n, rank), dtype=np.result_type(x2.core, q, s)
-        )
-        t = np.einsum("abc,eb,ec->ea", x2.core, q[ii], s[jj], optimize=True)
+        t = self._fiber_contract(x2.core, q, s, ii, self._g2_keys)
+        right = np.zeros((self.n, t.shape[1]), dtype=t.dtype)
         scatter_add_rows(right, rows, vals[:, None] * t)
-        core = np.eye(rank, dtype=right.dtype)
+        core = np.eye(t.shape[1], dtype=right.dtype)
         return FactoredTensor(core, [p, right])
-
-    def _xc_g2_coupling(self, x2):
-        """``G2 X2``: the quadratic coupling feeding the c-block head.
-
-        ``[G2 X2][r, c] = Σ_{ij} G2[r, ij] X2[ij, c]`` — returns a
-        2-mode Tucker with a dense accumulated left factor and right
-        factor ``S``.
-        """
-        rows, ii, jj, vals = self._g2_parts
-        if min(x2.core.shape, default=0) == 0 or rows.size == 0:
-            return FactoredTensor.zeros((self.n, self.n))
-        p, q, s = x2.factors
-        # t[e, c] = Σ_ab C[a,b,c] P[i_e, a] Q[j_e, b].
-        rank = x2.core.shape[2]
-        left = np.zeros(
-            (self.n, rank), dtype=np.result_type(x2.core, p, q)
-        )
-        t = np.einsum("abc,ea,eb->ec", x2.core, p[ii], q[jj], optimize=True)
-        scatter_add_rows(left, rows, vals[:, None] * t)
-        core = np.eye(rank, dtype=left.dtype)
-        return FactoredTensor(core, [left, s])

@@ -102,11 +102,13 @@ def triangular_sylvester_solve(t, alpha, w):
     return _sylvester_sweep(t, diag, alpha, w)
 
 
-def _sylvester_sweep(t, diag, alpha, w):
+def _sylvester_sweep(t, diag, alpha, w, first=0):
     """The column sweep of :func:`triangular_sylvester_solve`, without
     its pairing check: for callers that checked every pairing up front
     (the 3-way sweep checks all of its slabs before solving the first).
-    *diag* is ``diag(t)``; *w* is complex."""
+    *diag* is ``diag(t)``; *w* is complex.  Only columns ``first`` and
+    up are solved (the pair-symmetric 3-way sweep needs no others); the
+    returned columns below *first* are left unset."""
     n, m = w.shape
     y = np.empty((n, m), dtype=complex)
     # One shared work matrix: only the diagonal changes per column, so
@@ -124,8 +126,8 @@ def _sylvester_sweep(t, diag, alpha, w):
     # solved blocks) first, then the in-block GEMV — fixed by the block
     # width, so results are reproducible bit for bit, and differ from an
     # unblocked per-column sweep at rounding level only.
-    for hi in range(m, 0, -_SYLVESTER_BLOCK):
-        lo = max(0, hi - _SYLVESTER_BLOCK)
+    for hi in range(m, first, -_SYLVESTER_BLOCK):
+        lo = max(first, hi - _SYLVESTER_BLOCK)
         rhs_block = np.ascontiguousarray(w[:, lo:hi], dtype=complex)
         if hi < m:
             # Couplings from Y Tᵀ: columns [lo, hi) receive
@@ -154,6 +156,12 @@ class KronSumSolver:
     ``k© A = (Q k©)(k© T)(Q k©)ᴴ`` so each solve is a sequence of
     triangular substitutions.
 
+    A flat right-hand side is transformed into the Schur basis and the
+    solution back out.  A :class:`FactoredTensor` right-hand side — the
+    lifted-H3 currency shared with :class:`LowRankKronSolver` — gets an
+    exact solve that stays on the Schur basis (see
+    :meth:`_solve_factored`).
+
     Results are complex; use :meth:`solve_real` when the right-hand side
     and operator are real and a real answer is expected.
     """
@@ -171,8 +179,12 @@ class KronSumSolver:
         """Solve ``((k© A) + shift I) x = rhs`` for ``k`` in {1, 2, 3}.
 
         ``rhs`` is a flat vector of length ``n**k`` in row-major tensor
-        ordering.  Returns a complex vector of the same length.
+        ordering; returns a complex vector of the same length.  A
+        :class:`FactoredTensor` ``rhs`` (``k`` in {2, 3}) returns the
+        solution as ``FactoredTensor(Y, [Q] * k)`` instead.
         """
+        if isinstance(rhs, FactoredTensor):
+            return self._solve_factored(rhs, k, shift)
         n = self.n
         rhs = np.asarray(rhs, dtype=complex).reshape(-1)
         if rhs.size != n**k:
@@ -202,54 +214,161 @@ class KronSumSolver:
             )
         return x.real.copy()
 
+    def _solve_factored(self, tensor, k, shift):
+        """Exact solve for a Tucker-factored right-hand side.
+
+        Only the factors that are not the Schur ``Q`` itself are carried
+        into the Schur basis, and the solution is returned on it, as
+        ``FactoredTensor(Y, [Q] * k)``: a chain fed its own previous
+        output transforms nothing, and the H3 seeds' factors have rank
+        ≤ 2.  ``k = 2`` is one triangular Sylvester solve.  ``k = 3``
+        takes the pair-symmetric slab sweep (see :meth:`_three_way_sweep`):
+        the right-hand side must be symmetric in modes 1 and 2, as the
+        lifted-H3 b-block tails and cubic blocks are, and ``Y`` comes
+        back exactly symmetric, in the sweep's memory order (Fortran
+        order: mode 0 fastest).
+        """
+        n = self.n
+        if k not in (2, 3):
+            raise ValidationError(
+                f"factored right-hand sides need k = 2 or 3, got {k}"
+            )
+        if tensor.order != k or tensor.shape != (n,) * k:
+            raise ValidationError(
+                f"rhs has shape {tensor.shape}, expected {(n,) * k}"
+            )
+        q = self.schur.q
+        if min(tensor.core.shape, default=0) == 0:
+            return FactoredTensor.zeros((n,) * k)
+        qh = q.conj().T
+        # Carry the mode-reversed core into the Schur basis, its last
+        # mode last: a transformed seed then lands contiguous in the
+        # 3-way sweep's layout (w[r, j, i] = W[i, j, r]), which the 2-way
+        # solve, equal for a matrix and its transpose, takes as well.
+        # Either returns the reversed solution.
+        w = tensor.core.T
+        for axis, f in zip(range(k - 1, -1, -1), tensor.factors):
+            if f is not q:
+                w = mode_apply(w, qh @ f, axis)
+        if k == 2:
+            y = triangular_sylvester_solve(self.schur.t, shift, w)
+        else:
+            y = self._three_way_sweep(
+                w.astype(complex, copy=False), shift, pair_symmetric=True
+            )
+        return FactoredTensor(y.T, [q] * k)
+
     def _solve_three_way(self, rhs, shift):
-        """Triangular sweep for ``(A ⊕ A ⊕ A + shift I) x = rhs``.
+        """``(A ⊕ A ⊕ A + shift I) x = rhs`` for a flat ``rhs``.
+
+        The slab sweep of :meth:`_three_way_sweep` between the transforms
+        into and out of the Schur basis.  The mode-2 transforms (each
+        fused with the slab-leading layout change) are one GEMM each;
+        modes 0 and 1 are transformed slab by slab, in place.  At most
+        three n³ complex arrays are alive at once: the right-hand side,
+        ``Y``, and either ``W`` or the result.
+        """
+        n = self.n
+        q = self.schur.q
+        qc = q.conj()
+        qh = qc.T
+        # w[r, i, j] = Σ_p Qᴴ[r, p] rhs[i, j, p]: mode 2 into the Schur
+        # basis, landing slab-leading.
+        w = (qh @ rhs.reshape(n * n, n).T).reshape(n, n, n)
+        for r in range(n):
+            w[r] = qh @ w[r] @ qc
+        y = self._three_way_sweep(w, shift)
+        del w
+        for r in range(n):
+            y[r] = q @ y[r] @ q.T
+        # x[i, j, r] = Σ_p Y[p, i, j] Q[r, p]: mode 2 back, row-major.
+        return (y.reshape(n, n * n).T @ q.T).reshape(-1)
+
+    def _three_way_sweep(self, w, shift, pair_symmetric=False):
+        """Triangular sweep for ``Σ_modes T Y + shift Y = W``.
 
         In the Schur basis the equation for the 3-tensor ``Y`` is
 
             mode0(T) Y + mode1(T) Y + mode2(T) Y + shift Y = W.
 
-        Sweeping the last index ``r`` from high to low reduces each slab
-        to a two-way triangular Sylvester solve with an extra diagonal
-        shift ``T[r, r]``.  The sweep holds ``W`` and ``Y`` slab-leading,
-        as ``(r, i, j)`` arrays: the mode-2 transform in and the one back
-        out (each fused with the layout change) are one GEMM each, and
-        the coupling ``Σ_{p>r} T[r, p] Y[p]`` is one GEMV over the
-        contiguous solved slabs ``Y[r+1:]``.  Modes 0 and 1 are
-        transformed slab by slab.  At most three n³ complex arrays are
-        alive at once: the right-hand side, ``Y``, and either ``W`` or
-        the result.  The singular-pairing check takes its minimum slab
-        by slab too, and refuses before any slab is solved; it covers
-        every slab's pairings, so the slab sweeps do not check again.
+        *w* and the returned ``Y`` are held slab-leading, ``w[r] =
+        W[:, :, r]``.  Sweeping the last index ``r`` from high to low
+        reduces each slab to a two-way triangular Sylvester solve with
+        an extra diagonal shift ``T[r, r]``, after the coupling
+        ``Σ_{p>r} T[r, p] Y[p]`` along mode 2 — one GEMV over the
+        contiguous solved slabs ``Y[r+1:]``.  The singular-pairing check
+        takes its minimum slab by slab too, and refuses before any slab
+        is solved; it covers every slab's pairings, so the slab sweeps
+        do not check again.
+
+        With *pair_symmetric*, ``W`` must be symmetric in modes 1 and 2
+        (to 1e-12 relative, else :class:`ValidationError`); ``3© T``
+        preserves that, so slab ``r`` solves only its columns ``j ≥ r``
+        — ``n(n+1)/2`` of the ``n²`` triangular solves — from the exactly
+        symmetrized right-hand side, and mirrors them into column ``r``
+        of the later slabs.  Its slabs are held transposed, ``w[r] =
+        W[:, :, r]ᵀ``, so a solved column is a contiguous row and the
+        mode-2 coupling of columns ``j > r`` is one GEMV over the rows
+        ``j > r`` of the solved slabs.  The diagonal column's mode-2
+        coupling equals its in-slab mode-1 one, so it takes that twice.
         """
         n = self.n
         t = self.schur.t
-        q = self.schur.q
-        qc = q.conj()
-        qh = qc.T
         diag = np.diag(t)
         pair = diag[:, None] + diag[None, :]
         _check_diag_gap(
             np.array([np.abs((pair + d) + shift).min() for d in diag]),
             max(np.abs(diag).max(), 1.0),
         )
-        # w[r, i, j] = Σ_p Qᴴ[r, p] rhs[i, j, p]: mode 2 into the Schur
-        # basis, landing slab-leading.
-        w = (qh @ rhs.reshape(n * n, n).T).reshape(n, n, n)
+        if pair_symmetric:
+            _check_pair_symmetric(w)
+            shifted = t.astype(complex, copy=True)
+            shifted_diag = _diagonal(shifted)
         y = np.empty((n, n, n), dtype=complex)
         for r in range(n - 1, -1, -1):
-            rhs_slab = qh @ w[r] @ qc
-            if r + 1 < n:
-                # Couplings along mode 2: T[r, p] Y[p], p > r.
-                rhs_slab -= (
-                    t[r, r + 1 :] @ y[r + 1 :].reshape(-1, n * n)
-                ).reshape(n, n)
-            y[r] = _sylvester_sweep(t, diag, shift + t[r, r], rhs_slab)
-        del w
-        for r in range(n):
-            y[r] = q @ y[r] @ q.T
-        # x[i, j, r] = Σ_p Y[p, i, j] Q[r, p]: mode 2 back, row-major.
-        return (y.reshape(n, n * n).T @ q.T).reshape(-1)
+            alpha = shift + t[r, r]
+            if not pair_symmetric:
+                rhs = w[r]
+                if r + 1 < n:
+                    rhs = rhs - (
+                        t[r, r + 1 :] @ y[r + 1 :].reshape(-1, n * n)
+                    ).reshape(n, n)
+                y[r] = _sylvester_sweep(t, diag, alpha, rhs)
+                continue
+            m = n - r - 1
+            rhs = np.empty((n, n), dtype=complex)
+            rhs[:, r:] = (w[r, r:] + w[r:, r]).T
+            rhs[:, r:] *= 0.5
+            if m:
+                # Σ_{p>r} T[r, p] Y[:, j, p] for j > r: rows j of slabs p.
+                rhs[:, r + 1 :] -= (
+                    t[r, r + 1 :] @ y[r + 1 :].reshape(m, n * n)[:, -m * n :]
+                ).reshape(m, n).T
+            ys = _sylvester_sweep(t, diag, alpha, rhs, r + 1)
+            col = rhs[:, r]
+            if m:
+                col = col - 2.0 * (ys[:, r + 1 :] @ t[r, r + 1 :])
+            shifted_diag[:] = diag + (t[r, r] + alpha)
+            ys[:, r] = _solve_upper(shifted, col)
+            y[r, r:] = ys[:, r:].T
+            y[r + 1 :, r] = ys[:, r + 1 :].T
+        return y
+
+
+def _check_pair_symmetric(w):
+    """Refuse transposed slabs ``w[r] = W[:, :, r]ᵀ`` of a 3-tensor
+    that is not symmetric in its modes 1 and 2 (``w[r, j] = w[j, r]``)
+    to 1e-12 relative."""
+    asym = total = 0.0
+    for r in range(w.shape[0]):
+        total += float(np.real(np.vdot(w[r], w[r])))
+        d = w[r, r + 1 :] - w[r + 1 :, r]
+        asym += 2.0 * float(np.real(np.vdot(d, d)))
+    if asym > (1e-12 ** 2) * total:
+        raise ValidationError(
+            "the factored 3-way solve needs a right-hand side symmetric in "
+            f"modes 1 and 2; relative asymmetry {np.sqrt(asym / total):.3e}"
+        )
 
 
 def solve_pi_sylvester(g1, g2, solver=None):

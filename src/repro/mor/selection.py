@@ -38,53 +38,53 @@ def realization_hankel_values(realization, probe=8, s0=0.0):
     Builds *probe* shift-invert Krylov vectors in the lifted space,
     orthonormalizes them, projects ``(A, B, C)`` onto the span and
     computes the Hankel singular values of the small projected system.
+    The chains give ``A`` on their own span, ``A x_{k+1} = x_k + s0
+    x_{k+1}`` with ``x_0`` a column of ``B``, so the projection ``Vᵀ A V``
+    is solved for from the chains' coordinates and needs no matvec.
+    H3's compressed chain vectors are densified for it.
 
     Falls back to the singular values of the projected moment matrix when
     the Krylov-compressed surrogate is not Hurwitz (rare; the projection
-    is one-sided), and for the sparse-path
-    :class:`~repro.volterra.associated.FactoredH3Realization` — whose
-    lifted vectors exist only in compressed form, so the surrogate is
-    read off the projected chains directly.
+    is one-sided), and for H3 on a sparse system, whose lifted vectors
+    are too large to densify.
     """
     probe = check_positive_int(probe, "probe")
-    if isinstance(realization, FactoredH3Realization):
+    factored = isinstance(realization, FactoredH3Realization)
+    if factored and realization.workspace.is_sparse:
         moments = realization.moment_vectors(
             probe, s0=s0, deduplicate=False
         )
         return np.linalg.svd(np.real(moments), compute_uv=False)
     op = realization.operator
-    chains = []
-    current = realization.b.astype(complex)
-    for _ in range(probe):
-        cols = np.column_stack(
-            [op.solve_shifted(-s0, current[:, j])
-             for j in range(current.shape[1])]
+    current = list(realization.columns)
+
+    def dense(vectors):
+        return np.column_stack(
+            [v.to_vector() if factored else v for v in vectors]
         )
-        chains.append(cols)
-        current = cols
+
+    blocks = [dense(current).real]
+    for _ in range(probe):
+        current = [op.solve_shifted(-s0, v) for v in current]
+        blocks.append(dense(current))
+    chains = blocks[1:]
     basis = merge_bases(chains, tol=1e-10)
-    # Project the lifted operator: A_small = Vᵀ (A V).
-    av = np.column_stack(
-        [op.matvec(basis[:, j]) for j in range(basis.shape[1])]
-    )
-    a_small = basis.T @ np.real(av)
-    b_small = basis.T @ realization.b
-    c_small = np.column_stack(
-        [realization.project_top(basis[:, j])
-         for j in range(basis.shape[1])]
-    )
-    surrogate = StateSpace(a_small, b_small, c_small)
+    # Chain coordinates E_k = Vᵀ x_k; A_small E_k = E_{k-1} + s0 E_k, split
+    # into real and imaginary parts as merge_bases splits the chains.
+    coords = [basis.T @ block for block in blocks]
+    e = np.hstack(coords[1:])
+    f = np.hstack(coords[:-1]) + s0 * e
+    a_small = np.linalg.lstsq(
+        np.hstack([e.real, e.imag]).T, np.hstack([f.real, f.imag]).T,
+        rcond=None,
+    )[0].T
+    surrogate = StateSpace(a_small, coords[0], basis[: realization.n_top])
     if surrogate.is_stable():
         try:
             return surrogate.hankel_singular_values()
         except NumericalError:
             pass
-    moments = np.hstack(
-        [realization.project_top(chain) if chain.ndim == 1
-         else np.column_stack([realization.project_top(chain[:, j])
-                               for j in range(chain.shape[1])])
-         for chain in chains]
-    )
+    moments = np.hstack([chain[: realization.n_top] for chain in chains])
     return np.linalg.svd(np.real(moments), compute_uv=False)
 
 

@@ -3,7 +3,6 @@ realizations (the paper's core contribution), variational time-domain
 responses, and numerical theorem checks."""
 
 from .associated import (
-    AssociatedH3Operator,
     AssociatedRealization,
     AssociatedWorkspace,
     DecoupledH2Realization,
@@ -37,7 +36,6 @@ from .transfer import (
 )
 
 __all__ = [
-    "AssociatedH3Operator",
     "AssociatedRealization",
     "AssociatedWorkspace",
     "DecoupledH2Realization",

@@ -20,15 +20,21 @@ Kronecker sums:
 Everything here is matrix-free: the lifted state matrices are represented
 by structured operators from :mod:`repro.linalg.operators`, so the cost
 of a Krylov step is ``O(n³)``–``O(n⁴)`` time and ``O(n²)``–``O(n³)``
-memory instead of the ``O(n⁴)``/``O(n⁶)`` of naive realizations.
+memory instead of the ``O(n⁴)``/``O(n⁶)`` of naive realizations.  The
+lifted H3 realization is one algorithm on every system: block
+back-substitution on compressed Tucker vectors
+(:class:`FactoredH3Realization`), solving only the b-block of the two
+mirror-image ``G1 ⊕ Ã2`` / ``Ã2 ⊕ G1`` blocks.  Dense systems solve its
+Kronecker sums exactly on the shared Schur form and keep the tensors on
+the Schur basis.
 
 Sparse (circuit-compiled) systems go one level further: the Π equation
 is solved in factored form (:class:`~repro.linalg.sylvester.FactoredPi`)
 on the resolvent factory's sparse LU, the decoupled-H2 chains become
-pure sparse-``G1`` solves, and the lifted H3 realization runs on
-compressed Tucker vectors (:class:`FactoredH3Realization`), so full
-``orders=(q1, q2, q3)`` NMOR reaches ``n ≫ 2000`` without ever
-densifying ``G1`` — a Krylov step then costs ``O(nnz·r + n·r²)``.  The
+pure sparse-``G1`` solves, and the H3 Kronecker sums go through the
+shared low-rank solver, so full ``orders=(q1, q2, q3)`` NMOR reaches
+``n ≫ 2000`` without ever densifying ``G1`` — a Krylov step then costs
+``O(nnz·r + n·r²)``.  The
 factored Π needs a spectrally separated ``G1``; where the spectrum is
 not separated, systems of up to a few hundred states route Π to the
 dense Schur solve instead (see :attr:`AssociatedWorkspace.pi`).  The
@@ -56,13 +62,10 @@ import scipy.sparse as sp
 
 from .._validation import check_positive_int
 from ..errors import NumericalError, SystemStructureError, ValidationError
-from ..linalg.kronecker import kron_sum_power_matvec
 from ..linalg.operators import (
     FactoredH3Operator,
     LiftedH3Vector,
     QuadraticLiftedOperator,
-    solve_left_kron_sum,
-    solve_right_kron_sum,
 )
 from ..linalg.resolvent import ResolventFactory
 from ..linalg.schur import SchurForm
@@ -82,7 +85,6 @@ __all__ = [
     "AssociatedWorkspace",
     "AssociatedRealization",
     "DecoupledH2Realization",
-    "AssociatedH3Operator",
     "FactoredH3Realization",
     "associated_h1",
     "associated_h2",
@@ -965,160 +967,6 @@ def associated_h2_decoupled(system, workspace=None):
 # ---------------------------------------------------------------------------
 
 
-class AssociatedH3Operator:
-    """Block-triangular state matrix of the ``A3(H3)`` realization.
-
-    State layout (present blocks only)::
-
-        [ x_a | x_b | x_c | x_d ]
-          n     n·N    N·n   n³        with N = n + n² (dim of Ã2)
-
-    * ``x_b`` block: ``G1 ⊕ Ã2``  (from ``H1(sᵢ) ⊗ H2(sⱼ, s_k)``)
-    * ``x_c`` block: ``Ã2 ⊕ G1``  (from ``H2(sⱼ, s_k) ⊗ H1(sᵢ)``)
-    * ``x_d`` block: ``G1 ⊕ G1 ⊕ G1`` (from the cubic ``G3`` term)
-
-    The top row couples through ``G2 (I ⊗ c̃2)``, ``G2 (c̃2 ⊗ I)`` and
-    ``G3``.  Shifted solves are pure back-substitution; the inner
-    Kronecker-sum solves use the shared Schur machinery.
-    """
-
-    def __init__(self, workspace):
-        self.workspace = workspace
-        system = workspace.system
-        self.n = workspace.n
-        self.has_quad = system.g2 is not None
-        self.has_cubic = system.g3 is not None
-        if not (self.has_quad or self.has_cubic):
-            raise SystemStructureError(
-                "system has neither quadratic nor cubic terms; H3 ≡ 0"
-            )
-        n = self.n
-        self.dim_b = 0
-        self.dim_c = 0
-        self.dim_d = 0
-        if self.has_quad:
-            self.a2_op = workspace.a2_operator
-            self.n2 = self.a2_op.dim  # N = n + n²
-            self.dim_b = n * self.n2
-            self.dim_c = self.n2 * n
-        if self.has_cubic:
-            self.dim_d = n**3
-        self.shape = (n + self.dim_b + self.dim_c + self.dim_d,) * 2
-
-    @property
-    def dim(self):
-        return self.shape[0]
-
-    def _split(self, x):
-        x = np.asarray(x).reshape(self.dim)
-        n = self.n
-        parts = [x[:n]]
-        offset = n
-        for size in (self.dim_b, self.dim_c, self.dim_d):
-            parts.append(x[offset : offset + size])
-            offset += size
-        return parts
-
-    def _couple_top(self, x_b, x_c, x_d):
-        """Evaluate the top-row coupling
-        ``G2 (I ⊗ c̃2) x_b + G2 (c̃2 ⊗ I) x_c + G3 x_d``."""
-        system = self.workspace.system
-        n = self.n
-        out = np.zeros(n, dtype=complex)
-        if self.has_quad:
-            # (I ⊗ c̃2) x_b: reshape (n, N), keep the leading n columns.
-            xb_mat = x_b.reshape(n, self.n2)
-            out += system.g2 @ xb_mat[:, :n].reshape(-1)
-            # (c̃2 ⊗ I) x_c: reshape (N, n), keep the leading n rows.
-            xc_mat = x_c.reshape(self.n2, n)
-            out += system.g2 @ xc_mat[:n, :].reshape(-1)
-        if self.has_cubic:
-            out += system.g3 @ x_d
-        return out
-
-    def matvec(self, x):
-        ws = self.workspace
-        g1 = ws.system.g1
-        x_a, x_b, x_c, x_d = self._split(np.asarray(x, dtype=complex))
-        top = g1 @ x_a + self._couple_top(x_b, x_c, x_d)
-        pieces = [top]
-        if self.has_quad:
-            n, n2 = self.n, self.n2
-            xb_mat = x_b.reshape(n, n2)
-            # (G1 ⊕ Ã2) vec(X) = vec(G1 X + X Ã2ᵀ)
-            rows = np.stack(
-                [self.a2_op.matvec(xb_mat[i]) for i in range(n)]
-            )
-            pieces.append((g1 @ xb_mat + rows).reshape(-1))
-            xc_mat = x_c.reshape(n2, n)
-            cols = np.stack(
-                [self.a2_op.matvec(xc_mat[:, j]) for j in range(n)], axis=1
-            )
-            pieces.append((cols + xc_mat @ g1.T).reshape(-1))
-        if self.has_cubic:
-            pieces.append(kron_sum_power_matvec(g1, 3, x_d))
-        return np.concatenate(pieces)
-
-    def solve_shifted(self, shift, rhs):
-        """Solve ``(A3 + shift I) x = rhs`` by block back-substitution."""
-        ws = self.workspace
-        r_a, r_b, r_c, r_d = self._split(np.asarray(rhs, dtype=complex))
-        x_b = np.zeros(0, dtype=complex)
-        x_c = np.zeros(0, dtype=complex)
-        x_d = np.zeros(0, dtype=complex)
-        if self.has_quad:
-            x_b = solve_left_kron_sum(ws.schur, self.a2_op, r_b, shift=shift)
-            x_c = solve_right_kron_sum(self.a2_op, ws.schur, r_c, shift=shift)
-        if self.has_cubic:
-            x_d = ws.kron_solver.solve(r_d, k=3, shift=shift)
-        top_rhs = r_a - self._couple_top(x_b, x_c, x_d)
-        x_a = ws.solve_shifted(shift, top_rhs)
-        return np.concatenate([x_a, x_b, x_c, x_d])
-
-    def dense(self):
-        """Materialize ``A3`` (tiny systems / tests only)."""
-        if self.dim > 4096:
-            raise ValidationError(
-                f"refusing to densify a {self.dim}-dimensional H3 operator"
-            )
-        ws = self.workspace
-        g1 = ws._g1_dense()
-        n = self.n
-        blocks = [[g1]]
-        diag = []
-        if self.has_quad:
-            a2 = self.a2_op.dense()
-            n2 = self.n2
-            c2 = np.zeros((n, n2))
-            c2[:, :n] = np.eye(n)
-            g2 = ws.system.g2.toarray()
-            blocks[0].append(g2 @ np.kron(np.eye(n), c2))
-            blocks[0].append(g2 @ np.kron(c2, np.eye(n)))
-            diag.append(np.kron(g1, np.eye(n2)) + np.kron(np.eye(n), a2))
-            diag.append(np.kron(a2, np.eye(n)) + np.kron(np.eye(n2), g1))
-        if self.has_cubic:
-            blocks[0].append(ws.system.g3.toarray())
-            eye = np.eye(n)
-            diag.append(
-                np.kron(np.kron(g1, eye), eye)
-                + np.kron(np.kron(eye, g1), eye)
-                + np.kron(np.kron(eye, eye), g1)
-            )
-        total = self.dim
-        out = np.zeros((total, total))
-        out[:n, :n] = g1
-        col = n
-        for block in blocks[0][1:]:
-            out[:n, col : col + block.shape[1]] = block
-            col += block.shape[1]
-        row = n
-        for mat in diag:
-            size = mat.shape[0]
-            out[row : row + size, row : row + size] = mat
-            row += size
-        return out
-
-
 def _h3_top_block(workspace):
     """Top (state-space) block of ``B3``: the associated D1 contribution
     ``(1/3) Σ_k D1_{p_k} · h2bar(0)[:, pair]`` with ``h2bar(0) = MD``."""
@@ -1141,71 +989,31 @@ def _h3_top_block(workspace):
     return top
 
 
-def _h3_input_matrix(workspace, op):
-    """Assemble the ``B3`` input matrix of the ``A3(H3)`` realization."""
-    system = workspace.system
-    m = workspace.m
-    b = system.b
-    pieces = [_h3_top_block(workspace)]
-
-    def _perm_sum(mat, perms):
-        """``mat @ Σ_perms P`` via column indexing, no dense matmuls."""
-        acc = mat[:, permutation_indices(m, perms[0])]
-        for perm in perms[1:]:
-            acc += mat[:, permutation_indices(m, perm)]
-        return acc
-
-    if op.has_quad:
-        b2 = workspace.b2_tilde()
-        # Left block: (1/3)(B ⊗ b̃2) Σᵢ P_(i,j,k);  i is the H1 slot.
-        pieces.append(
-            _perm_sum(np.kron(b, b2), ((0, 1, 2), (1, 0, 2), (2, 0, 1)))
-            / 3.0
-        )
-        # Right block: (1/3)(b̃2 ⊗ B) Σᵢ P_(j,k,i).
-        pieces.append(
-            _perm_sum(np.kron(b2, b), ((1, 2, 0), (0, 2, 1), (0, 1, 2)))
-            / 3.0
-        )
-
-    if op.has_cubic:
-        bbb = np.kron(b, np.kron(b, b))
-        pieces.append(
-            _perm_sum(bbb, tuple(itertools.permutations(range(3)))) / 6.0
-        )
-
-    return np.vstack(pieces)
-
-
-def _sym_pair_tensor(lead_vec, u, v, lead, weight):
-    """``weight · lead_vec ⊗ sym(u ⊗ v)`` as a 3-mode Tucker tensor.
-
-    The symmetrized pair sits on the two non-*lead* modes; *lead* is 0
-    (b-block layout, pair trailing) or 2 (c-block layout, pair leading).
-    """
+def _sym_pair_tensor(lead_vec, u, v, weight):
+    """``weight · lead_vec ⊗ sym(u ⊗ v)`` as a 3-mode Tucker tensor,
+    the symmetrized pair on modes 1 and 2 (the b-block layout)."""
     fuv = np.column_stack([u, v])
     core2 = np.array([[0.0, 0.5], [0.5, 0.0]]) * weight
     lv = np.asarray(lead_vec).reshape(-1, 1)
-    if lead == 0:
-        return FactoredTensor(core2[None, :, :], [lv, fuv, fuv])
-    return FactoredTensor(core2[:, :, None], [fuv, fuv, lv])
+    return FactoredTensor(core2[None, :, :], [lv, fuv, fuv])
 
 
 class FactoredH3Realization(AssociatedRealization):
-    """Sparse-path realization of ``A3(H3)`` on compressed vectors.
+    """Realization of ``A3(H3)`` on compressed lifted vectors.
 
-    The circuit-scale counterpart of wrapping
-    :class:`AssociatedH3Operator` in an :class:`AssociatedRealization`:
-    the same moment chains and evaluation, but the lifted state
-    travels as :class:`~repro.linalg.operators.LiftedH3Vector` Tucker
-    factors and every solve goes through
-    :class:`~repro.linalg.operators.FactoredH3Operator` on ``G1``'s
-    sparse LU — a lifted dimension of ``n + 2nN + n³ ≈ 2·10¹⁰`` at
-    ``n = 2048`` is never instantiated.  The ``B3`` input columns are
-    assembled directly in factored form from their Kronecker structure
-    (``B ⊗ b̃2`` columns are rank-≤2 per block); there is no dense
-    ``b``, so :meth:`impulse_response` and :meth:`to_state_space` do not
-    apply.
+    The same moment chains and evaluation as an
+    :class:`AssociatedRealization`, but the lifted state travels as
+    :class:`~repro.linalg.operators.LiftedH3Vector` Tucker factors and
+    every solve goes through
+    :class:`~repro.linalg.operators.FactoredH3Operator` — a lifted
+    dimension of ``n + 2nN + n³ ≈ 2·10¹⁰`` at ``n = 2048`` is never
+    instantiated.  Its Kronecker-sum solves run on the workspace's
+    low-rank solver over ``G1``'s sparse LU for a sparse system, and
+    exactly on ``G1``'s Schur form for a dense one.  The ``B3`` input
+    columns are assembled directly in factored form from their
+    Kronecker structure (``B ⊗ b̃2`` columns are rank-≤2 per block);
+    there is no dense ``b``, so :meth:`impulse_response` and
+    :meth:`to_state_space` refuse.
     """
 
     def __init__(self, workspace):
@@ -1215,7 +1023,8 @@ class FactoredH3Realization(AssociatedRealization):
             system.g1,
             system.g2,
             system.g3,
-            workspace.lowrank_kron,
+            workspace.lowrank_kron if workspace.is_sparse
+            else workspace.kron_solver,
             workspace.solve_shifted,
         )
         self.n_top = workspace.n
@@ -1224,6 +1033,11 @@ class FactoredH3Realization(AssociatedRealization):
         self.columns = self._build_columns()
 
     def _build_columns(self):
+        """The ``B3`` columns as :class:`LiftedH3Vector` seeds.
+
+        Only the b-block is built: the c-block of ``B3`` is its
+        transpose (see :class:`~repro.linalg.operators.LiftedH3Vector`).
+        """
         ws = self.workspace
         system = ws.system
         n, m = ws.n, ws.m
@@ -1234,36 +1048,21 @@ class FactoredH3Realization(AssociatedRealization):
         columns = []
         for col in range(m**3):
             t = ((col // (m * m)) % m, (col // m) % m, col % m)
-            b1 = b2 = c1 = c2 = d = None
+            b1 = b2 = d = None
             if op.has_quad:
                 b1 = FactoredTensor.zeros((n, n))
                 b2 = FactoredTensor.zeros((n, n, n))
-                c1 = FactoredTensor.zeros((n, n))
-                c2 = FactoredTensor.zeros((n, n, n))
-                # Left block: (1/3)(B ⊗ b̃2) Σᵢ P — source column
-                # (p, (q, r)) = permuted input triple.
+                # (1/3)(B ⊗ b̃2) Σᵢ P — source column (p, (q, r)) =
+                # permuted input triple.
                 for perm in ((0, 1, 2), (1, 0, 2), (2, 0, 1)):
                     p_, q_, r_ = (t[perm[0]], t[perm[1]], t[perm[2]])
                     b1 = b1.add(FactoredTensor.rank_one(
                         [b[:, p_], md[:, q_ * m + r_]], weight=1.0 / 3.0
                     ))
                     b2 = b2.add(_sym_pair_tensor(
-                        b[:, p_], b[:, q_], b[:, r_], lead=0,
-                        weight=1.0 / 3.0,
-                    ))
-                # Right block: (1/3)(b̃2 ⊗ B) Σᵢ P — source column
-                # ((u0, u1), u2).
-                for perm in ((1, 2, 0), (0, 2, 1), (0, 1, 2)):
-                    u0, u1, u2 = (t[perm[0]], t[perm[1]], t[perm[2]])
-                    c1 = c1.add(FactoredTensor.rank_one(
-                        [md[:, u0 * m + u1], b[:, u2]], weight=1.0 / 3.0
-                    ))
-                    c2 = c2.add(_sym_pair_tensor(
-                        b[:, u2], b[:, u0], b[:, u1], lead=2,
-                        weight=1.0 / 3.0,
+                        b[:, p_], b[:, q_], b[:, r_], weight=1.0 / 3.0,
                     ))
                 b1, b2 = b1.compress(), b2.compress()
-                c1, c2 = c1.compress(), c2.compress()
             if op.has_cubic:
                 d = FactoredTensor.zeros((n, n, n))
                 for perm in itertools.permutations(range(3)):
@@ -1273,34 +1072,42 @@ class FactoredH3Realization(AssociatedRealization):
                         weight=1.0 / 6.0,
                     ))
                 d = d.compress()
-            columns.append(
-                LiftedH3Vector(top[:, col], b1=b1, b2=b2, c1=c1, c2=c2,
-                               d=d)
-            )
+            columns.append(LiftedH3Vector(top[:, col], b1=b1, b2=b2, d=d))
         return columns
 
     def project_top(self, vec):
         """Output map ``c̃ = [I_n, 0, ...]``: the dense top block."""
         return np.asarray(vec.a).reshape(-1)[: self.n_top]
 
+    def _refuse_dense(self, what):
+        raise ValidationError(
+            f"{what} needs the dense lifted H3 state, which this "
+            f"realization holds factored (a lifted dimension of "
+            f"{self.operator.dim}); use eval() or moment_vectors()"
+        )
+
+    def impulse_response(self, times):
+        """Refused: the lifted state is held factored (see
+        :meth:`AssociatedRealization.impulse_response`)."""
+        self._refuse_dense("impulse_response()")
+
+    def to_state_space(self, output=None):
+        """Refused: the lifted state is held factored (see
+        :meth:`AssociatedRealization.to_state_space`)."""
+        self._refuse_dense("to_state_space()")
+
 
 def associated_h3(system, workspace=None):
     """Realization of ``A3(H3)`` (paper §2.2 plus the cubic extension).
 
     Returns ``None`` when ``H3 ≡ 0`` (no quadratic, bilinear or cubic
-    terms).  Sparse systems get the matrix-free
-    :class:`FactoredH3Realization` (compressed lifted vectors on the
-    resolvent factory's sparse LU — ``G1`` is never densified); dense
-    systems keep the Schur-based block operator.
+    terms), and otherwise a :class:`FactoredH3Realization` on every
+    system: compressed lifted vectors whose Kronecker-sum solves run on
+    the resolvent factory's sparse LU for a sparse system (``G1`` is
+    never densified) and on the shared Schur form for a dense one.
     """
     workspace = workspace or AssociatedWorkspace.for_system(system)
     system = workspace.system
     if system.g2 is None and system.g3 is None:
         return None
-    if workspace.is_sparse:
-        return FactoredH3Realization(workspace)
-    op = AssociatedH3Operator(workspace)
-    b3 = _h3_input_matrix(workspace, op)
-    return AssociatedRealization(
-        op, b3, n_top=workspace.n, input_arity=3, n_inputs=workspace.m
-    )
+    return FactoredH3Realization(workspace)

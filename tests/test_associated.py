@@ -2,10 +2,13 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
-from repro.errors import SystemStructureError
+from h3_oracle import DenseH3Oracle
+from repro.circuits.examples import varistor_surge_protector
+from repro.errors import SystemStructureError, ValidationError
 from repro.linalg import kron_sum_power
-from repro.systems import CubicODE, QLDAE
+from repro.systems import CubicODE, PolynomialODE, QLDAE, StateSpace
 from repro.volterra import (
     AssociatedWorkspace,
     associated_h1,
@@ -129,31 +132,70 @@ class TestDecoupledEq18:
         assert ws._pi is not None
 
 
+def realization_and_oracle(system):
+    """``(workspace, factored H3 realization, dense oracle)``."""
+    ws = AssociatedWorkspace(system)
+    return ws, associated_h3(system, ws), DenseH3Oracle(ws)
+
+
+def rel_err(x, ref):
+    return np.abs(np.asarray(x) - ref).max() / np.abs(ref).max()
+
+
+@pytest.fixture
+def mixed_poly(rng):
+    """3-state SISO system with both G2 and G3."""
+    n = 3
+    return PolynomialODE(
+        -1.5 * np.eye(n) + 0.2 * rng.standard_normal((n, n)),
+        rng.standard_normal(n),
+        g2=0.1 * rng.standard_normal((n, n * n)),
+        g3=0.05 * rng.standard_normal((n, n**3)),
+    )
+
+
+@pytest.fixture
+def miso_qldae_d1(rng):
+    """4-state, 2-input QLDAE with bilinear terms."""
+    n, m = 4, 2
+    return QLDAE(
+        -1.5 * np.eye(n) + 0.3 * rng.standard_normal((n, n)),
+        rng.standard_normal((n, m)),
+        g2=0.15 * rng.standard_normal((n, n * n)),
+        d1=[0.2 * rng.standard_normal((n, n)) for _ in range(m)],
+    )
+
+
 class TestH3Realization:
     def test_eval_matches_dense_transfer(self, small_qldae):
-        r3 = associated_h3(small_qldae)
-        ss = r3.to_state_space()
+        ws, r3, oracle = realization_and_oracle(small_qldae)
+        ss = StateSpace(
+            oracle.op.dense(), oracle.b,
+            np.eye(oracle.op.dim)[: small_qldae.n_states],
+        )
         s = 0.8 + 0.3j
         assert np.allclose(r3.eval(s)[:, 0], ss.transfer(s)[:, 0])
 
-    def test_solve_shifted_matches_dense(self, small_qldae, rng):
-        r3 = associated_h3(small_qldae)
-        op = r3.operator
-        rhs = rng.standard_normal(op.dim)
-        x = op.solve_shifted(0.45, rhs)
-        dense_a = op.dense()
-        assert np.allclose(
-            (dense_a + 0.45 * np.eye(op.dim)) @ x, rhs, atol=1e-8
-        )
+    def test_solve_shifted_matches_dense(self, small_qldae):
+        ws, r3, oracle = realization_and_oracle(small_qldae)
+        dense_a = oracle.op.dense() + 0.45 * np.eye(oracle.op.dim)
+        vec = r3.columns[0]
+        for _ in range(2):  # a seed, then a Schur-basis chain vector
+            x = r3.operator.solve_shifted(0.45, vec)
+            assert np.allclose(
+                dense_a @ x.to_vector(), vec.to_vector(), atol=1e-8
+            )
+            vec = x
 
     def test_matvec_matches_dense(self, small_qldae, rng):
-        r3 = associated_h3(small_qldae)
-        op = r3.operator
-        x = rng.standard_normal(op.dim)
-        assert np.allclose(op.matvec(x), op.dense() @ x, atol=1e-10)
+        _, _, oracle = realization_and_oracle(small_qldae)
+        x = rng.standard_normal(oracle.op.dim)
+        assert np.allclose(
+            oracle.op.matvec(x), oracle.op.dense() @ x, atol=1e-10
+        )
 
     def test_impulse_matches_variational_g2_only(self, small_qldae_no_d1):
-        r3 = associated_h3(small_qldae_no_d1)
+        _, _, oracle = realization_and_oracle(small_qldae_no_d1)
         dt = 0.002
         eps = dt / 2
         resp = volterra_series_response(
@@ -163,13 +205,13 @@ class TestH3Realization:
             dt,
             order=3,
         )
-        h3 = r3.impulse_response(resp.times[::100])[:, :, 0]
+        h3 = oracle.impulse_response(resp.times[::100])[:, :, 0]
         x3 = resp.orders[3][::100]
         scale = max(np.abs(h3).max(), 1e-12)
         assert np.abs(x3 - h3).max() < 0.02 * scale
 
     def test_cubic_system_impulse(self, small_cubic):
-        r3 = associated_h3(small_cubic)
+        _, _, oracle = realization_and_oracle(small_cubic)
         dt = 0.002
         eps = dt / 2
         resp = volterra_series_response(
@@ -179,46 +221,129 @@ class TestH3Realization:
             dt,
             order=3,
         )
-        h3 = r3.impulse_response(resp.times[::100])[:, :, 0]
+        h3 = oracle.impulse_response(resp.times[::100])[:, :, 0]
         x3 = resp.orders[3][::100]
         scale = max(np.abs(h3).max(), 1e-12)
         assert np.abs(x3 - h3).max() < 0.02 * scale
 
     def test_cubic_realization_structure(self, small_cubic):
         """Pure cubic: A3 = [[G1, G3],[0, ⊕³G1]], B3 = [0; sym(b⊗b⊗b)]."""
-        r3 = associated_h3(small_cubic)
+        _, r3, oracle = realization_and_oracle(small_cubic)
         n = small_cubic.n_states
-        a3 = r3.operator.dense()
-        assert a3.shape == (n + n**3,) * 2
+        a3 = oracle.op.dense()
+        assert a3.shape == (n + n**3,) * 2 == r3.operator.shape
         assert np.allclose(a3[:n, :n], small_cubic.g1)
         assert np.allclose(a3[:n, n:], dense(small_cubic.g3))
         b = small_cubic.b[:, 0]
-        assert np.allclose(r3.b[:n, 0], 0.0)
-        assert np.allclose(r3.b[n:, 0], np.kron(b, np.kron(b, b)))
+        assert np.allclose(oracle.b[:n, 0], 0.0)
+        assert np.allclose(oracle.b[n:, 0], np.kron(b, np.kron(b, b)))
+        assert np.allclose(r3.columns[0].to_vector(), oracle.b[:, 0])
 
     def test_h3_none_for_linear(self):
         sys = QLDAE(-np.eye(2), np.ones(2))
         assert associated_h3(sys) is None
 
-    def test_mixed_quadratic_cubic(self, rng):
+    def test_mixed_quadratic_cubic(self, mixed_poly):
         """A PolynomialODE with both G2 and G3 carries all four blocks."""
-        from repro.systems import PolynomialODE
-
-        n = 3
-        sys = PolynomialODE(
-            -1.5 * np.eye(n) + 0.2 * rng.standard_normal((n, n)),
-            rng.standard_normal(n),
-            g2=0.1 * rng.standard_normal((n, n * n)),
-            g3=0.05 * rng.standard_normal((n, n**3)),
-        )
-        r3 = associated_h3(sys)
+        _, r3, oracle = realization_and_oracle(mixed_poly)
         op = r3.operator
         assert op.has_quad and op.has_cubic
+        n = mixed_poly.n_states
         n2 = n + n * n
-        assert op.dim == n + 2 * n * n2 + n**3
-        ss = r3.to_state_space()
+        assert op.dim == oracle.op.dim == n + 2 * n * n2 + n**3
         s = 1.2
-        assert np.allclose(r3.eval(s), ss.transfer(s), atol=1e-10)
+        assert np.allclose(r3.eval(s), oracle.eval(s), atol=1e-10)
+
+
+H3_SYSTEMS = [
+    "small_qldae", "small_qldae_no_d1", "small_cubic", "mixed_poly",
+    "miso_qldae", "miso_qldae_d1",
+]
+
+
+class TestH3OracleParity:
+    """The one factored H3 path against the dense A3/B3 oracle."""
+
+    BOUND = 1e-12
+
+    @pytest.mark.parametrize("name", H3_SYSTEMS)
+    def test_eval(self, name, request):
+        _, r3, oracle = realization_and_oracle(request.getfixturevalue(name))
+        for s in (0.7, 0.8 + 0.3j):
+            assert rel_err(r3.eval(s), oracle.eval(s)) <= self.BOUND
+
+    @pytest.mark.parametrize("name", H3_SYSTEMS)
+    def test_moment_vectors(self, name, request):
+        _, r3, oracle = realization_and_oracle(request.getfixturevalue(name))
+        moments = r3.moment_vectors(3, deduplicate=False)
+        assert rel_err(moments, oracle.moment_vectors(3)) <= self.BOUND
+
+    @pytest.mark.parametrize("name", H3_SYSTEMS)
+    def test_solve_shifted(self, name, request):
+        _, r3, oracle = realization_and_oracle(request.getfixturevalue(name))
+        for vec in r3.columns:
+            for shift in (0.45, -0.3 + 0.2j):
+                x = r3.operator.solve_shifted(shift, vec).to_vector()
+                ref = oracle.op.solve_shifted(shift, vec.to_vector())
+                assert rel_err(x, ref) <= self.BOUND
+
+
+class TestH3Mirror:
+    """Every H3 chain vector has X_c = X_b transposed, so the factored
+    path solves the b-block only."""
+
+    @staticmethod
+    def assert_mirrored(op, x):
+        n, n2 = op.n, op.n2
+        _, x_b, x_c, _ = op.split(x)
+        xb = x_b.reshape(n, n2)
+        xc = x_c.reshape(n2, n)
+        assert np.abs(xc[:n] - xb[:, :n].T).max() <= 1e-13 * np.abs(xb).max()
+        assert np.abs(xc[n:] - xb[:, n:].T).max() <= 1e-13 * np.abs(xb).max()
+
+    @pytest.mark.parametrize("name", ["small_qldae", "miso_qldae_d1"])
+    def test_b3_columns_and_dense_solves(self, name, request):
+        _, r3, oracle = realization_and_oracle(request.getfixturevalue(name))
+        for col in range(oracle.b.shape[1]):
+            x = oracle.b[:, col]
+            _, x_b, x_c, _ = oracle.op.split(x)
+            assert np.array_equal(
+                x_c.reshape(oracle.op.n2, -1),
+                x_b.reshape(-1, oracle.op.n2).T,
+            )
+            for shift in (0.45, 0.1 - 0.6j):
+                self.assert_mirrored(
+                    oracle.op, oracle.op.solve_shifted(shift, x)
+                )
+
+    def test_factored_seeds_expand_to_b3(self, miso_qldae_d1):
+        _, r3, oracle = realization_and_oracle(miso_qldae_d1)
+        seeds = np.column_stack([v.to_vector() for v in r3.columns])
+        assert rel_err(seeds, oracle.b) <= 1e-14
+
+
+class TestH3DenseRefusals:
+    """The lifted H3 state is held factored on every system."""
+
+    def test_dense_system(self, small_qldae):
+        r3 = associated_h3(small_qldae)
+        with pytest.raises(ValidationError, match="factored"):
+            r3.to_state_space()
+        with pytest.raises(ValidationError, match="eval"):
+            r3.impulse_response([0.0, 0.1])
+
+    def test_sparse_system(self):
+        circ = varistor_surge_protector(n_states=30)
+        sparse_sys = CubicODE(
+            sp.csr_matrix(circ.g1), circ.b, g3=circ.g3,
+            mass=sp.csr_matrix(circ.mass), output=circ.output,
+        ).to_explicit()
+        r3 = associated_h3(sparse_sys)
+        assert AssociatedWorkspace.for_system(sparse_sys).is_sparse
+        with pytest.raises(ValidationError, match="moment_vectors"):
+            r3.to_state_space()
+        with pytest.raises(ValidationError, match="factored"):
+            r3.impulse_response([0.0, 0.1])
 
 
 class TestMIMO:

@@ -72,7 +72,9 @@ class TestAssociatedRealizationExtras:
         r2 = associated_h2(small_qldae, ws)
         r3 = associated_h3(small_qldae, ws)
         assert r2.operator.kron_solver is ws.kron_solver
-        assert r3.operator.workspace is ws
+        assert r3.workspace is ws
+        assert r3.operator.kron is ws.kron_solver
+        assert ws._lowrank is None
 
 
 class TestReducedOrderModelContainer:

@@ -355,6 +355,28 @@ class TestFactoredH3:
         assert np.abs(ms - md).max() / np.abs(md).max() < 1e-7
 
 
+class TestH3WorkCounts:
+    """The H3 chains solve only the b-block of the mirrored pair."""
+
+    def test_decoupled_build_makes_four_lowrank_solves(self):
+        # Two H2 Kronecker-chain steps, then the H3 b-block's tail
+        # (k = 3) and head (k = 2); the mirrored c-block costs nothing.
+        system = low_rank_ladder(200, sparse=True)
+        ws = AssociatedWorkspace.for_system(system)
+        mor = AssociatedTransformMOR(orders=(3, 2, 1), strategy="decoupled")
+        mor.build_basis(system, workspace=ws)
+        assert ws.lowrank_kron.stats["solves"] == 4
+
+    @pytest.mark.parametrize("strategy", ["decoupled", "coupled"])
+    def test_dense_build_leaves_no_lowrank_solver(self, strategy):
+        system = low_rank_ladder(60, sparse=False)
+        ws = AssociatedWorkspace.for_system(system)
+        mor = AssociatedTransformMOR(orders=(3, 2, 1), strategy=strategy)
+        mor.build_basis(system, workspace=ws)
+        assert ws._lowrank is None
+        assert ws.lowrank_state() is None
+
+
 class TestFullOrderSparseMOR:
     """The acceptance criterion: orders=(q1, q2, q3) all > 0, decoupled,
     sparse, zero densifications."""

@@ -9,8 +9,6 @@ from repro.linalg import (
     KronSumOperator,
     QuadraticLiftedOperator,
     kron_sum_power,
-    solve_left_kron_sum,
-    solve_right_kron_sum,
 )
 
 
@@ -98,34 +96,3 @@ class TestQuadraticLiftedOperator:
         op = QuadraticLiftedOperator(g1, g2)
         with pytest.raises(ValidationError):
             op.split(np.zeros(7))
-
-
-class TestKronSumPairSolves:
-    def test_left(self, rng):
-        a = -np.eye(3) + 0.2 * rng.standard_normal((3, 3))
-        b = -1.5 * np.eye(4) + 0.3 * rng.standard_normal((4, 4))
-        big = np.kron(a, np.eye(4)) + np.kron(np.eye(3), b)
-        v = rng.standard_normal(12)
-        x = solve_left_kron_sum(a, DenseOperator(b), v, shift=0.25)
-        assert np.allclose((big + 0.25 * np.eye(12)) @ x, v, atol=1e-10)
-
-    def test_right(self, rng):
-        a = -np.eye(3) + 0.2 * rng.standard_normal((3, 3))
-        b = -1.5 * np.eye(4) + 0.3 * rng.standard_normal((4, 4))
-        big = np.kron(b, np.eye(3)) + np.kron(np.eye(4), a)
-        v = rng.standard_normal(12)
-        x = solve_right_kron_sum(DenseOperator(b), a, v, shift=0.1)
-        assert np.allclose((big + 0.1 * np.eye(12)) @ x, v, atol=1e-10)
-
-    def test_left_with_lifted_inner_operator(self, g1, g2, rng):
-        """The H3 configuration: A = G1 (small), B = Ã2 (lifted)."""
-        inner = QuadraticLiftedOperator(g1, g2)
-        a_small = -np.eye(2) + 0.1 * rng.standard_normal((2, 2))
-        big = np.kron(a_small, np.eye(inner.dim)) + np.kron(
-            np.eye(2), inner.dense()
-        )
-        v = rng.standard_normal(2 * inner.dim)
-        x = solve_left_kron_sum(a_small, inner, v, shift=0.15)
-        assert np.allclose(
-            (big + 0.15 * np.eye(big.shape[0])) @ x, v, atol=1e-8
-        )

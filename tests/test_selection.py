@@ -3,9 +3,16 @@
 import numpy as np
 import pytest
 
+from h3_oracle import DenseH3Oracle
+from repro.linalg.arnoldi import merge_bases
 from repro.mor import realization_hankel_values, suggest_orders
-from repro.volterra import associated_h1, associated_h2
-from repro.systems import QLDAE
+from repro.volterra import (
+    AssociatedWorkspace,
+    associated_h1,
+    associated_h2,
+    associated_h3,
+)
+from repro.systems import QLDAE, StateSpace
 
 
 @pytest.fixture
@@ -32,6 +39,48 @@ class TestRealizationHankelValues:
         hsv = realization_hankel_values(r2, probe=4)
         assert np.all(hsv >= 0)
         assert np.all(np.diff(hsv) <= 1e-12)
+
+
+def galerkin_hsv(op, b, n_top, probe, s0):
+    """HSVs of the surrogate projected with an explicit matvec,
+    ``Vᵀ (A V)`` on the merged shift-invert chains."""
+    chains, current = [], b.astype(complex)
+    for _ in range(probe):
+        current = np.column_stack(
+            [op.solve_shifted(-s0, col) for col in current.T]
+        )
+        chains.append(current)
+    basis = merge_bases(chains, tol=1e-10)
+    av = np.column_stack([op.matvec(v) for v in basis.T])
+    return StateSpace(
+        basis.T @ np.real(av), basis.T @ b, basis[:n_top]
+    ).hankel_singular_values()
+
+
+class TestChainProjection:
+    """The surrogate's ``Vᵀ A V`` comes from the chains themselves; it
+    must equal the matvec projection, for H3 against the dense oracle."""
+
+    @pytest.mark.parametrize("s0", [0.0, 0.3])
+    def test_h1_h2(self, small_qldae, s0):
+        ws = AssociatedWorkspace(small_qldae)
+        for real in (associated_h1(small_qldae, ws),
+                     associated_h2(small_qldae, ws)):
+            got = realization_hankel_values(real, probe=4, s0=s0)
+            ref = galerkin_hsv(real.operator, real.b, ws.n, 4, s0)
+            assert np.abs(got - ref).max() <= 1e-9 * ref[0]
+
+    @pytest.mark.parametrize("name", ["small_qldae", "small_cubic"])
+    @pytest.mark.parametrize("s0", [0.0, 0.3])
+    def test_dense_h3_matches_oracle(self, name, s0, request):
+        system = request.getfixturevalue(name)
+        ws = AssociatedWorkspace(system)
+        oracle = DenseH3Oracle(ws)
+        got = realization_hankel_values(
+            associated_h3(system, ws), probe=4, s0=s0
+        )
+        ref = galerkin_hsv(oracle.op, oracle.b, ws.n, 4, s0)
+        assert np.abs(got - ref).max() <= 1e-9 * ref[0]
 
 
 class TestSuggestOrders:

@@ -18,7 +18,7 @@ from repro.linalg import (
 )
 from repro.circuits import quadratic_rc_ladder_netlist
 from repro.linalg import LowRankKronSolver, sylvester
-from repro.linalg.sylvester import _SYLVESTER_BLOCK
+from repro.linalg.sylvester import _SYLVESTER_BLOCK, FactoredTensor
 
 
 @pytest.fixture
@@ -306,6 +306,95 @@ class TestSweepsAcrossBlocks:
             lambda shift, rhs: -factory.solve_transpose(-shift, rhs),
         ).solve_pi(ladder.g2, tol=1e-9)
         assert left_solves  # the Π left solve ran under the patch too
+
+
+class TestFactoredKronSolve:
+    """KronSumSolver's FactoredTensor entry: exact, on the Schur basis."""
+
+    SHIFT = 0.3 - 0.2j
+
+    @staticmethod
+    def _case(n, seed=4):
+        rng = np.random.default_rng(seed)
+        a = -1.5 * np.eye(n) + 0.3 * rng.standard_normal((n, n))
+        return KronSumSolver(a), rng
+
+    @staticmethod
+    def _rel(x, ref):
+        return np.abs(x - ref).max() / np.abs(ref).max()
+
+    @pytest.mark.parametrize("n", [9, 70])
+    def test_pair_symmetric_matches_flat(self, n):
+        solver, rng = self._case(n)
+        u, v, w = rng.standard_normal((3, n))
+        pair = np.column_stack([v, w])
+        core = np.array([[[0.0, 0.5], [0.5, 0.0]]])
+        seed = FactoredTensor(core, [u[:, None], pair, pair])
+        out = solver.solve(seed, k=3, shift=self.SHIFT)
+        flat = solver.solve(seed.to_vector(), k=3, shift=self.SHIFT)
+        assert self._rel(out.to_vector(), flat) <= 1e-13
+        assert all(f is solver.schur.q for f in out.factors)
+        assert np.array_equal(out.core, out.core.transpose(0, 2, 1))
+        # A chain step on a Schur-basis output transforms nothing.
+        again = solver.solve(out, k=3, shift=self.SHIFT)
+        ref = solver.solve(flat, k=3, shift=self.SHIFT)
+        assert self._rel(again.to_vector(), ref) <= 1e-13
+        assert np.array_equal(again.core, again.core.transpose(0, 2, 1))
+
+    def test_fully_symmetric_dense_core(self):
+        n = 12
+        solver, rng = self._case(n, seed=8)
+        c = rng.standard_normal((n, n, n))
+        c = sum(c.transpose(p) for p in
+                ((0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1),
+                 (2, 1, 0)))
+        basis = np.linalg.qr(rng.standard_normal((n, n)))[0]
+        seed = FactoredTensor(c, [basis] * 3)
+        out = solver.solve(seed, k=3, shift=0.4)
+        flat = solver.solve(seed.to_vector(), k=3, shift=0.4)
+        assert self._rel(out.to_vector(), flat) <= 1e-13
+
+    def test_asymmetric_rhs_refused(self):
+        solver, rng = self._case(9)
+        u, v, w = rng.standard_normal((3, 9))
+        with pytest.raises(ValidationError, match="symmetric"):
+            solver.solve(FactoredTensor.rank_one([u, v, w]), k=3)
+
+    def test_two_way_matches_flat(self):
+        solver, rng = self._case(9)
+        seed = FactoredTensor(
+            rng.standard_normal((2, 3)),
+            [rng.standard_normal((9, 2)), rng.standard_normal((9, 3))],
+        )
+        out = solver.solve(seed, k=2, shift=self.SHIFT)
+        flat = solver.solve(seed.to_vector(), k=2, shift=self.SHIFT)
+        assert self._rel(out.to_vector(), flat) <= 1e-13
+        assert all(f is solver.schur.q for f in out.factors)
+
+    def test_shape_and_order_checks(self):
+        solver, rng = self._case(9)
+        with pytest.raises(ValidationError):
+            solver.solve(FactoredTensor.rank_one(rng.standard_normal((2, 8))))
+        with pytest.raises(ValidationError):
+            solver.solve(
+                FactoredTensor.rank_one(rng.standard_normal((2, 9))), k=3
+            )
+
+    def test_refuses_before_any_slab(self, monkeypatch):
+        n = 65
+        eig = -1.0 - np.arange(n) / n
+        solver = KronSumSolver(np.diag(eig))
+        slabs = []
+        real = sylvester._sylvester_sweep
+        monkeypatch.setattr(
+            sylvester,
+            "_sylvester_sweep",
+            lambda *args: slabs.append(1) or real(*args),
+        )
+        ones = FactoredTensor.rank_one([np.ones(n)] * 3)
+        with pytest.raises(NumericalError):
+            solver.solve(ones, k=3, shift=-3.0 * eig[1])
+        assert slabs == []
 
 
 # ---------------------------------------------------------------------------
